@@ -38,6 +38,97 @@ std::string EncodeTimeList(
   return w.Release();
 }
 
+/// The one decoder of EncodeTimeList's format. For each present day it
+/// calls visitor.BeginDay(day, count); when that returns true the day's
+/// ids follow, delta-decoded, through visitor.Id(id) until it returns
+/// false. Ids the visitor declines are still decoded, so every blob is
+/// checked in full: a truncated or over-long varint, a day out of range or
+/// not after the previous one, and an id count larger than the bytes left
+/// are all Corruption.
+template <typename Visitor>
+Status DecodeTimeList(const std::string& blob, int32_t num_days,
+                      Visitor& visitor) {
+  BinaryReader in(blob);
+  STRR_ASSIGN_OR_RETURN(uint32_t day_count, in.GetVarint32());
+  int64_t prev_day = -1;
+  for (uint32_t i = 0; i < day_count; ++i) {
+    STRR_ASSIGN_OR_RETURN(uint32_t day, in.GetVarint32());
+    if (day >= static_cast<uint32_t>(num_days)) {
+      return Status::Corruption("time list day out of range");
+    }
+    if (static_cast<int64_t>(day) <= prev_day) {
+      return Status::Corruption("time list days out of order");
+    }
+    prev_day = day;
+    STRR_ASSIGN_OR_RETURN(uint32_t count, in.GetVarint32());
+    // Each id costs at least one byte: reject impossible counts before the
+    // visitor reserves for them.
+    if (count > in.RemainingBytes()) {
+      return Status::Corruption("u32 list count exceeds remaining bytes");
+    }
+    bool want = visitor.BeginDay(day, count);
+    uint32_t id = 0;
+    for (uint32_t k = 0; k < count; ++k) {
+      STRR_ASSIGN_OR_RETURN(uint32_t delta, in.GetVarint32());
+      id += delta;
+      if (want) want = visitor.Id(id);
+    }
+  }
+  return Status::OK();
+}
+
+/// Builds the full per-day lists (ReadTimeList).
+struct CollectDays {
+  TimeList* lists;
+  std::vector<TrajectoryId>* day_list = nullptr;
+
+  bool BeginDay(uint32_t day, uint32_t count) {
+    day_list = &(*lists)[day];
+    day_list->reserve(count);
+    return true;
+  }
+  bool Id(uint32_t id) {
+    day_list->push_back(id);
+    return true;
+  }
+};
+
+/// Merge-tests each wanted day's ids against the sorted start ids as they
+/// are decoded — the same two-pointer walk as SortedIntersects(start, day),
+/// stopping at the first common id or once the start ids run out.
+struct IntersectDays {
+  const std::vector<std::vector<TrajectoryId>>* start_ids;
+  std::vector<uint8_t>* day_hit;
+  int marked = 0;
+  uint32_t day = 0;
+  const TrajectoryId* next = nullptr;  // first start id not yet passed
+  const TrajectoryId* end = nullptr;
+
+  bool BeginDay(uint32_t d, uint32_t count) {
+    const std::vector<TrajectoryId>& starts = (*start_ids)[d];
+    if ((*day_hit)[d] || count == 0 || starts.empty()) return false;
+    day = d;
+    next = starts.data();
+    end = next + starts.size();
+    return true;
+  }
+  bool Id(uint32_t id) {
+    while (next != end && *next < id) ++next;
+    if (next == end) return false;
+    if (*next != id) return true;
+    (*day_hit)[day] = 1;
+    ++marked;
+    return false;
+  }
+};
+
+/// Per-thread posting buffer: the verification read path copies each blob
+/// here instead of allocating a fresh string per read.
+std::string& PostingBuffer() {
+  thread_local std::string buffer;
+  return buffer;
+}
+
 }  // namespace
 
 StatusOr<std::unique_ptr<StIndex>> StIndex::Build(
@@ -176,22 +267,35 @@ std::vector<SlotId> StIndex::SlotsCovering(int64_t begin_tod,
 
 StatusOr<TimeList> StIndex::ReadTimeList(SegmentId seg, SlotId slot) const {
   TimeList lists(static_cast<size_t>(num_days_));
-  PostingKey key = MakePostingKey(seg, static_cast<uint32_t>(slot));
-  if (!postings_->Contains(key)) return lists;  // no traffic at all
-  STRR_ASSIGN_OR_RETURN(std::string blob, postings_->Get(key));
-  BinaryReader r(blob);
-  STRR_ASSIGN_OR_RETURN(uint32_t day_count, r.GetVarint32());
-  for (uint32_t i = 0; i < day_count; ++i) {
-    STRR_ASSIGN_OR_RETURN(uint32_t day, r.GetVarint32());
-    STRR_ASSIGN_OR_RETURN(std::vector<uint32_t> ids,
-                          r.GetU32List(/*sorted=*/true));
-    if (day < lists.size()) {
-      lists[day] = std::move(ids);
-    } else {
-      return Status::Corruption("time list day out of range");
-    }
-  }
+  std::string& blob = PostingBuffer();
+  STRR_ASSIGN_OR_RETURN(
+      bool found,
+      postings_->GetInto(MakePostingKey(seg, static_cast<uint32_t>(slot)),
+                         &blob));
+  if (!found) return lists;  // no traffic at all
+  CollectDays collect{&lists};
+  STRR_RETURN_IF_ERROR(DecodeTimeList(blob, num_days_, collect));
   return lists;
+}
+
+StatusOr<int> StIndex::MarkDaysIntersecting(
+    SegmentId seg, SlotId slot,
+    const std::vector<std::vector<TrajectoryId>>& start_ids,
+    std::vector<uint8_t>* day_hit) const {
+  const size_t days = static_cast<size_t>(num_days_);
+  if (start_ids.size() != days || day_hit->size() != days) {
+    return Status::InvalidArgument(
+        "MarkDaysIntersecting: start_ids/day_hit must have one entry per day");
+  }
+  std::string& blob = PostingBuffer();
+  STRR_ASSIGN_OR_RETURN(
+      bool found,
+      postings_->GetInto(MakePostingKey(seg, static_cast<uint32_t>(slot)),
+                         &blob));
+  if (!found) return 0;
+  IntersectDays intersect{&start_ids, day_hit};
+  STRR_RETURN_IF_ERROR(DecodeTimeList(blob, num_days_, intersect));
+  return intersect.marked;
 }
 
 bool StIndex::HasTraffic(SegmentId seg, SlotId slot) const {

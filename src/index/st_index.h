@@ -13,6 +13,7 @@
 #ifndef STRR_INDEX_ST_INDEX_H_
 #define STRR_INDEX_ST_INDEX_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -58,10 +59,11 @@ using TimeList = std::vector<std::vector<TrajectoryId>>;
 
 /// Built index; immutable after Build and thread-safe for concurrent
 /// queries: the R-tree/B+-tree lookups are const over frozen structures,
-/// and ReadTimeList goes through PostingStore::Get, which copies page
-/// bytes out under the BufferPool lock. The StorageStats counters are
-/// shared across all concurrent queries (FileManager keeps them atomic);
-/// per-query I/O deltas are only meaningful for sequential execution.
+/// and the time-list reads go through PostingStore::GetInto, which copies
+/// page bytes out under the page's BufferPool shard lock into a buffer
+/// owned by the calling thread. The StorageStats counters are shared
+/// across all concurrent queries (FileManager keeps them atomic); per-query
+/// I/O deltas are only meaningful for sequential execution.
 class StIndex {
  public:
   /// Builds from the matched-trajectory database, writing the posting file
@@ -97,6 +99,19 @@ class StIndex {
   /// Reads the time list of (segment, slot) from disk. Days with no
   /// traversals have empty lists. Costs buffer-pool I/O.
   StatusOr<TimeList> ReadTimeList(SegmentId seg, SlotId slot) const;
+
+  /// The verification step of Eq. 3.1 without materialising a TimeList:
+  /// for every day d with day_hit[d] == 0 and a non-empty start_ids[d],
+  /// sets day_hit[d] = 1 when (seg, slot)'s day-d list shares an id with
+  /// the sorted start_ids[d]. The posting is decoded straight from a
+  /// per-thread buffer and each day's ids are merge-tested as they are
+  /// delta-decoded. Same I/O and same corruption checks as ReadTimeList
+  /// (one decoder serves both). Returns the number of days newly marked;
+  /// a (seg, slot) without traffic marks none and costs no I/O.
+  StatusOr<int> MarkDaysIntersecting(
+      SegmentId seg, SlotId slot,
+      const std::vector<std::vector<TrajectoryId>>& start_ids,
+      std::vector<uint8_t>* day_hit) const;
 
   /// True when some trajectory traversed (segment, slot) on any day —
   /// directory-only check, no I/O.

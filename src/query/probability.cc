@@ -60,21 +60,19 @@ StatusOr<double> ReachabilityProbability::Probability(SegmentId r) {
   const int num_days = st_index_->num_days();
   if (num_days == 0 || start_active_days_ == 0) return 0.0;
 
-  // Accumulate r's per-day ids over the duration slots, testing days
-  // against the start lists. A day counts once some common id appears.
-  std::vector<uint8_t> day_hit(static_cast<size_t>(num_days), 0);
+  // Test r's per-day ids over the duration slots against the start lists,
+  // straight from the posting bytes. A day counts once some common id
+  // appears. The marks are per thread: TBS rings verify in parallel.
+  thread_local std::vector<uint8_t> day_hit;
+  day_hit.assign(static_cast<size_t>(num_days), 0);
   int hits = 0;
   for (SlotId slot : candidate_slots_) {
     if (!st_index_->HasTraffic(r, slot)) continue;  // directory check, no IO
-    STRR_ASSIGN_OR_RETURN(TimeList lists, st_index_->ReadTimeList(r, slot));
+    STRR_ASSIGN_OR_RETURN(
+        int marked,
+        st_index_->MarkDaysIntersecting(r, slot, start_ids_, &day_hit));
     time_lists_read_.fetch_add(1, std::memory_order_relaxed);
-    for (int d = 0; d < num_days; ++d) {
-      if (day_hit[d] || lists[d].empty() || start_ids_[d].empty()) continue;
-      if (SortedIntersects(start_ids_[d], lists[d])) {
-        day_hit[d] = 1;
-        ++hits;
-      }
-    }
+    hits += marked;
     if (hits == num_days) break;  // cannot improve further
   }
   return static_cast<double>(hits) / static_cast<double>(num_days);

@@ -9,8 +9,11 @@
 // One instance is built per query execution: it reads and caches the start
 // segment's time lists once, then verifies candidates one by one, reading
 // their time lists from the ST-Index (this is the disk I/O the SQMB/TBS
-// machinery exists to minimize). Multi-location queries pass several start
-// segments; their per-day ID lists are unioned (reachable from ANY start).
+// machinery exists to minimize). Verification never materialises a
+// candidate's TimeList: StIndex::MarkDaysIntersecting merge-tests the
+// decoded ids against the start lists as it goes. Multi-location queries
+// pass several start segments; their per-day ID lists are unioned
+// (reachable from ANY start).
 #ifndef STRR_QUERY_PROBABILITY_H_
 #define STRR_QUERY_PROBABILITY_H_
 

@@ -16,9 +16,18 @@
 //    scans cannot flush the hot working set. A rejected page is served
 //    through the scratch frame without being cached.
 //
+// Concurrency: the pool is hash-partitioned into shards keyed by a mixed
+// page id. Each shard has its own mutex, frame map, probation/protected
+// lists, sketch and stats, so readers of different pages rarely meet on a
+// lock. The shard count follows capacity (one shard per kFramesPerShard
+// frames, at most kMaxShards); pools under 2 * kFramesPerShard frames keep
+// one shard and hence the exact pool-wide LRU/TinyLFU order. Replacement
+// is per shard: a shard evicts its own least-recent frame.
+//
 // `BufferPoolOptions::role` labels this pool's metric series (e.g.
 // role="posting"), giving per-file-role hit/miss/eviction accounting
-// across the engine's pools.
+// across the engine's pools. strr_bufferpool_lock_contended_total counts
+// page requests that found their shard's lock held and had to block.
 #ifndef STRR_STORAGE_BUFFER_POOL_H_
 #define STRR_STORAGE_BUFFER_POOL_H_
 
@@ -56,6 +65,16 @@ struct BufferPoolOptions {
 /// Page cache. Thread-safe.
 class BufferPool {
  public:
+  /// A pool gets capacity / kFramesPerShard shards, at least 1 and at most
+  /// kMaxShards. The count depends on capacity only, not on the host's
+  /// thread count, so a given capacity evicts the same way on every
+  /// machine. 256 frames keep each shard's LRU deep enough that hash skew
+  /// does not evict hot pages early; 16 shards make two of a handful of
+  /// concurrent readers rarely meet on one lock. The 4096-page default
+  /// pool gets 16 shards of 256 frames.
+  static constexpr size_t kFramesPerShard = 256;
+  static constexpr size_t kMaxShards = 16;
+
   BufferPool(FileManager* file, size_t capacity_pages)
       : BufferPool(file, BufferPoolOptions{.capacity_pages = capacity_pages}) {}
 
@@ -70,14 +89,15 @@ class BufferPool {
   /// the scratch frame of a capacity-0 pool or a TinyLFU admission
   /// reject). Single-threaded callers (tests, benches) only; concurrent
   /// readers must use ReadInto, which copies while the frame is pinned
-  /// under the pool lock.
+  /// under its shard's lock.
   StatusOr<const Page*> Fetch(PageId id);
 
   /// Copies `n` bytes at `offset` within page `id` into `dst`, going
   /// through the cache (hit/miss accounting identical to Fetch). The copy
-  /// happens under the pool lock, so the bytes are consistent even while
-  /// other threads fetch and evict — this is the concurrent read path the
-  /// query executor relies on. Caller guarantees offset + n <= page size.
+  /// happens under the page's shard lock, so the bytes are consistent even
+  /// while other threads fetch and evict — this is the concurrent read
+  /// path the query executor relies on. Requests for pages in different
+  /// shards proceed in parallel. Caller guarantees offset + n <= page size.
   Status ReadInto(PageId id, uint32_t offset, void* dst, uint32_t n);
 
   /// Writes `page` through to disk and refreshes/installs the cached copy.
@@ -86,8 +106,8 @@ class BufferPool {
   /// Drops all cached pages (stats are preserved).
   void Clear();
 
-  /// Combined statistics: pool-level hits/misses/evictions merged with the
-  /// underlying file's disk counters.
+  /// Combined statistics: pool-level hits/misses/evictions summed over the
+  /// shards, merged with the underlying file's disk counters.
   StorageStats stats() const;
 
   /// Zeroes both pool and file counters.
@@ -104,6 +124,7 @@ class BufferPool {
   size_t capacity() const { return options_.capacity_pages; }
   CachePolicy policy() const { return options_.policy; }
   const std::string& role() const { return options_.role; }
+  size_t num_shards() const { return num_shards_; }
   size_t CachedPages() const;
   FileManager* file() { return file_; }
 
@@ -114,40 +135,58 @@ class BufferPool {
     bool in_protected = false;
     explicit Frame(uint32_t page_size) : page(page_size) {}
   };
+  using FrameMap = std::unordered_map<PageId, std::unique_ptr<Frame>>;
 
-  /// Hit/miss lookup for `id`. Caller holds mu_; the returned pointer is
-  /// valid only while the lock is held.
-  StatusOr<const Page*> FetchLocked(PageId id);
+  /// One hash partition: a self-contained LRU/TinyLFU cache over the pages
+  /// that map to it. Cache-line aligned so neighbouring shard locks do not
+  /// share a line.
+  struct alignas(64) Shard {
+    std::mutex mu;
+    size_t capacity = 0;
+    size_t protected_cap = 0;  // TinyLFU protected-segment frame budget
+    FrameMap frames;
+    std::list<PageId> probation;  // front = most recent; kLru uses only this
+    std::list<PageId> protected_pages;  // TinyLFU re-use segment
+    std::unique_ptr<FrequencySketch> sketch;  // TinyLFU admission
+    std::unique_ptr<Page> scratch;
+    StorageStats stats;  // hits, misses and evictions only
+    uint64_t admission_rejects = 0;
+  };
 
-  /// Reads `id` into the scratch frame (capacity-0 pools and TinyLFU
-  /// admission rejects). Caller holds mu_.
-  StatusOr<const Page*> ReadScratchLocked(PageId id);
+  Shard& ShardFor(PageId id) const;
+
+  /// Takes `shard`'s lock, counting a contended acquisition when another
+  /// thread holds it.
+  std::unique_lock<std::mutex> LockForRequest(Shard& shard) const;
+
+  /// Hit/miss lookup for `id`. Caller holds shard.mu; the returned pointer
+  /// is valid only while the lock is held.
+  StatusOr<const Page*> FetchLocked(Shard& shard, PageId id);
+
+  /// Reads `id` into the shard's scratch frame (capacity-0 pools and
+  /// TinyLFU admission rejects). Caller holds shard.mu.
+  StatusOr<const Page*> ReadScratchLocked(Shard& shard, PageId id);
 
   /// Moves a resident frame to the front of its segment, promoting
-  /// probation frames under TinyLFU. Caller holds mu_.
-  void TouchLocked(PageId id, Frame* frame);
+  /// probation frames under TinyLFU. Caller holds shard.mu.
+  void TouchLocked(Shard& shard, Frame* frame);
 
-  /// Evicts from the back of probation (then protected) until a frame is
-  /// free. Caller holds mu_.
-  void EvictOneLocked();
+  /// Evicts the back of probation (else protected) and returns its map
+  /// node re-keyed to `id`, with its list node moved to the front of
+  /// probation: a miss reuses the victim's frame instead of allocating.
+  /// Caller holds shard.mu.
+  FrameMap::node_type EvictForLocked(Shard& shard, PageId id);
 
   FileManager* file_;
   BufferPoolOptions options_;
-  size_t protected_cap_ = 0;  // TinyLFU protected-segment frame budget
-
-  mutable std::mutex mu_;
-  std::unordered_map<PageId, std::unique_ptr<Frame>> frames_;
-  std::list<PageId> probation_;  // front = most recent; kLru uses only this
-  std::list<PageId> protected_;  // TinyLFU re-use segment
-  std::unique_ptr<FrequencySketch> sketch_;  // TinyLFU admission
-  std::unique_ptr<Page> scratch_;
-  StorageStats pool_stats_;
-  uint64_t admission_rejects_ = 0;
+  size_t num_shards_ = 1;
+  std::unique_ptr<Shard[]> shards_;
 
   obs::Counter& hits_counter_;
   obs::Counter& misses_counter_;
   obs::Counter& evictions_counter_;
   obs::Counter& admission_rejects_counter_;
+  obs::Counter& lock_contended_counter_;
 };
 
 }  // namespace strr

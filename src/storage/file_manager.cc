@@ -1,11 +1,33 @@
 #include "storage/file_manager.h"
 
+#include <fcntl.h>
 #include <sys/stat.h>
+#include <unistd.h>
+
+#include <cerrno>
 
 namespace strr {
 
+namespace {
+
+/// pread/pwrite until `n` bytes moved, retrying on EINTR and short
+/// transfers. False on an error or on end of file.
+template <typename Byte, typename Transfer>
+bool TransferAll(Transfer transfer, Byte* buf, size_t n, off_t offset) {
+  size_t done = 0;
+  while (done < n) {
+    ssize_t got = transfer(buf + done, n - done, offset + done);
+    if (got < 0 && errno == EINTR) continue;
+    if (got <= 0) return false;
+    done += static_cast<size_t>(got);
+  }
+  return true;
+}
+
+}  // namespace
+
 FileManager::~FileManager() {
-  if (file_ != nullptr) std::fclose(file_);
+  if (fd_ >= 0) ::close(fd_);
 }
 
 StatusOr<std::unique_ptr<FileManager>> FileManager::Create(
@@ -14,48 +36,45 @@ StatusOr<std::unique_ptr<FileManager>> FileManager::Create(
     return Status::InvalidArgument("page size too small: " +
                                    std::to_string(page_size));
   }
-  std::FILE* f = std::fopen(path.c_str(), "wb+");
-  if (f == nullptr) {
+  int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd < 0) {
     return Status::IoError("cannot create page file: " + path);
   }
   return std::unique_ptr<FileManager>(
-      new FileManager(path, f, page_size, /*num_pages=*/0));
+      new FileManager(path, fd, page_size, /*num_pages=*/0));
 }
 
 StatusOr<std::unique_ptr<FileManager>> FileManager::Open(
     const std::string& path, uint32_t page_size) {
-  std::FILE* f = std::fopen(path.c_str(), "rb+");
-  if (f == nullptr) {
+  int fd = ::open(path.c_str(), O_RDWR | O_CLOEXEC);
+  if (fd < 0) {
     return Status::IoError("cannot open page file: " + path);
   }
-  if (std::fseek(f, 0, SEEK_END) != 0) {
-    std::fclose(f);
-    return Status::IoError("cannot seek page file: " + path);
-  }
-  long size = std::ftell(f);
-  if (size < 0) {
-    std::fclose(f);
+  struct stat st;
+  if (::fstat(fd, &st) != 0) {
+    ::close(fd);
     return Status::IoError("cannot size page file: " + path);
   }
-  if (static_cast<uint64_t>(size) % page_size != 0) {
-    std::fclose(f);
+  const uint64_t size = static_cast<uint64_t>(st.st_size);
+  if (size % page_size != 0) {
+    ::close(fd);
     return Status::Corruption("file size " + std::to_string(size) +
                               " is not a multiple of page size " +
                               std::to_string(page_size) + ": " + path);
   }
-  uint64_t pages = static_cast<uint64_t>(size) / page_size;
   return std::unique_ptr<FileManager>(
-      new FileManager(path, f, page_size, pages));
+      new FileManager(path, fd, page_size, size / page_size));
 }
 
 StatusOr<PageId> FileManager::AllocatePage() {
   Page zero(page_size_);
-  std::lock_guard<std::mutex> lock(io_mu_);
+  std::lock_guard<std::mutex> lock(alloc_mu_);
   PageId id = num_pages_.load(std::memory_order_relaxed);
-  if (std::fseek(file_, static_cast<long>(id * page_size_), SEEK_SET) != 0) {
-    return Status::IoError("seek failed allocating page");
-  }
-  if (std::fwrite(zero.data(), 1, page_size_, file_) != page_size_) {
+  auto write = [this](const char* p, size_t n, off_t at) {
+    return ::pwrite(fd_, p, n, at);
+  };
+  if (!TransferAll(write, zero.data(), page_size_,
+                   static_cast<off_t>(id * page_size_))) {
     return Status::IoError("short write allocating page");
   }
   num_pages_.store(id + 1, std::memory_order_release);
@@ -72,11 +91,11 @@ Status FileManager::ReadPage(PageId id, Page* page) {
   if (page->size() != page_size_) {
     return Status::InvalidArgument("page buffer size mismatch");
   }
-  std::lock_guard<std::mutex> lock(io_mu_);
-  if (std::fseek(file_, static_cast<long>(id * page_size_), SEEK_SET) != 0) {
-    return Status::IoError("seek failed reading page " + std::to_string(id));
-  }
-  if (std::fread(page->data(), 1, page_size_, file_) != page_size_) {
+  auto read = [this](char* p, size_t n, off_t at) {
+    return ::pread(fd_, p, n, at);
+  };
+  if (!TransferAll(read, page->data(), page_size_,
+                   static_cast<off_t>(id * page_size_))) {
     return Status::IoError("short read of page " + std::to_string(id));
   }
   page_reads_.fetch_add(1, std::memory_order_relaxed);
@@ -91,22 +110,14 @@ Status FileManager::WritePage(PageId id, const Page& page) {
   if (page.size() != page_size_) {
     return Status::InvalidArgument("page buffer size mismatch");
   }
-  std::lock_guard<std::mutex> lock(io_mu_);
-  if (std::fseek(file_, static_cast<long>(id * page_size_), SEEK_SET) != 0) {
-    return Status::IoError("seek failed writing page " + std::to_string(id));
-  }
-  if (std::fwrite(page.data(), 1, page_size_, file_) != page_size_) {
+  auto write = [this](const char* p, size_t n, off_t at) {
+    return ::pwrite(fd_, p, n, at);
+  };
+  if (!TransferAll(write, page.data(), page_size_,
+                   static_cast<off_t>(id * page_size_))) {
     return Status::IoError("short write of page " + std::to_string(id));
   }
   page_writes_.fetch_add(1, std::memory_order_relaxed);
-  return Status::OK();
-}
-
-Status FileManager::Sync() {
-  std::lock_guard<std::mutex> lock(io_mu_);
-  if (std::fflush(file_) != 0) {
-    return Status::IoError("fflush failed for " + path_);
-  }
   return Status::OK();
 }
 

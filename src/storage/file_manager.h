@@ -2,11 +2,12 @@
 //
 // The lowest storage layer: allocates, reads and writes whole pages and
 // counts every transfer. Sits below the BufferPool, which adds caching.
+// Transfers are positional (pread/pwrite on one file descriptor), so there
+// is no shared file position and concurrent page reads take no lock.
 #ifndef STRR_STORAGE_FILE_MANAGER_H_
 #define STRR_STORAGE_FILE_MANAGER_H_
 
 #include <atomic>
-#include <cstdio>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -17,11 +18,13 @@
 
 namespace strr {
 
-/// Owns a stdio file handle and exposes page-level I/O.
+/// Owns a file descriptor and exposes page-level I/O.
 ///
-/// Thread-safe: page transfers serialize on an internal mutex (one stdio
-/// handle has one file position), and the transfer counters are atomics so
-/// stats() is a lock-free snapshot readable while other threads do I/O.
+/// Thread-safe: ReadPage and WritePage are positional and lock-free, so
+/// any number of threads transfer pages at once. Only AllocatePage takes a
+/// mutex, to serialise its extend-then-publish of NumPages(). The transfer
+/// counters are atomics, so stats() is a lock-free snapshot readable while
+/// other threads do I/O.
 class FileManager {
  public:
   ~FileManager();
@@ -43,11 +46,10 @@ class FileManager {
   /// Reads page `id` into `*page` (page must match page_size()).
   Status ReadPage(PageId id, Page* page);
 
-  /// Writes `page` at page `id` (must be < NumPages()).
+  /// Writes `page` at page `id` (must be < NumPages()). The write reaches
+  /// the OS before this returns (pwrite, no user-space buffer), so a later
+  /// Open of the same path sees it; nothing is fsynced.
   Status WritePage(PageId id, const Page& page);
-
-  /// Flushes stdio buffers to the OS.
-  Status Sync();
 
   uint32_t page_size() const { return page_size_; }
   uint64_t NumPages() const {
@@ -69,20 +71,20 @@ class FileManager {
   }
 
  private:
-  FileManager(std::string path, std::FILE* file, uint32_t page_size,
+  FileManager(std::string path, int fd, uint32_t page_size,
               uint64_t num_pages)
       : path_(std::move(path)),
-        file_(file),
+        fd_(fd),
         page_size_(page_size),
         num_pages_(num_pages) {}
 
   std::string path_;
-  std::FILE* file_;
+  int fd_;
   uint32_t page_size_;
   std::atomic<uint64_t> num_pages_;
   std::atomic<uint64_t> page_reads_{0};
   std::atomic<uint64_t> page_writes_{0};
-  std::mutex io_mu_;  // serializes seek+transfer pairs on file_
+  std::mutex alloc_mu_;  // serialises AllocatePage's extend-then-publish
 };
 
 }  // namespace strr

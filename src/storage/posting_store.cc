@@ -134,7 +134,6 @@ Status PostingStoreBuilder::Finish() {
   hw.PutU64(directory_.size());           // entry count (redundant check)
   header.Write(0, hw.data().data(), static_cast<uint32_t>(hw.size()));
   STRR_RETURN_IF_ERROR(file_->WritePage(0, header));
-  STRR_RETURN_IF_ERROR(file_->Sync());
   finished_ = true;
   return Status::OK();
 }
@@ -235,16 +234,20 @@ bool PostingStore::MayContain(PostingKey key) const {
 }
 
 StatusOr<std::string> PostingStore::Get(PostingKey key) const {
-  if (!MayContain(key)) {
-    return Status::NotFound("posting key " + std::to_string(key));
-  }
+  std::string out;
+  STRR_ASSIGN_OR_RETURN(bool found, GetInto(key, &out));
+  if (!found) return Status::NotFound("posting key " + std::to_string(key));
+  return out;
+}
+
+StatusOr<bool> PostingStore::GetInto(PostingKey key, std::string* out) const {
+  out->clear();
+  if (!MayContain(key)) return false;
   auto it = directory_.find(key);
-  if (it == directory_.end()) {
-    return Status::NotFound("posting key " + std::to_string(key));
-  }
+  if (it == directory_.end()) return false;
   const Extent& e = it->second;
   const uint32_t page_size = file_->page_size();
-  std::string out(e.length, '\0');
+  out->resize(e.length);
   uint64_t copied = 0;
   while (copied < e.length) {
     uint64_t byte = e.offset + copied;
@@ -253,13 +256,13 @@ StatusOr<std::string> PostingStore::Get(PostingKey key) const {
     uint32_t chunk =
         static_cast<uint32_t>(std::min<uint64_t>(page_size - in_page,
                                                  e.length - copied));
-    // ReadInto copies under the pool lock: safe against concurrent readers
-    // evicting the frame mid-copy (Fetch's raw pointer is not).
+    // ReadInto copies under the page's shard lock: safe against concurrent
+    // readers evicting the frame mid-copy (Fetch's raw pointer is not).
     STRR_RETURN_IF_ERROR(
-        pool_->ReadInto(pid, in_page, out.data() + copied, chunk));
+        pool_->ReadInto(pid, in_page, out->data() + copied, chunk));
     copied += chunk;
   }
-  return out;
+  return true;
 }
 
 }  // namespace strr

@@ -90,7 +90,8 @@ struct PostingStoreOptions {
 
 /// Read side. Thread-safe for concurrent Get calls: the immutable
 /// directory is shared read-only and page bytes are copied out under the
-/// BufferPool lock (ReadInto), so eviction races cannot tear a blob.
+/// page's BufferPool shard lock (ReadInto), so eviction races cannot tear
+/// a blob.
 class PostingStore {
  public:
   /// Opens the store, loading the directory eagerly. The store owns its
@@ -106,6 +107,11 @@ class PostingStore {
 
   /// Fetches the blob stored under `key`; NotFound when absent.
   StatusOr<std::string> Get(PostingKey key) const;
+
+  /// Copies the blob stored under `key` into `*out`, reusing its capacity
+  /// (the verification read path keeps one buffer per thread). Returns
+  /// false, with `*out` cleared, when the key is absent.
+  StatusOr<bool> GetInto(PostingKey key, std::string* out) const;
 
   /// True when `key` exists (bloom doorkeeper, then directory; no I/O).
   bool Contains(PostingKey key) const {

@@ -3,13 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <set>
 
 #include "index/con_index.h"
 #include "index/speed_profile.h"
 #include "index/st_index.h"
+#include "query/probability.h"
 #include "roadnet/expansion.h"
 #include "tests/test_util.h"
+#include "util/rng.h"
+#include "util/serialize.h"
 
 namespace strr {
 namespace {
@@ -226,6 +232,146 @@ TEST(StIndexSharedTest, EveryStoredSampleIsFindable) {
     }
   });
   EXPECT_GT(checked, 20);
+}
+
+// --- Time-list decoder mutation sweep ----------------------------------------
+
+/// One posting blob's key and byte extent in the file, parsed from the
+/// store's header and directory so the sweep can aim at real blobs.
+struct BlobExtent {
+  PostingKey key;
+  uint64_t file_offset;
+  uint32_t length;
+};
+
+std::string ReadWholeFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+void OverwriteFile(const std::string& path, uint64_t offset,
+                   const std::string& bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "rb+");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fseek(f, static_cast<long>(offset), SEEK_SET), 0);
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  ASSERT_EQ(std::fclose(f), 0);
+}
+
+/// Header (page 0): magic u64 | page_size u32 | dir_offset u64 | dir_size
+/// u64; the directory lists (key u64, offset u64, length u32) with offsets
+/// relative to the data region, which starts at page 1.
+std::vector<BlobExtent> PostingExtents(const std::string& file,
+                                       uint32_t page_size) {
+  BinaryReader header(file.data(), page_size);
+  EXPECT_TRUE(header.GetU64().ok());
+  EXPECT_TRUE(header.GetU32().ok());
+  const uint64_t dir_offset = header.GetU64().value();
+  const uint64_t dir_size = header.GetU64().value();
+  BinaryReader dir(file.data() + page_size + dir_offset, dir_size);
+  const uint64_t n = dir.GetU64().value();
+  std::vector<BlobExtent> out;
+  for (uint64_t i = 0; i < n; ++i) {
+    PostingKey key = dir.GetU64().value();
+    uint64_t offset = dir.GetU64().value();
+    uint32_t length = dir.GetU32().value();
+    out.push_back({key, page_size + offset, length});
+  }
+  return out;
+}
+
+/// Per-day hits the materialised way: ReadTimeList, then SortedIntersects
+/// against each day's start ids.
+Status ReferenceDayHits(const StIndex& index, SegmentId seg, SlotId slot,
+                        const std::vector<std::vector<TrajectoryId>>& start,
+                        std::vector<uint8_t>* hit) {
+  STRR_ASSIGN_OR_RETURN(TimeList lists, index.ReadTimeList(seg, slot));
+  for (size_t d = 0; d < lists.size(); ++d) {
+    if (SortedIntersects(start[d], lists[d])) (*hit)[d] = 1;
+  }
+  return Status::OK();
+}
+
+TEST(TimeListDecoderTest, MutationSweepStreamingAgreesWithReadTimeList) {
+  auto& stack = GetSharedStack();
+  StIndexOptions opt;
+  opt.posting_path = MakeTempDir("st_mutate") + "/postings.bin";
+  opt.cache_pages = 64;
+  auto built =
+      StIndex::Build(stack.dataset.network, *stack.dataset.store, opt);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  StIndex& index = **built;
+  const std::string pristine = ReadWholeFile(opt.posting_path);
+  const std::vector<BlobExtent> blobs =
+      PostingExtents(pristine, opt.page_size);
+  ASSERT_EQ(blobs.size(), index.NumPostings());
+
+  // Every third trajectory id on every day: some days hit, others miss.
+  TrajectoryId max_id = 0;
+  stack.dataset.store->ForEach(
+      [&](const MatchedTrajectory& t) { max_id = std::max(max_id, t.id); });
+  std::vector<std::vector<TrajectoryId>> start(index.num_days());
+  for (auto& ids : start) {
+    for (TrajectoryId id = 0; id <= max_id; id += 3) ids.push_back(id);
+  }
+
+  int clean = 0, corrupt = 0;
+  auto check = [&](const BlobExtent& b, const std::string& what) {
+    const auto seg = static_cast<SegmentId>(b.key >> 32);
+    const auto slot = static_cast<SlotId>(b.key & 0xffffffffu);
+    std::vector<uint8_t> want(start.size(), 0), got(start.size(), 0);
+    Status ref = ReferenceDayHits(index, seg, slot, start, &want);
+    auto marked = index.MarkDaysIntersecting(seg, slot, start, &got);
+    if (ref.ok()) {
+      ASSERT_TRUE(marked.ok()) << what << ": " << marked.status().ToString();
+      EXPECT_EQ(got, want) << what;
+      EXPECT_EQ(*marked, std::count(want.begin(), want.end(), 1)) << what;
+      ++clean;
+    } else {
+      EXPECT_TRUE(ref.IsCorruption()) << what << ": " << ref.ToString();
+      ASSERT_FALSE(marked.ok()) << what;
+      EXPECT_TRUE(marked.status().IsCorruption())
+          << what << ": " << marked.status().ToString();
+      ++corrupt;
+    }
+  };
+
+  Rng rng(41);
+  for (int i = 0; i < 200; ++i) {
+    check(blobs[rng.UniformInt(0, blobs.size() - 1)], "pristine");
+  }
+  ASSERT_EQ(corrupt, 0);
+
+  for (int m = 0; m < 600; ++m) {
+    const BlobExtent& b = blobs[rng.UniformInt(0, blobs.size() - 1)];
+    if (b.length == 0) continue;
+    const std::string original = pristine.substr(b.file_offset, b.length);
+    std::string bytes = original;
+    const auto pos = static_cast<size_t>(rng.UniformInt(0, b.length - 1));
+    std::string kind;
+    switch (m % 3) {
+      case 0:  // flip bits in one byte
+        bytes[pos] ^= static_cast<char>(rng.UniformInt(1, 255));
+        kind = "flip";
+        break;
+      case 1:  // every varint from pos on runs past the blob's end
+        std::fill(bytes.begin() + pos, bytes.end(), '\xff');
+        kind = "truncate";
+        break;
+      default:  // a large one-byte count, day or delta
+        bytes[pos] = '\x7f';
+        kind = "inflate";
+        break;
+    }
+    OverwriteFile(opt.posting_path, b.file_offset, bytes);
+    index.DropCache();
+    check(b, kind + " at byte " + std::to_string(pos) + " of key " +
+                 std::to_string(b.key));
+    OverwriteFile(opt.posting_path, b.file_offset, original);
+  }
+  index.DropCache();
+  EXPECT_GT(corrupt, 50);
+  EXPECT_GT(clean, 250);
 }
 
 // --- ConIndex ----------------------------------------------------------------

@@ -103,6 +103,94 @@ TEST(ProbabilityTest, MatchesBruteForceOnSharedDataset) {
   EXPECT_GT(checked, 10);
 }
 
+/// Start side of Eq. 3.1 built from materialised time lists: the sorted,
+/// de-duplicated ids leaving any of `starts` in [T, T + window), per day.
+StatusOr<std::vector<std::vector<TrajectoryId>>> ReferenceStartIds(
+    const StIndex& index, const std::vector<SegmentId>& starts, int64_t T,
+    int64_t window) {
+  std::vector<std::vector<TrajectoryId>> ids(index.num_days());
+  for (SegmentId s : starts) {
+    for (SlotId slot : index.SlotsCovering(T, T + window)) {
+      STRR_ASSIGN_OR_RETURN(TimeList lists, index.ReadTimeList(s, slot));
+      for (size_t d = 0; d < ids.size(); ++d) {
+        ids[d].insert(ids[d].end(), lists[d].begin(), lists[d].end());
+      }
+    }
+  }
+  for (auto& day : ids) {
+    std::sort(day.begin(), day.end());
+    day.erase(std::unique(day.begin(), day.end()), day.end());
+  }
+  return ids;
+}
+
+/// Probability(r) the materialised way: ReadTimeList per duration slot,
+/// then SortedIntersects per day.
+StatusOr<double> ReferenceProbability(
+    const StIndex& index, const std::vector<std::vector<TrajectoryId>>& start,
+    SegmentId r, int64_t T, int64_t duration) {
+  if (index.num_days() == 0) return 0.0;
+  std::vector<bool> hit(start.size(), false);
+  int hits = 0;
+  for (SlotId slot : index.SlotsCovering(T, T + duration)) {
+    STRR_ASSIGN_OR_RETURN(TimeList lists, index.ReadTimeList(r, slot));
+    for (size_t d = 0; d < start.size(); ++d) {
+      if (!hit[d] && SortedIntersects(start[d], lists[d])) {
+        hit[d] = true;
+        ++hits;
+      }
+    }
+  }
+  return static_cast<double>(hits) / static_cast<double>(index.num_days());
+}
+
+TEST(ProbabilityTest, StreamingCheckMatchesMaterialisedReference) {
+  auto& stack = GetSharedStack();
+  const RoadNetwork& net = stack.dataset.network;
+  int nonzero = 0;
+  for (int64_t delta_t : {300, 600, 900}) {
+    StIndexOptions opt;
+    opt.slot_seconds = delta_t;
+    opt.posting_path =
+        testing_util::MakeTempDir("stream_oracle") + "/postings.bin";
+    opt.cache_pages = 256;
+    auto built = StIndex::Build(net, *stack.dataset.store, opt);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    const StIndex& index = **built;
+    for (int64_t T : {HMS(8), HMS(11, 7), HMS(17, 45)}) {
+      // Starts: two segments with traffic in the start slot, and both
+      // together (the m-query union).
+      std::vector<SegmentId> busy;
+      const SlotId start_slot = index.SlotForTime(T);
+      for (SegmentId s = 0; s < net.NumSegments(); ++s) {
+        if (index.HasTraffic(s, start_slot)) busy.push_back(s);
+      }
+      ASSERT_GE(busy.size(), 2u) << "Δt " << delta_t << " T " << T;
+      const SegmentId a = busy.front(), b = busy[busy.size() / 2];
+      for (const std::vector<SegmentId>& starts :
+           std::vector<std::vector<SegmentId>>{{a}, {b}, {a, b}}) {
+        auto start_ids = ReferenceStartIds(index, starts, T, delta_t);
+        ASSERT_TRUE(start_ids.ok());
+        for (int64_t L : {300, 1200, 2700}) {
+          auto oracle =
+              ReachabilityProbability::Create(index, starts, T, delta_t, L);
+          ASSERT_TRUE(oracle.ok());
+          for (SegmentId r = 0; r < net.NumSegments(); ++r) {
+            auto got = oracle->Probability(r);
+            auto want = ReferenceProbability(index, *start_ids, r, T, L);
+            ASSERT_TRUE(got.ok()) << got.status().ToString();
+            ASSERT_TRUE(want.ok()) << want.status().ToString();
+            EXPECT_EQ(*got, *want) << "Δt " << delta_t << " T " << T << " L "
+                                   << L << " r " << r;
+            if (*got > 0) ++nonzero;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(nonzero, 100);
+}
+
 TEST(ProbabilityTest, StartWithNoTrafficGivesZero) {
   auto& stack = GetSharedStack();
   const StIndex& index = stack.engine->st_index();
