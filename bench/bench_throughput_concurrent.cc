@@ -30,14 +30,7 @@
 // feed reports from roads that have traffic), so extreme statistics
 // saturate realistically and most publishes are quiet.
 //
-// A third sweep measures the sharded serving tier (shard/): closed-loop
-// clients replay the workload through a ShardCoordinator at 1 / 2 / 4
-// engine shards (one query + one slice thread each, so throughput gains
-// come from the partition alone) — columns show qps, p99, and the
-// fraction of queries whose region crossed shards. Every sharded answer
-// is checked bit-identical to the unsharded reference.
-//
-// A fourth sweep measures the storage engine (storage/checkpoint/): the
+// A third sweep measures the storage engine (storage/checkpoint/): the
 // same acked observation stream is journaled twice — once bare, once
 // with profile checkpointing — and cold restart (Recover + Replay into a
 // fresh LiveProfileManager) is timed for both; a compaction config
@@ -72,8 +65,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "query/query_plan.h"
-#include "shard/shard_coordinator.h"
-#include "shard/shard_options.h"
 #include "storage/buffer_pool.h"
 #include "storage/file_manager.h"
 #include "tools/crash_stream.h"
@@ -153,18 +144,6 @@ struct LiveRow {
   uint64_t versions = 0;      ///< snapshots published during the window
   uint64_t slots_invalidated = 0;
   bool identical = true;  ///< checked against reference at rate 0 only
-};
-
-struct ShardRow {
-  int shards = 0;   ///< engine shards in the coordinator (1 = serialized)
-  int workers = 0;  ///< closed-loop client threads driving Execute
-  double qps = 0.0;
-  double p99_ms = 0.0;
-  /// Fraction of routed queries whose mined region crossed out of the
-  /// home shard's partition — how much of the workload actually exercised
-  /// the scatter-gather path vs being shard-local.
-  double cross_shard_fraction = 0.0;
-  bool identical = true;  ///< bit-identical to the unsharded reference
 };
 
 struct StorageRow {
@@ -653,118 +632,6 @@ int main() {
     }
   }
 
-  // --- Sharded serving sweep -------------------------------------------------
-  // The scatter-gather tier vs shard count: each config partitions the
-  // network into N EngineShards (1 query thread + 1 slice thread each, so
-  // parallelism comes from the partition alone) and hammers the
-  // coordinator from closed-loop clients replaying the fixed workload.
-  // The 1-shard config routes everything through a single query pool — a
-  // true serialized baseline. The shared result cache stays off so the
-  // sweep measures execution, not hit absorption.
-  std::vector<ShardRow> shard_rows;
-  {
-    const int kShardWindowMs = 2000;
-    auto run_shards = [&](int shards, int workers) -> ShardRow {
-      ShardingOptions sopt;
-      sopt.num_shards = shards;
-      sopt.shard_query_threads = 1;
-      sopt.slice_threads = 1;
-      auto coordinator = stack.engine->MakeShardCoordinator(sopt);
-
-      // Warm pass: every shard's executor materializes the lazy tables it
-      // will touch, and the whole workload is identity-checked up front.
-      std::atomic<bool> identical{true};
-      for (size_t i = 0; i < plans.size(); ++i) {
-        auto result = coordinator->Execute(plans[i]);
-        if (!result.ok() || result->segments != reference[i]->segments) {
-          identical.store(false);
-        }
-      }
-
-      ShardCoordinator::Stats before = coordinator->stats();
-      obs::MetricsRegistry latency_registry(/*enabled=*/true);
-      obs::Histogram& latency_us =
-          latency_registry.GetHistogram("bench_shard_latency_us");
-      auto deadline = std::chrono::steady_clock::now() +
-                      std::chrono::milliseconds(kShardWindowMs);
-      Stopwatch window_watch;
-      std::vector<std::thread> clients;
-      for (int t = 0; t < workers; ++t) {
-        clients.emplace_back([&, t] {
-          size_t i = static_cast<size_t>(t);  // interleave across clients
-          while (std::chrono::steady_clock::now() < deadline) {
-            Stopwatch watch;
-            auto result = coordinator->Execute(plans[i % plans.size()]);
-            if (!result.ok() ||
-                result->segments != reference[i % plans.size()]->segments) {
-              identical.store(false);
-            } else {
-              latency_us.Record(
-                  static_cast<uint64_t>(watch.ElapsedMicros()));
-            }
-            ++i;
-          }
-        });
-      }
-      for (auto& t : clients) t.join();
-      double elapsed_ms = window_watch.ElapsedMillis();
-      ShardCoordinator::Stats after = coordinator->stats();
-
-      ShardRow row;
-      row.shards = shards;
-      row.workers = workers;
-      const uint64_t served = latency_us.Count();
-      row.qps = served == 0
-                    ? 0.0
-                    : static_cast<double>(served) / (elapsed_ms / 1000.0);
-      row.p99_ms = latency_us.Percentile(0.99) / 1000.0;
-      uint64_t routed = after.routed - before.routed;
-      uint64_t crossed = after.cross_shard - before.cross_shard;
-      row.cross_shard_fraction =
-          routed > 0 ? static_cast<double>(crossed) / routed : 0.0;
-      row.identical = identical.load();
-      return row;
-    };
-
-    std::printf("\nSharded serving: shard count vs closed-loop clients "
-                "(1 query + 1 slice thread per shard)\n");
-    PrintRow({"shards", "workers", "qps", "p99_ms", "cross_shard",
-              "identical"});
-    for (int shards : {1, 2, 4}) {
-      for (int workers : {1, 4}) {
-        ShardRow row = run_shards(shards, workers);
-        PrintRow({std::to_string(row.shards), std::to_string(row.workers),
-                  Cell(row.qps, 1), Cell(row.p99_ms, 1),
-                  Cell(row.cross_shard_fraction, 2),
-                  row.identical ? "yes" : "NO"});
-        if (!row.identical) {
-          std::fprintf(
-              stderr,
-              "FATAL: sharded results diverged (%d shards, %d workers)\n",
-              shards, workers);
-          return 1;
-        }
-        shard_rows.push_back(row);
-      }
-    }
-    auto shard_row = [&](int shards, int workers) -> const ShardRow* {
-      for (const ShardRow& r : shard_rows) {
-        if (r.shards == shards && r.workers == workers) return &r;
-      }
-      return nullptr;
-    };
-    const ShardRow* one = shard_row(1, 4);
-    const ShardRow* four = shard_row(4, 4);
-    if (std::thread::hardware_concurrency() >= 4) {
-      bool shard_scale_ok =
-          one != nullptr && four != nullptr && four->qps >= 1.5 * one->qps;
-      ShapeCheck("sharding_scales_with_shards", shard_scale_ok,
-                 "4-shard qps " + Cell(four ? four->qps : 0.0, 1) +
-                     " vs 1-shard " + Cell(one ? one->qps : 0.0, 1) +
-                     " at 4 clients (>= 1.5x expected)");
-    }
-  }
-
   // --- Storage engine sweep --------------------------------------------------
   // Cold restart measured end to end (Recover + Replay into a fresh
   // LiveProfileManager) over the same deterministic acked stream, once
@@ -1092,17 +959,6 @@ int main() {
           static_cast<unsigned long long>(r.versions),
           static_cast<unsigned long long>(r.slots_invalidated),
           r.identical ? "true" : "false", i + 1 < live_rows.size() ? "," : "");
-    }
-    std::fprintf(f, "  ],\n  \"shard_rows\": [\n");
-    for (size_t i = 0; i < shard_rows.size(); ++i) {
-      const ShardRow& r = shard_rows[i];
-      std::fprintf(f,
-                   "    {\"shards\": %d, \"workers\": %d, \"qps\": %.1f, "
-                   "\"p99_ms\": %.2f, \"cross_shard_fraction\": %.3f, "
-                   "\"identical\": %s}%s\n",
-                   r.shards, r.workers, r.qps, r.p99_ms,
-                   r.cross_shard_fraction, r.identical ? "true" : "false",
-                   i + 1 < shard_rows.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n  \"storage_rows\": [\n");
     for (size_t i = 0; i < storage_rows.size(); ++i) {

@@ -24,11 +24,6 @@ checks three kinds of signals:
     (metrics + tracing + an in-window scrape) must stay within
     --obs-overhead-tolerance (default 5%) of the same-worker "none"
     rows, so observability can never silently become expensive;
-  * shard scaling — the sharded serving sweep's rows must all be
-    bit-identical to the unsharded reference (hard failure), and within
-    the fresh run the 4-shard config must sustain at least
-    --min-shard-speedup x the 1-shard qps at 4 clients whenever the
-    fresh host has >= 4 hardware threads;
   * storage engine — within the fresh run, the checkpointed cold restart
     must beat the full-replay restart by --min-restart-speedup while
     replaying fewer batches, background compaction must end with fewer
@@ -210,54 +205,6 @@ def check_live_rows(gate, base, fresh, tolerance):
                     f"({fresh_norm[key]:.3f}) regressed more than "
                     f"{tolerance:.0%} vs committed ({base_norm[key]:.3f}) — "
                     "ingestion is costing queries more than it used to")
-
-
-def check_shard_rows(gate, base, fresh, min_shard_speedup):
-    """Gate for the sharded serving sweep. identical=false is a hard
-    failure on every fresh row — the shard tier is a scheduling-level
-    partition over the shared index stack, so any shard count must
-    reproduce the unsharded region bit-for-bit. The speedup floor is
-    computed entirely within the fresh run (4-shard vs 1-shard qps at 4
-    clients — same host, same workload, so host speed cancels without
-    normalization) and only engages when the fresh host actually has >= 4
-    hardware threads; every shard in the sweep runs one query thread, so
-    on fewer cores the shards time-slice a single core and no speedup
-    exists to measure."""
-    base_idx = index_rows(base.get("shard_rows"), ("shards", "workers"))
-    fresh_idx = index_rows(fresh.get("shard_rows"), ("shards", "workers"))
-    check_presence(gate, "shard", base_idx, fresh_idx)
-
-    for key, row in fresh_idx.items():
-        if not row.get("identical", True):
-            gate.fail(f"shard row {key}: identical=false — a sharded "
-                      "answer diverged from the unsharded reference")
-
-    if not fresh_idx:
-        if base_idx:
-            gate.fail("shard rows: baseline has a shard sweep but the "
-                      "fresh run produced none")
-        return
-
-    hw = fresh.get("hardware_threads", 0)
-    one = fresh_idx.get((1, 4))
-    four = fresh_idx.get((4, 4))
-    if hw >= 4:
-        if not one or not one.get("qps") or not four:
-            gate.fail("shard rows: 1-shard/4-shard rows at 4 clients "
-                      "missing — cannot check the shard-scaling floor")
-        else:
-            ratio = four.get("qps", 0.0) / one["qps"]
-            if ratio < min_shard_speedup:
-                gate.fail(
-                    f"shard rows: 4-shard qps is {ratio:.2f}x the 1-shard "
-                    f"baseline at 4 clients — below the "
-                    f"{min_shard_speedup}x floor on a {hw}-thread host")
-            else:
-                gate.note(f"shard rows: 4-shard speedup {ratio:.2f}x "
-                          f"(floor {min_shard_speedup}x)")
-    else:
-        gate.note(f"shard rows: scaling floor skipped — fresh host has "
-                  f"{hw} hardware thread(s)")
 
 
 def check_storage_rows(gate, base, fresh, min_restart_speedup):
@@ -447,10 +394,6 @@ def main():
                         help="minimum csr w1/w4 wall-clock ratio when the "
                              "fresh host has >= 4 hardware threads "
                              "(default 1.8)")
-    parser.add_argument("--min-shard-speedup", type=float, default=1.5,
-                        help="minimum 4-shard vs 1-shard qps ratio at 4 "
-                             "clients when the fresh host has >= 4 hardware "
-                             "threads (default 1.5)")
     parser.add_argument("--min-restart-speedup", type=float, default=1.25,
                         help="minimum full-replay vs checkpointed cold-"
                              "restart wall-clock ratio within the fresh run "
@@ -470,7 +413,6 @@ def main():
     check_obs_overhead(gate, fresh, args.obs_overhead_tolerance)
     check_tenant_rows(gate, base, fresh, args.fairness_tolerance)
     check_live_rows(gate, base, fresh, args.tolerance)
-    check_shard_rows(gate, base, fresh, args.min_shard_speedup)
     check_storage_rows(gate, base, fresh, args.min_restart_speedup)
 
     if args.fresh_fig48:

@@ -467,13 +467,6 @@ StatusOr<RegionResult> QueryExecutor::ExecutePlan(const QueryPlan& plan,
   return result;
 }
 
-StatusOr<RegionResult> QueryExecutor::ExecuteAgainst(
-    const QueryPlan& plan, const ConIndex* con_index,
-    const SpeedProfile* profile, uint64_t snapshot_version) {
-  if (con_index == nullptr) return ExecutePlan(plan, StaticView());
-  return ExecutePlan(plan, IndexView{con_index, profile, snapshot_version});
-}
-
 StatusOr<RegionResult> QueryExecutor::RunTraceBack(
     const BoundingRegions& regions, int64_t start_tod, int64_t duration,
     double prob, double setup_ms, const ScopedIoCounters& io_scope) {
@@ -502,10 +495,6 @@ StatusOr<RegionResult> QueryExecutor::RunTraceBack(
       tbs_opt.pool = interior_pool_.get();
       tbs_opt.workers = options_.interior_workers;
     }
-    tbs_opt.shard_owner = options_.shard_owner;
-    tbs_opt.shard_pools = options_.shard_pools;
-    tbs_opt.home_shard = options_.home_shard;
-    tbs_opt.min_parallel_ring = options_.min_parallel_ring;
     STRR_ASSIGN_OR_RETURN(
         TbsOutcome tbs,
         TraceBackSearch(*network_, regions, prob, oracle, tbs_opt));
@@ -539,10 +528,6 @@ StatusOr<RegionResult> QueryExecutor::ExecuteIndexed(const QueryPlan& plan,
   search_opt.runtime.flat_adjacency = options_.interior_flat_adjacency;
   search_opt.runtime.prefetch = options_.interior_prefetch;
   search_opt.runtime.locality_chunking = options_.interior_locality_chunking;
-  search_opt.runtime.shard_owner = options_.shard_owner;
-  search_opt.runtime.shard_pools = options_.shard_pools;
-  search_opt.runtime.home_shard = options_.home_shard;
-  search_opt.runtime.min_parallel_frontier = options_.min_parallel_frontier;
   BoundingRegions regions;
   if (plan.IsMultiLocation()) {
     obs::TraceSpan span("mqmb_search");

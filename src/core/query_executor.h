@@ -159,22 +159,6 @@ struct QueryExecutorOptions {
   /// the executor creates its own registry (an engine-provided registry
   /// carries its own defaults).
   TenantConfig tenant_defaults;
-  // --- Sharded scatter-gather (set by src/shard/ EngineShard) ---------------
-  /// Dense per-segment shard owner table (ShardMap::owners). Together with
-  /// shard_pools this scatters cone gather rounds and TBS ring slices to
-  /// the owning shard's slice pool (see search/frontier_engine.h and
-  /// query/trace_back.h). The spans must outlive the executor; results
-  /// stay bit-identical.
-  std::span<const uint32_t> shard_owner;
-  /// One slice pool per shard, indexed by shard id.
-  std::span<ThreadPool* const> shard_pools;
-  /// The shard this executor serves (its slices run inline).
-  uint32_t home_shard = 0;
-  /// Minimum frontier size before a cone gather round fans out (parallel
-  /// or sharded); below it the round runs sequentially on the caller.
-  size_t min_parallel_frontier = 128;
-  /// Minimum TBS ring size before ring verification fans out.
-  size_t min_parallel_ring = 16;
 };
 
 /// Runs query plans over one engine's index stack. Thread-safe: Execute
@@ -217,16 +201,6 @@ class QueryExecutor {
   /// the pool on itself).
   std::vector<StatusOr<RegionResult>> ExecuteBatch(
       std::span<const QueryPlan> plans);
-
-  /// Executes one plan against an explicit index surface with NO front
-  /// door (no cache, no admission, no snapshot pin): the sharded serving
-  /// tier pins one snapshot at its coordinator and runs the plan on the
-  /// owning shard's executor against exactly that version. Null con_index
-  /// selects the engine-built statics (version-0 view).
-  StatusOr<RegionResult> ExecuteAgainst(const QueryPlan& plan,
-                                        const ConIndex* con_index,
-                                        const SpeedProfile* profile,
-                                        uint64_t snapshot_version);
 
   // --- Front door ------------------------------------------------------------
 

@@ -6,18 +6,9 @@
 #include "live/recovery_manager.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "shard/shard_coordinator.h"
 #include "util/logging.h"
 
 namespace strr {
-
-// Out of line: the header only forward-declares ShardCoordinator, so
-// everything that needs its destructor lives here.
-ReachabilityEngine::ReachabilityEngine(const RoadNetwork& network,
-                                       EngineOptions options)
-    : network_(&network), options_(std::move(options)) {}
-
-ReachabilityEngine::~ReachabilityEngine() = default;
 
 StatusOr<std::unique_ptr<ReachabilityEngine>> ReachabilityEngine::Build(
     const RoadNetwork& network, const TrajectoryStore& store,
@@ -28,6 +19,16 @@ StatusOr<std::unique_ptr<ReachabilityEngine>> ReachabilityEngine::Build(
   if (options.live_durability && !options.live_ingestion) {
     return Status::InvalidArgument(
         "EngineOptions.live_durability requires live_ingestion");
+  }
+  if (options.live_checkpoint_interval_batches > 0 &&
+      !options.live_durability) {
+    return Status::InvalidArgument(
+        "EngineOptions.live_checkpoint_interval_batches requires "
+        "live_durability");
+  }
+  if (options.live_compaction && !options.live_durability) {
+    return Status::InvalidArgument(
+        "EngineOptions.live_compaction requires live_durability");
   }
   std::error_code ec;
   std::filesystem::create_directories(options.work_dir, ec);
@@ -223,20 +224,6 @@ StatusOr<std::unique_ptr<ReachabilityEngine>> ReachabilityEngine::Build(
     STRR_RETURN_IF_ERROR(engine->tenants_->StartFileWatch(
         options.tenant_config_path, options.tenant_config_poll_ms));
   }
-
-  if (options.sharding.enabled()) {
-    engine->coordinator_ = engine->MakeShardCoordinator(options.sharding);
-    if (options.live_ingestion && !options.live_durability) {
-      // Per-shard live fan-in. Skipped under durability: the journal is
-      // single-writer, so the engine's single journaled ingestor stays
-      // authoritative and observations keep flowing through it.
-      ObservationIngestorOptions shard_ingest;
-      shard_ingest.queue_bound = options.live_queue_bound;
-      shard_ingest.batch_window_ms = options.live_batch_window_ms;
-      STRR_RETURN_IF_ERROR(
-          engine->coordinator_->EnableLiveIngestors(shard_ingest));
-    }
-  }
   return engine;
 }
 
@@ -248,13 +235,6 @@ std::unique_ptr<QueryExecutor> ReachabilityEngine::MakeExecutor(
                                          *profile_, options_.delta_t_seconds,
                                          options, live_manager_.get(),
                                          tenants_.get());
-}
-
-std::unique_ptr<ShardCoordinator> ReachabilityEngine::MakeShardCoordinator(
-    const ShardingOptions& options) const {
-  return std::make_unique<ShardCoordinator>(
-      *network_, *st_index_, *con_index_, *profile_,
-      options_.delta_t_seconds, options, live_manager_.get(), tenants_.get());
 }
 
 std::string ReachabilityEngine::NegativeKey(const XyPoint* locations,
@@ -297,9 +277,6 @@ StatusOr<RegionResult> ReachabilityEngine::PlanAndExecute(
     }
     return plan.status();
   }
-  // Sharded tier when enabled (bit-identical results; see src/shard/);
-  // the single executor otherwise.
-  if (coordinator_ != nullptr) return coordinator_->Execute(*plan);
   return executor_->Execute(*plan);
 }
 
@@ -345,11 +322,6 @@ void ReachabilityEngine::ResetIoStats(bool drop_cache) {
 void ReachabilityEngine::ApplySpeedObservation(SegmentId seg,
                                                int64_t time_of_day_sec,
                                                double speed_mps) {
-  if (coordinator_ != nullptr && coordinator_->has_ingestors()) {
-    coordinator_->OfferObservation(
-        SpeedObservation{seg, time_of_day_sec, speed_mps});
-    return;
-  }
   if (ingestor_ != nullptr) {
     // Live path: enqueue for the batcher; the refresh lands as the next
     // published snapshot version, safe under concurrent queries.
@@ -364,9 +336,6 @@ void ReachabilityEngine::ApplySpeedObservation(SegmentId seg,
 
 bool ReachabilityEngine::OfferObservation(
     const SpeedObservation& observation) {
-  if (coordinator_ != nullptr && coordinator_->has_ingestors()) {
-    return coordinator_->OfferObservation(observation);
-  }
   if (ingestor_ == nullptr) return false;
   return ingestor_->Offer(observation);
 }

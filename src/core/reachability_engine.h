@@ -40,13 +40,10 @@
 #include "query/bounding_region.h"
 #include "query/query.h"
 #include "query/query_plan.h"
-#include "shard/shard_options.h"
 #include "traj/trajectory_store.h"
 #include "util/result.h"
 
 namespace strr {
-
-class ShardCoordinator;
 
 /// Engine construction knobs.
 struct EngineOptions {
@@ -125,15 +122,6 @@ struct EngineOptions {
   std::string tenant_config_path;
   /// Poll interval for tenant_config_path mtime checks.
   int64_t tenant_config_poll_ms = 200;
-  // --- Sharded serving tier (src/shard/; off by default — the engine
-  // then serves through its single executor exactly as before) ----------------
-  /// Partition the network into sharding.num_shards engine shards behind
-  /// a scatter-gather ShardCoordinator with a shard-shared result cache
-  /// and engine-global tenant quota arbitration. Results stay
-  /// bit-identical to the unsharded executor. Facade queries route
-  /// through the coordinator when enabled; executor() remains available
-  /// and unsharded.
-  ShardingOptions sharding;
   // --- Live ingestion (see live/; off by default so paper-reproduction
   // numbers are untouched — queries then read the engine-built indexes
   // directly with zero snapshot overhead) ------------------------------------
@@ -238,8 +226,6 @@ class ReachabilityEngine {
       const RoadNetwork& network, const TrajectoryStore& store,
       const EngineOptions& options);
 
-  ~ReachabilityEngine();
-
   /// s-query via SQMB + TBS (indexed path).
   StatusOr<RegionResult> SQueryIndexed(const SQuery& query);
 
@@ -264,17 +250,6 @@ class ReachabilityEngine {
   /// it.
   std::unique_ptr<QueryExecutor> MakeExecutor(
       const QueryExecutorOptions& options) const;
-
-  /// Builds a standalone sharded serving tier over this engine's indexes
-  /// (the bench's shard-count sweep uses this; the facade's own
-  /// coordinator comes from EngineOptions::sharding). Snapshot-pinning
-  /// and quota arbitration wire up exactly as the built-in coordinator's.
-  /// The engine must outlive it.
-  std::unique_ptr<ShardCoordinator> MakeShardCoordinator(
-      const ShardingOptions& options) const;
-
-  /// The built-in sharded serving tier, or nullptr when sharding is off.
-  ShardCoordinator* shard_coordinator() { return coordinator_.get(); }
 
   // --- Introspection ---------------------------------------------------------
 
@@ -356,9 +331,8 @@ class ReachabilityEngine {
   TenantRegistry* tenant_registry() { return tenants_.get(); }
 
  private:
-  // Out of line (with the destructor): members include a
-  // unique_ptr<ShardCoordinator> over a forward declaration.
-  ReachabilityEngine(const RoadNetwork& network, EngineOptions options);
+  ReachabilityEngine(const RoadNetwork& network, EngineOptions options)
+      : network_(&network), options_(std::move(options)) {}
 
   /// Negative-cache key for a location set (NotFound depends only on the
   /// locations, never on T/L/Prob).
@@ -392,10 +366,6 @@ class ReachabilityEngine {
   // Constructed after (and destroyed before) the indexes they reference.
   std::unique_ptr<QueryPlanner> planner_;
   std::unique_ptr<QueryExecutor> executor_;
-  /// Sharded serving tier (null when EngineOptions::sharding is off).
-  /// Declared last: destroyed first, while every index and pool it
-  /// references is still alive.
-  std::unique_ptr<ShardCoordinator> coordinator_;
 };
 
 }  // namespace strr

@@ -149,26 +149,6 @@ void TenantRegistry::StopFileWatch() {
   if (watch_thread_.joinable()) watch_thread_.join();
 }
 
-bool TenantRegistry::TryClaimInflight(TenantId tenant, size_t max_inflight) {
-  State* state = GetOrCreate(tenant);
-  if (max_inflight == 0) {
-    state->admitted.fetch_add(1, kRelaxed);
-    state->inflight.fetch_add(1, kRelaxed);
-    return true;
-  }
-  uint64_t current = state->inflight.load(kRelaxed);
-  while (current < max_inflight) {
-    if (state->inflight.compare_exchange_weak(current, current + 1, kRelaxed,
-                                              kRelaxed)) {
-      state->admitted.fetch_add(1, kRelaxed);
-      return true;
-    }
-  }
-  return false;
-}
-
-void TenantRegistry::ReleaseClaim(TenantId tenant) { RecordRelease(tenant); }
-
 void TenantRegistry::RecordAdmission(TenantId tenant) {
   State* state = GetOrCreate(tenant);
   state->admitted.fetch_add(1, kRelaxed);

@@ -119,19 +119,6 @@ class TenantRegistry {
   /// Successful config loads (initial + reloads) since construction.
   uint64_t reloads() const { return reloads_.load(std::memory_order_relaxed); }
 
-  // --- Shared quota arbitration ---------------------------------------------
-
-  /// Atomically claims one in-flight slot for the tenant iff its current
-  /// in-flight count is below `max_inflight` (0 = unlimited). On success
-  /// bumps admitted + inflight (one admission ticket); on failure changes
-  /// nothing. CAS on the shared counter makes the quota engine-global:
-  /// every shard arbitrates against the same count instead of N separate
-  /// per-executor tallies.
-  bool TryClaimInflight(TenantId tenant, size_t max_inflight);
-
-  /// Returns a claim taken with TryClaimInflight (decrements inflight).
-  void ReleaseClaim(TenantId tenant);
-
   // --- Counter bumps (lock-free once the tenant exists) ----------------------
 
   /// One ticket granted: bumps admitted and inflight together.

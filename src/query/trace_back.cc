@@ -8,6 +8,11 @@
 
 namespace strr {
 
+namespace {
+// Rings smaller than this verify inline (fan-out overhead dominates).
+constexpr size_t kMinParallelRing = 16;
+}  // namespace
+
 StatusOr<TbsOutcome> TraceBackSearch(const RoadNetwork& network,
                                      const BoundingRegions& regions,
                                      double prob_threshold,
@@ -70,48 +75,9 @@ StatusOr<TbsOutcome> TraceBackSearch(const RoadNetwork& network,
   std::vector<double> probs;
   while (!ring.empty()) {
     probs.assign(ring.size(), 0.0);
-    const bool shard_fan =
-        options.sharded() && ring.size() >= options.min_parallel_ring;
-    const bool fan = !shard_fan && options.parallel() &&
-                     ring.size() >= options.min_parallel_ring;
-    if (shard_fan) {
-      // Sharded scatter: bucket ring indices by owning shard; each bucket
-      // verifies on its owner's slice pool (home inline). probs[] slots
-      // are disjoint across buckets and the commit below still walks the
-      // ring in order, so the outcome matches the sequential walk exactly.
-      const size_t num_shards = options.shard_pools.size();
-      const uint32_t home = std::min(
-          options.home_shard, static_cast<uint32_t>(num_shards - 1));
-      std::vector<std::vector<uint32_t>> buckets(num_shards);
-      for (size_t i = 0; i < ring.size(); ++i) {
-        buckets[options.shard_owner[ring[i]]].push_back(
-            static_cast<uint32_t>(i));
-      }
-      auto verify_indices =
-          [&](const std::vector<uint32_t>& indices) -> Status {
-        for (uint32_t i : indices) {
-          STRR_ASSIGN_OR_RETURN(double p, prob_oracle.Probability(ring[i]));
-          probs[i] = p;
-        }
-        return Status::OK();
-      };
-      std::vector<std::future<Status>> joins;
-      joins.reserve(num_shards - 1);
-      for (size_t s = 0; s < num_shards; ++s) {
-        if (s == home || buckets[s].empty()) continue;
-        joins.push_back(options.shard_pools[s]->Submit(
-            [&verify_indices, &buckets, s]() -> Status {
-              return verify_indices(buckets[s]);
-            }));
-      }
-      Status st = verify_indices(buckets[home]);
-      // Join every worker before surfacing an error (no dangling refs).
-      for (auto& j : joins) {
-        Status ws = j.get();
-        if (st.ok() && !ws.ok()) st = ws;
-      }
-      if (!st.ok()) return st;
-    } else if (fan) {
+    const bool fan =
+        options.parallel() && ring.size() >= kMinParallelRing;
+    if (fan) {
       const size_t chunks =
           std::min(static_cast<size_t>(options.workers), ring.size());
       const size_t per = (ring.size() + chunks - 1) / chunks;

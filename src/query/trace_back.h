@@ -15,7 +15,6 @@
 #ifndef STRR_QUERY_TRACE_BACK_H_
 #define STRR_QUERY_TRACE_BACK_H_
 
-#include <span>
 #include <vector>
 
 #include "query/bounding_region.h"
@@ -42,27 +41,11 @@ struct TbsOutcome {
 struct TraceBackOptions {
   ThreadPool* pool = nullptr;  ///< null = sequential
   int workers = 1;
-  /// Rings smaller than this verify inline (fan-out overhead dominates).
-  size_t min_parallel_ring = 16;
   /// Walk neighbours through the network's flat CSR view (identical
   /// neighbour order; layout change only).
   bool flat_adjacency = false;
 
-  // --- Sharded scatter-gather (src/shard/) ---------------------------------
-  /// Dense per-segment shard owner table (ShardMap::owners). When set with
-  /// shard_pools, each ring's verifications are bucketed by segment owner
-  /// and scattered to the owning shard's slice pool; the commit stays in
-  /// ring order, so results are bit-identical.
-  std::span<const uint32_t> shard_owner;
-  /// One slice pool per shard, indexed by shard id.
-  std::span<ThreadPool* const> shard_pools;
-  /// The shard running this query; its bucket verifies inline.
-  uint32_t home_shard = 0;
-
   bool parallel() const { return pool != nullptr && workers > 1; }
-  bool sharded() const {
-    return shard_pools.size() > 1 && !shard_owner.empty();
-  }
 };
 
 /// Runs trace back search. `prob_oracle` must have been created for the

@@ -475,9 +475,7 @@ std::vector<SegmentId> FrontierEngine::RunCone(
   ctx.Begin(n);
   const size_t workers =
       runtime_.parallel() ? static_cast<size_t>(runtime_.workers) : 1;
-  const size_t num_shards =
-      runtime_.sharded() ? runtime_.shard_pools.size() : 0;
-  ctx.EnsureWorkerBuffers(std::max(workers, num_shards));
+  ctx.EnsureWorkerBuffers(workers);
   const CsrAdjacency* locality =
       runtime_.locality_chunking ? network_->csr() : nullptr;
   std::vector<SegmentId>& members = ctx.members();
@@ -539,57 +537,7 @@ std::vector<SegmentId> FrontierEngine::RunCone(
 
     size_t chunks = 1;
     bool permuted = false;
-    if (num_shards > 1 &&
-        frontier.size() >= runtime_.min_parallel_frontier) {
-      // Sharded scatter: bucket this round's frontier slots by owning
-      // shard and run each bucket on the owner's slice pool (the home
-      // shard's bucket runs inline). The buckets fill ctx.permutation()
-      // with the original slot indices, so candidates keep their
-      // sequential `pos` and the permuted merge below restores the exact
-      // sequential commit order — bit-identity is unaffected by where a
-      // bucket physically ran.
-      ++rounds;
-      chunks = num_shards;
-      permuted = true;
-      const uint32_t home =
-          std::min(runtime_.home_shard,
-                   static_cast<uint32_t>(num_shards - 1));
-      std::vector<uint32_t>& perm = ctx.permutation();
-      perm.resize(frontier.size());
-      std::vector<size_t> offsets(num_shards + 1, 0);
-      for (SegmentId r : frontier) {
-        ++offsets[runtime_.shard_owner[r] + 1];
-      }
-      for (size_t s = 0; s < num_shards; ++s) offsets[s + 1] += offsets[s];
-      std::vector<size_t> cursor(offsets.begin(), offsets.end() - 1);
-      for (size_t i = 0; i < frontier.size(); ++i) {
-        perm[cursor[runtime_.shard_owner[frontier[i]]]++] =
-            static_cast<uint32_t>(i);
-      }
-      std::vector<std::future<int>> joins;
-      joins.reserve(num_shards - 1);
-      for (size_t s = 0; s < num_shards; ++s) {
-        if (s == home) continue;
-        size_t begin = offsets[s];
-        size_t end = offsets[s + 1];
-        if (begin == end) {
-          // A shard with no frontier members this round still contributes
-          // its (cleared) buffer to the merge; stale candidates from a
-          // previous round must not leak in.
-          ctx.worker_buffer(s).clear();
-          continue;
-        }
-        joins.push_back(runtime_.shard_pools[s]->Submit(
-            [&gather, &ctx, &perm, begin, end, s]() -> int {
-              gather(perm.data(), begin, end, ctx.worker_buffer(s));
-              return 0;
-            }));
-      }
-      gather(perm.data(), offsets[home], offsets[home + 1],
-             ctx.worker_buffer(home));
-      for (auto& j : joins) j.get();
-    } else if (frontier.size() >= runtime_.min_parallel_frontier &&
-               workers > 1) {
+    if (frontier.size() >= runtime_.min_parallel_frontier && workers > 1) {
       ++rounds;
       chunks = std::min(workers, frontier.size());
       const uint32_t* perm = nullptr;

@@ -109,25 +109,7 @@ struct FrontierRuntime {
   /// sequential commit order before applying, so results are unchanged.
   bool locality_chunking = false;
 
-  // --- Sharded scatter-gather (src/shard/) ---------------------------------
-  /// Dense per-segment shard owner table (ShardMap::owners). When set
-  /// together with shard_pools, cone gather rounds are partitioned by the
-  /// owner of each frontier member and scattered to the owning shard's
-  /// slice pool instead of chunked across one pool. Candidates still merge
-  /// through the same ordered commit, so results are bit-identical — the
-  /// shard map only decides where a slice runs.
-  std::span<const uint32_t> shard_owner;
-  /// One slice pool per shard, indexed by shard id. Slice tasks are pure
-  /// gathers and never block, so cross-shard fan-out cannot deadlock.
-  std::span<ThreadPool* const> shard_pools;
-  /// The shard whose query pool is running this search; its slice of each
-  /// round runs inline on the calling thread.
-  uint32_t home_shard = 0;
-
   bool parallel() const { return pool != nullptr && workers > 1; }
-  bool sharded() const {
-    return shard_pools.size() > 1 && !shard_owner.empty();
-  }
 };
 
 /// Work counters for one search, summed across its expansions. These feed

@@ -71,27 +71,27 @@ class ThreadPool {
         inner();
       };
     }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      tasks_.push(std::move(task));
-      ++pending_;
-      // Under the lock so stats() never observes completed > submitted
-      // or pending > submitted.
-      submitted_.fetch_add(1, std::memory_order_relaxed);
-    }
-    QueuedTasksGauge().Add(1);
-    cv_.notify_one();
+    Enqueue(std::move(task));
   }
 
   /// Enqueues a value-returning task and returns the future for its result.
   /// (Void callables take the overload above; join them with Wait().)
+  /// The task's spans merge into the query's trace before the future
+  /// becomes ready, so a joined future never races the root's close.
   template <typename F, typename R = std::invoke_result_t<std::decay_t<F>>,
             typename = std::enable_if_t<!std::is_void_v<R>>>
   std::future<R> Submit(F&& fn) {
-    auto task =
-        std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
+    obs::internal::TaskTraceHandle trace = obs::internal::CaptureTaskTrace();
+    auto task = std::make_shared<std::packaged_task<R()>>(
+        [trace, fn = std::forward<F>(fn)]() mutable -> R {
+          if (trace.parent == nullptr) return fn();
+          // `scope` is destroyed after the return value is built and
+          // before packaged_task stores it.
+          obs::internal::ScopedTaskTrace scope(trace);
+          return fn();
+        });
     std::future<R> result = task->get_future();
-    Submit(std::function<void()>([task] { (*task)(); }));
+    Enqueue([task] { (*task)(); });
     return result;
   }
 
@@ -136,6 +136,19 @@ class ThreadPool {
   bool OnWorkerThread() const { return current_pool_ == this; }
 
  private:
+  void Enqueue(std::function<void()> task) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      tasks_.push(std::move(task));
+      ++pending_;
+      // Under the lock so stats() never observes completed > submitted
+      // or pending > submitted.
+      submitted_.fetch_add(1, std::memory_order_relaxed);
+    }
+    QueuedTasksGauge().Add(1);
+    cv_.notify_one();
+  }
+
   void WorkerLoop() {
     current_pool_ = this;
     for (;;) {

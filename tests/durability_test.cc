@@ -308,13 +308,34 @@ TEST(ObservationTableTest, MutationSweepIsAlwaysTypedCorruption) {
 
 TEST(EngineDurabilityTest, DurabilityRequiresLiveIngestion) {
   auto& stack = GetSharedStack();
-  EngineOptions opt;
-  opt.work_dir = FreshDir("dur_req");
-  opt.live_durability = true;
-  auto engine = ReachabilityEngine::Build(stack.dataset.network,
-                                          *stack.dataset.store, opt);
-  ASSERT_FALSE(engine.ok());
-  EXPECT_TRUE(engine.status().IsInvalidArgument());
+  // Each knob documented as requiring another is rejected at Build, never
+  // silently ignored.
+  struct Case {
+    const char* knob;
+    bool ingestion;
+    bool durability;
+    uint64_t checkpoint_interval_batches;
+    bool compaction;
+  };
+  const Case cases[] = {
+      {"live_durability", false, true, 0, false},
+      {"live_checkpoint_interval_batches", true, false, 8, false},
+      {"live_compaction", true, false, 0, true},
+  };
+  for (const Case& c : cases) {
+    EngineOptions opt;
+    opt.work_dir = FreshDir("dur_req");
+    opt.live_ingestion = c.ingestion;
+    opt.live_durability = c.durability;
+    opt.live_checkpoint_interval_batches = c.checkpoint_interval_batches;
+    opt.live_compaction = c.compaction;
+    auto engine = ReachabilityEngine::Build(stack.dataset.network,
+                                            *stack.dataset.store, opt);
+    ASSERT_FALSE(engine.ok()) << c.knob;
+    EXPECT_TRUE(engine.status().IsInvalidArgument()) << c.knob;
+    EXPECT_NE(engine.status().ToString().find(c.knob), std::string::npos)
+        << engine.status().ToString();
+  }
 }
 
 TEST(EngineDurabilityTest, RestartServesSameRegionsAsLiveOracle) {

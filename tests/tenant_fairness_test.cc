@@ -124,18 +124,18 @@ TEST(TenantRegistryTest, FileWatchReloadsUnderConcurrentTraffic) {
   ASSERT_EQ(registry.reloads(), 1u) << "initial load is synchronous";
   EXPECT_EQ(registry.config(7).max_inflight, 2u);
 
-  // Claim traffic hammers the registry while the config is rewritten
-  // underneath it — the reload path must never wedge or corrupt counters.
+  // Admission traffic (config reads plus paired admission / release
+  // bumps) hammers the registry while the config is rewritten underneath
+  // it — the reload path must never wedge or corrupt counters.
   std::atomic<bool> stop{false};
   std::vector<std::thread> traffic;
   for (int t = 0; t < 4; ++t) {
     traffic.emplace_back([&] {
       while (!stop.load()) {
-        size_t quota = registry.config(7).max_inflight;
-        if (registry.TryClaimInflight(7, quota)) {
-          std::this_thread::yield();
-          registry.ReleaseClaim(7);
-        }
+        (void)registry.config(7);
+        registry.RecordAdmission(7);
+        std::this_thread::yield();
+        registry.RecordRelease(7);
       }
     });
   }
