@@ -109,24 +109,6 @@ void BM_BPlusTreeFloor(benchmark::State& state) {
 }
 BENCHMARK(BM_BPlusTreeFloor);
 
-void BM_NetworkExpansion(benchmark::State& state) {
-  CityOptions opt;
-  opt.grid_cols = 18;
-  opt.grid_rows = 13;
-  auto city = GenerateCity(opt);
-  const RoadNetwork& net = city->network;
-  SpeedFn speeds = FreeFlowSpeeds(net);
-  Rng rng(11);
-  const double budget = static_cast<double>(state.range(0));
-  for (auto _ : state) {
-    SegmentId src =
-        static_cast<SegmentId>(rng.UniformInt(0, net.NumSegments() - 1));
-    auto hits = ExpandFrom(net, src, budget, speeds);
-    benchmark::DoNotOptimize(hits);
-  }
-}
-BENCHMARK(BM_NetworkExpansion)->Arg(300)->Arg(1200);
-
 void BM_PostingStoreGet(benchmark::State& state) {
   std::string path = std::filesystem::temp_directory_path() /
                      "strr_micro_postings.bin";
@@ -272,18 +254,14 @@ void BM_FlatGridWithinRadius(benchmark::State& state) {
 }
 BENCHMARK(BM_FlatGridWithinRadius);
 
-// --- Frontier expansion: legacy per-segment vectors vs flat CSR -----------
-// The FrontierEngine inner loop with the layout knob off vs on (prefetch
-// rides along with the CSR walk, matching the executor's csr profile).
+// --- Frontier expansion ------------------------------------------------------
+// The FrontierEngine timed (Dijkstra) loop on one reused context.
 
-void RunExpansionBench(benchmark::State& state, bool flat) {
+void BM_NetworkExpansion(benchmark::State& state) {
   const GridFixture& fx = SharedGrid();
   const RoadNetwork& net = fx.city.network;
   SpeedFn speeds = FreeFlowSpeeds(net);
-  FrontierRuntime runtime;
-  runtime.flat_adjacency = flat;
-  runtime.prefetch = flat;
-  FrontierEngine engine(net, runtime);
+  FrontierEngine engine(net);
   ExpansionContext ctx;
   Rng rng(31);
   const double budget = static_cast<double>(state.range(0));
@@ -297,16 +275,7 @@ void RunExpansionBench(benchmark::State& state, bool flat) {
     benchmark::DoNotOptimize(ctx.reached().size());
   }
 }
-
-void BM_NetworkExpansionLegacy(benchmark::State& state) {
-  RunExpansionBench(state, /*flat=*/false);
-}
-BENCHMARK(BM_NetworkExpansionLegacy)->Arg(300)->Arg(1200);
-
-void BM_NetworkExpansionCsr(benchmark::State& state) {
-  RunExpansionBench(state, /*flat=*/true);
-}
-BENCHMARK(BM_NetworkExpansionCsr)->Arg(300)->Arg(1200);
+BENCHMARK(BM_NetworkExpansion)->Arg(300)->Arg(1200);
 
 void BM_SortedIntersects(benchmark::State& state) {
   Rng rng(17);

@@ -289,69 +289,33 @@ def check_storage_rows(gate, base, fresh, min_restart_speedup):
             "— admission stopped protecting the hot set")
 
 
-def check_fig48(gate, base, fresh, min_speedup4):
-    """Gate for the fig4_8 layout x workers interior sweep.
+def check_fig48(gate, base, fresh):
+    """Gate for the fig4_8 part (c) m-query row.
 
-    Work counts (segments_expanded, heap_pops) are deterministic for a
+    The row must be present and match the engine executor's region. Its
+    work counts (segments_expanded, heap_pops) are deterministic for a
     given dataset scale, so they are compared with strict equality against
     the scale-matched baseline section — a count drift means the search
     explored a different frontier, which is a correctness bug even when
-    the region happens to match. Wall clocks are only compared within the
-    fresh run (the w1/w4 parallel-efficiency floor), and only when the
-    fresh host actually has >= 4 hardware threads."""
-    key_fields = ("layout", "interior_workers")
-    base_idx = index_rows(base.get("interior_sweep"), key_fields)
-    fresh_idx = index_rows(fresh.get("interior_sweep"), key_fields)
-    check_presence(gate, "fig4_8", base_idx, fresh_idx)
-
-    for key, row in fresh_idx.items():
-        if not row.get("identical", True):
-            gate.fail(f"fig4_8 row {key}: identical=false — the interior "
-                      "layout changed a computed region")
-        base_row = base_idx.get(key)
-        if base_row is None:
-            continue
-        for count in ("segments_expanded", "heap_pops"):
-            if row.get(count) != base_row.get(count):
-                gate.fail(
-                    f"fig4_8 row {key}: {count} {row.get(count)} != baseline "
-                    f"{base_row.get(count)} — the search explored a "
-                    "different frontier")
-
-    # Cross-layout count equality within the fresh run: csr must expand
-    # exactly the frontier legacy does, at every worker count.
-    for (layout, workers), row in fresh_idx.items():
-        if layout == "legacy":
-            continue
-        legacy_row = fresh_idx.get(("legacy", workers))
-        if legacy_row is None:
-            continue
-        for count in ("segments_expanded", "heap_pops"):
-            if row.get(count) != legacy_row.get(count):
-                gate.fail(
-                    f"fig4_8 row ({layout}, {workers}): {count} "
-                    f"{row.get(count)} != legacy's {legacy_row.get(count)} "
-                    "at the same worker count")
-
-    hw = fresh.get("hardware_threads", 0)
-    w1 = fresh_idx.get(("csr", 1))
-    w4 = fresh_idx.get(("csr", 4))
-    if hw >= 4:
-        if not w1 or not w4 or not w4.get("wall_ms"):
-            gate.fail("fig4_8: csr 1/4-worker rows missing — cannot check "
-                      "the parallel-efficiency floor")
-        else:
-            ratio = w1["wall_ms"] / w4["wall_ms"]
-            if ratio < min_speedup4:
-                gate.fail(
-                    f"fig4_8: csr 4-worker speedup {ratio:.2f}x is below the "
-                    f"{min_speedup4}x floor on a {hw}-thread host")
-            else:
-                gate.note(f"fig4_8: csr 4-worker speedup {ratio:.2f}x "
-                          f"(floor {min_speedup4}x)")
-    else:
-        gate.note(f"fig4_8: speedup floor skipped — fresh host has "
-                  f"{hw} hardware thread(s)")
+    the region happens to match. Wall clocks are not gated."""
+    base_row = base.get("sequential_row")
+    row = fresh.get("sequential_row")
+    if base_row is None:
+        gate.fail("fig4_8: baseline has no sequential_row")
+        return
+    if row is None:
+        gate.fail("fig4_8: sequential_row present in baseline but missing "
+                  "from the fresh run")
+        return
+    if not row.get("identical", False):
+        gate.fail("fig4_8: identical=false — the m-query region diverged "
+                  "from the engine executor's")
+    for count in ("segments_expanded", "heap_pops"):
+        if row.get(count) != base_row.get(count):
+            gate.fail(
+                f"fig4_8: {count} {row.get(count)} != baseline "
+                f"{base_row.get(count)} — the search explored a different "
+                "frontier")
 
 
 def fig48_section_for_scale(scale):
@@ -386,14 +350,10 @@ def main():
                              "cache rows)")
     parser.add_argument("--fresh-fig48",
                         help="JSON written by this run's bench_fig4_8_mquery; "
-                             "enables the layout-sweep gate (bit-identity, "
-                             "strict work counts, parallel-efficiency floor). "
-                             "The baseline section is picked by the fresh "
+                             "enables the m-query row gate (presence, "
+                             "bit-identity, strict work counts). The "
+                             "baseline section is picked by the fresh "
                              "file's 'scale' field")
-    parser.add_argument("--min-speedup4", type=float, default=1.8,
-                        help="minimum csr w1/w4 wall-clock ratio when the "
-                             "fresh host has >= 4 hardware threads "
-                             "(default 1.8)")
     parser.add_argument("--min-restart-speedup", type=float, default=1.25,
                         help="minimum full-replay vs checkpointed cold-"
                              "restart wall-clock ratio within the fresh run "
@@ -424,7 +384,7 @@ def main():
         except (OSError, ValueError, json.JSONDecodeError) as e:
             print(f"ERROR: {e}", file=sys.stderr)
             return 2
-        check_fig48(gate, base48, fresh48, args.min_speedup4)
+        check_fig48(gate, base48, fresh48)
 
     for note in gate.notes:
         print(f"NOTE: {note}")

@@ -73,7 +73,7 @@ Status ValidatePlan(const QueryPlan& plan) {
           "QueryPlan: a location resolved to no start segments");
     }
   }
-  if (plan.prob <= 0.0 || plan.prob > 1.0) {
+  if (!(plan.prob > 0.0 && plan.prob <= 1.0)) {  // NaN fails too
     return Status::InvalidArgument("QueryPlan: Prob must be in (0, 1]");
   }
   if (plan.duration <= 0) {
@@ -145,10 +145,6 @@ QueryExecutor::QueryExecutor(const RoadNetwork& network,
     cache_opt.protected_share = options_.result_cache_protected_share;
     cache_opt.tenant_capacity_share = options_.result_cache_tenant_share;
     cache_ = std::make_unique<ResultCache>(delta_t_seconds_, cache_opt);
-  }
-  if (options_.interior_workers > 1) {
-    interior_pool_ = std::make_unique<ThreadPool>(
-        static_cast<size_t>(options_.interior_workers - 1));
   }
   if (options_.max_inflight > 0 && wfq_ == nullptr) {
     // Plain (tenant-blind) admission — the PR-2 path, byte-for-byte, so
@@ -489,15 +485,9 @@ StatusOr<RegionResult> QueryExecutor::RunTraceBack(
     // even then; trusting them here would fabricate reachability.)
     result.segments.clear();
   } else {
-    TraceBackOptions tbs_opt;
-    tbs_opt.flat_adjacency = options_.interior_flat_adjacency;
-    if (options_.parallel_tbs && interior_pool_ != nullptr) {
-      tbs_opt.pool = interior_pool_.get();
-      tbs_opt.workers = options_.interior_workers;
-    }
     STRR_ASSIGN_OR_RETURN(
         TbsOutcome tbs,
-        TraceBackSearch(*network_, regions, prob, oracle, tbs_opt));
+        TraceBackSearch(*network_, regions, prob, oracle));
     result.segments = std::move(tbs.region);
   }
   result.total_length_m = network_->LengthOfSegments(result.segments);
@@ -517,30 +507,19 @@ StatusOr<RegionResult> QueryExecutor::ExecuteIndexed(const QueryPlan& plan,
   Stopwatch watch;
   ScopedIoCounters io_scope;  // attributes this query's storage traffic
   SearchMetrics metrics;
-  BoundingSearchOptions search_opt;
-  search_opt.metrics = &metrics;
-  if (interior_pool_ != nullptr) {
-    search_opt.runtime.pool = interior_pool_.get();
-    search_opt.runtime.workers = options_.interior_workers;
-  }
-  // Layout knobs apply to sequential and parallel interiors alike; the
-  // engine falls back to the legacy walk when the network has no CSR.
-  search_opt.runtime.flat_adjacency = options_.interior_flat_adjacency;
-  search_opt.runtime.prefetch = options_.interior_prefetch;
-  search_opt.runtime.locality_chunking = options_.interior_locality_chunking;
   BoundingRegions regions;
   if (plan.IsMultiLocation()) {
     obs::TraceSpan span("mqmb_search");
     STRR_ASSIGN_OR_RETURN(
         regions, MqmbSearch(*network_, *view.con_index, *view.profile,
                             plan.AllStartSegments(), plan.start_tod,
-                            plan.duration, search_opt));
+                            plan.duration, &metrics));
   } else {
     obs::TraceSpan span("sqmb_search");
     STRR_ASSIGN_OR_RETURN(
         regions,
         SqmbSearchSet(*network_, *view.con_index, plan.location_starts[0],
-                      plan.start_tod, plan.duration, search_opt));
+                      plan.start_tod, plan.duration, &metrics));
   }
   StatusOr<RegionResult> result =
       RunTraceBack(regions, plan.start_tod, plan.duration, plan.prob,
@@ -548,7 +527,6 @@ StatusOr<RegionResult> QueryExecutor::ExecuteIndexed(const QueryPlan& plan,
   if (result.ok()) {
     result->stats.segments_expanded = metrics.segments_expanded;
     result->stats.heap_pops = metrics.heap_pops;
-    result->stats.parallel_rounds = metrics.parallel_rounds;
   }
   return result;
 }
@@ -614,7 +592,6 @@ StatusOr<RegionResult> QueryExecutor::ExecuteRepeatedS(const QueryPlan& plan,
     merged.stats.time_lists_read += r.stats.time_lists_read;
     merged.stats.segments_expanded += r.stats.segments_expanded;
     merged.stats.heap_pops += r.stats.heap_pops;
-    merged.stats.parallel_rounds += r.stats.parallel_rounds;
     merged.stats.max_region_segments += r.stats.max_region_segments;
     merged.stats.min_region_segments += r.stats.min_region_segments;
     merged.stats.boundary_segments += r.stats.boundary_segments;

@@ -84,32 +84,6 @@ struct QueryExecutorOptions {
   /// already on a pool worker). Off = legs run sequentially, reproducing
   /// the paper's single-threaded m-query baseline timings.
   bool parallel_mquery_legs = true;
-  /// Parallel SQMB/MQMB interior: fan each bounding-region expansion's
-  /// frontier across this many workers (caller included) on a dedicated
-  /// interior pool. Results are bit-identical to sequential (see
-  /// search/frontier_engine.h); <= 1 keeps the interior sequential,
-  /// reproducing the paper's timings. The interior pool is separate from
-  /// the batch pool so a query running *on* a batch worker can still fan
-  /// its interior without risking pool-against-itself starvation (interior
-  /// tasks are pure compute and never block).
-  int interior_workers = 1;
-  // --- Raw-speed interior layout (results bit-identical either way; see
-  // search/frontier_engine.h) ------------------------------------------------
-  /// Expand over the RoadNetwork's flat CSR adjacency view instead of the
-  /// per-segment vectors: one contiguous offsets+neighbors array walk per
-  /// expansion, no pointer chase per segment.
-  bool interior_flat_adjacency = false;
-  /// Software-prefetch successor label slots one edge ahead during gather.
-  /// Only meaningful on top of interior_flat_adjacency.
-  bool interior_prefetch = false;
-  /// Order parallel gather rounds by spatial cell so each worker's chunk
-  /// touches a contiguous label range (commit order is restored by stable
-  /// candidate tagging). Only affects interior_workers > 1.
-  bool interior_locality_chunking = false;
-  /// Fan TBS ring verification across the interior pool (ring-order
-  /// commit keeps results bit-identical; see query/trace_back.h). Only
-  /// effective when interior_workers > 1.
-  bool parallel_tbs = false;
   /// Result-cache capacity in entries; 0 disables caching. Off by default:
   /// cached results replay the original execution's stats, which would
   /// skew the paper-reproduction measurements.
@@ -358,11 +332,6 @@ class QueryExecutor {
   /// when admission itself is unbounded.
   TenantRegistry* tenants_ = nullptr;
   std::unique_ptr<TenantRegistry> owned_tenants_;
-  /// Dedicated pool for the parallel search interior (null = sequential
-  /// interior). Sized interior_workers - 1: the querying thread always
-  /// works the first chunk itself, so progress never depends on pool
-  /// capacity.
-  std::unique_ptr<ThreadPool> interior_pool_;
   ThreadPool pool_;
 };
 

@@ -77,7 +77,6 @@ StatusOr<std::unique_ptr<ReachabilityEngine>> ReachabilityEngine::Build(
   ConIndexOptions con_opt;
   con_opt.delta_t_seconds = options.delta_t_seconds;
   con_opt.num_build_threads = options.build_threads;
-  con_opt.flat_interior = options.interior_flat_adjacency;
   STRR_ASSIGN_OR_RETURN(
       engine->con_index_,
       ConIndex::Create(network, *engine->profile_, con_opt));
@@ -122,11 +121,6 @@ StatusOr<std::unique_ptr<ReachabilityEngine>> ReachabilityEngine::Build(
   QueryExecutorOptions exec_opt;
   exec_opt.num_threads = options.query_threads;
   exec_opt.parallel_mquery_legs = options.parallel_mquery_legs;
-  exec_opt.interior_workers = options.interior_workers;
-  exec_opt.interior_flat_adjacency = options.interior_flat_adjacency;
-  exec_opt.interior_prefetch = options.interior_prefetch;
-  exec_opt.interior_locality_chunking = options.interior_locality_chunking;
-  exec_opt.parallel_tbs = options.parallel_tbs;
   exec_opt.result_cache_entries = options.result_cache_entries;
   exec_opt.result_cache_shards = options.result_cache_shards;
   exec_opt.result_cache_doorkeeper = options.result_cache_doorkeeper;

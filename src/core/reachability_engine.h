@@ -65,19 +65,6 @@ struct EngineOptions {
   /// facade reproduces the paper's single-threaded baseline timings;
   /// throughput-oriented callers flip it (or use the executor directly).
   bool parallel_mquery_legs = false;
-  /// Parallel SQMB/MQMB search interior (bit-identical results; see
-  /// QueryExecutorOptions::interior_workers). <= 1 keeps the paper's
-  /// sequential interior.
-  int interior_workers = 1;
-  /// Raw-speed interior layout (results bit-identical either way; see
-  /// QueryExecutorOptions). flat_adjacency also flows into Con-Index
-  /// table builds (ConIndexOptions::flat_interior).
-  bool interior_flat_adjacency = false;
-  bool interior_prefetch = false;
-  bool interior_locality_chunking = false;
-  /// Parallel TBS ring verification on the interior pool (bit-identical;
-  /// see query/trace_back.h). Needs interior_workers > 1.
-  bool parallel_tbs = false;
   // --- Query front door (see QueryExecutorOptions; both off by default so
   // the facade's per-query stats keep their paper-reproduction semantics —
   // cached results replay the original execution's stats) ---------------------

@@ -8,20 +8,6 @@
 
 namespace strr {
 
-namespace {
-
-/// Interior runtime for table builds: the flat-CSR walk (with prefetch)
-/// when opted in, the legacy per-segment walk otherwise. Builds stay
-/// sequential per table either way.
-FrontierRuntime BuildRuntime(const ConIndexOptions& options) {
-  FrontierRuntime runtime;
-  runtime.flat_adjacency = options.flat_interior;
-  runtime.prefetch = options.flat_interior;
-  return runtime;
-}
-
-}  // namespace
-
 std::shared_ptr<ConIndex::SlotTables> ConIndex::MakeBucket() const {
   auto bucket = std::make_shared<SlotTables>();
   bucket->near.resize(network_->NumSegments());
@@ -102,7 +88,7 @@ ConIndex::SlotTables& ConIndex::EnsureTables(SegmentId seg,
     std::lock_guard<std::mutex> lock(bucket.mu);
     if (bucket.ready[seg]) return bucket;
   }
-  FrontierEngine engine(*network_, BuildRuntime(options_));
+  FrontierEngine engine(*network_);
   auto ctx = ExpansionContextPool::Global().Acquire();
   ComputeTables(engine, *ctx, seg, slot, bucket);
   return bucket;
@@ -238,7 +224,7 @@ std::unique_ptr<ConIndex> ConIndex::CloneWithInvalidation(
 size_t ConIndex::PrewarmSlot(SlotId slot,
                              const std::vector<SegmentId>& segments) const {
   if (slot < 0 || slot >= num_slots_) return 0;
-  FrontierEngine engine(*network_, BuildRuntime(options_));
+  FrontierEngine engine(*network_);
   auto ctx = ExpansionContextPool::Global().Acquire();
   SlotTables& bucket = *slots_[slot];
   size_t built = 0;
@@ -263,7 +249,7 @@ Status ConIndex::BuildAll() {
     pool.Submit([this, slot] {
       // One pooled context + engine per task: the whole slot builds with
       // zero per-table allocation beyond the stored lists themselves.
-      FrontierEngine engine(*network_, BuildRuntime(options_));
+      FrontierEngine engine(*network_);
       auto ctx = ExpansionContextPool::Global().Acquire();
       const SlotOverlay& overlay = overlays_[slot];
       for (SegmentId seg = 0; seg < network_->NumSegments(); ++seg) {

@@ -37,12 +37,6 @@ class FrontierEngine;    // search/frontier_engine.h
 struct ConIndexOptions {
   int64_t delta_t_seconds = 300;  ///< Δt: expansion budget per hop
   int num_build_threads = 4;      ///< BuildAll parallelism
-  /// Build tables over the network's flat CSR adjacency view (with
-  /// prefetch) instead of the per-segment vectors. Tables are
-  /// bit-identical either way (see search/frontier_engine.h); this only
-  /// changes build speed. Falls back to legacy when the network carries
-  /// no CSR.
-  bool flat_interior = false;
 };
 
 /// Connection tables. Thread-safe, including the lazy build path:

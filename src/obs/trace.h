@@ -13,8 +13,8 @@
 // scatter-gather spans show per-worker imbalance instead of collapsing
 // onto the orchestrating thread. The merge contract: the submitter joins
 // the task's future before the root QueryTrace closes (true for every
-// in-tree fan-out — gather chunks, m-query legs and batch futures are all
-// joined inside the query).
+// in-tree fan-out — m-query legs and batch futures are both joined
+// inside the query).
 //
 // Lifecycle and cost:
 //  * Off (default): every QueryTrace/TraceSpan constructor is one relaxed

@@ -102,17 +102,8 @@ StatusOr<BoundingRegions> SqmbSearchSet(const RoadNetwork& network,
                                         const ConIndex& con_index,
                                         const std::vector<SegmentId>& starts,
                                         int64_t start_tod,
-                                        int64_t duration_seconds) {
-  return SqmbSearchSet(network, con_index, starts, start_tod, duration_seconds,
-                       BoundingSearchOptions{});
-}
-
-StatusOr<BoundingRegions> SqmbSearchSet(const RoadNetwork& network,
-                                        const ConIndex& con_index,
-                                        const std::vector<SegmentId>& starts,
-                                        int64_t start_tod,
                                         int64_t duration_seconds,
-                                        const BoundingSearchOptions& options) {
+                                        SearchMetrics* metrics) {
   if (starts.empty()) {
     return Status::InvalidArgument("SQMB: no start segments");
   }
@@ -128,16 +119,16 @@ StatusOr<BoundingRegions> SqmbSearchSet(const RoadNetwork& network,
   BoundingRegions out;
   out.start_segments = starts;
 
-  FrontierEngine engine(network, options.runtime);
+  FrontierEngine engine(network);
   auto ctx = ExpansionContextPool::Global().Acquire();
   FrontierEngine::ConeRequest request = MakeConeRequest(
       out.start_segments, start_tod, duration_seconds, con_index);
 
   std::vector<SegmentId> last_frontier;
   out.max_region = engine.RunCone(*ctx, request, FarLists(con_index), nullptr,
-                                  &last_frontier, options.metrics);
+                                  &last_frontier, metrics);
   out.min_region = engine.RunCone(*ctx, request, NearLists(con_index), nullptr,
-                                  nullptr, options.metrics);
+                                  nullptr, metrics);
   out.boundary = MergeBoundary(*ctx, network, out.max_region, last_frontier);
   return out;
 }
@@ -147,18 +138,8 @@ StatusOr<BoundingRegions> MqmbSearch(const RoadNetwork& network,
                                      const SpeedProfile& profile,
                                      const std::vector<SegmentId>& starts,
                                      int64_t start_tod,
-                                     int64_t duration_seconds) {
-  return MqmbSearch(network, con_index, profile, starts, start_tod,
-                    duration_seconds, BoundingSearchOptions{});
-}
-
-StatusOr<BoundingRegions> MqmbSearch(const RoadNetwork& network,
-                                     const ConIndex& con_index,
-                                     const SpeedProfile& profile,
-                                     const std::vector<SegmentId>& starts,
-                                     int64_t start_tod,
                                      int64_t duration_seconds,
-                                     const BoundingSearchOptions& options) {
+                                     SearchMetrics* metrics) {
   if (starts.empty()) {
     return Status::InvalidArgument("MQMB: no start segments");
   }
@@ -178,7 +159,7 @@ StatusOr<BoundingRegions> MqmbSearch(const RoadNetwork& network,
       std::unique(out.start_segments.begin(), out.start_segments.end()),
       out.start_segments.end());
 
-  FrontierEngine engine(network, options.runtime);
+  FrontierEngine engine(network);
 
   // Nearest-start assignment by travel time (multi-source expansion with
   // the same speed statistics the Far/Near tables use, budgeted by L).
@@ -196,8 +177,8 @@ StatusOr<BoundingRegions> MqmbSearch(const RoadNetwork& network,
   nearest.track_origin = true;
   auto nearest_max = ExpansionContextPool::Global().Acquire();
   auto nearest_min = ExpansionContextPool::Global().Acquire();
-  engine.RunTimed(*nearest_max, nearest, max_speed, options.metrics);
-  engine.RunTimed(*nearest_min, nearest, min_speed, options.metrics);
+  engine.RunTimed(*nearest_max, nearest, max_speed, metrics);
+  engine.RunTimed(*nearest_min, nearest, min_speed, metrics);
 
   // The elimination rule (paper §3.3.2): keep a discovered segment only if
   // it was reached through its *nearest* start's cone. Segments outside the
@@ -217,9 +198,9 @@ StatusOr<BoundingRegions> MqmbSearch(const RoadNetwork& network,
 
   std::vector<SegmentId> last_frontier;
   out.max_region = engine.RunCone(*ctx, request, FarLists(con_index), keep_max,
-                                  &last_frontier, options.metrics);
+                                  &last_frontier, metrics);
   out.min_region = engine.RunCone(*ctx, request, NearLists(con_index),
-                                  keep_min, nullptr, options.metrics);
+                                  keep_min, nullptr, metrics);
   out.boundary = MergeBoundary(*ctx, network, out.max_region, last_frontier);
   return out;
 }

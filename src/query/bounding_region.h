@@ -10,11 +10,10 @@
 // only when the start whose Far cone produced it is also its nearest start
 // (by travel time), so overlapped interiors are expanded exactly once.
 //
-// Both searches run on the unified frontier core (src/search/): pooled
-// ExpansionContexts (no per-query O(network) allocations) and, when a
-// BoundingSearchOptions carries a parallel FrontierRuntime, a
-// level-synchronous parallel interior whose results are bit-identical to
-// sequential execution (see search/frontier_engine.h for the argument).
+// Both searches run sequentially on the unified frontier core
+// (src/search/) over pooled ExpansionContexts, so a query makes no
+// O(network) allocations. `metrics` (optional) accumulates the search
+// work counters QueryStats reports.
 #ifndef STRR_QUERY_BOUNDING_REGION_H_
 #define STRR_QUERY_BOUNDING_REGION_H_
 
@@ -38,14 +37,6 @@ struct BoundingRegions {
   std::vector<SegmentId> boundary;
 };
 
-/// How a bounding search executes: sequential by default; a parallel
-/// runtime fans the expansion interior without changing results. `metrics`
-/// (optional) accumulates search work counters for QueryStats.
-struct BoundingSearchOptions {
-  FrontierRuntime runtime;
-  SearchMetrics* metrics = nullptr;
-};
-
 /// SQMB: single-location maximum/minimum bounding region search.
 /// `start` must be a valid segment (callers locate it via StIndex).
 StatusOr<BoundingRegions> SqmbSearch(const RoadNetwork& network,
@@ -61,13 +52,7 @@ StatusOr<BoundingRegions> SqmbSearchSet(const RoadNetwork& network,
                                         const std::vector<SegmentId>& starts,
                                         int64_t start_tod,
                                         int64_t duration_seconds,
-                                        const BoundingSearchOptions& options);
-
-StatusOr<BoundingRegions> SqmbSearchSet(const RoadNetwork& network,
-                                        const ConIndex& con_index,
-                                        const std::vector<SegmentId>& starts,
-                                        int64_t start_tod,
-                                        int64_t duration_seconds);
+                                        SearchMetrics* metrics = nullptr);
 
 /// The segment set a query location on `seg` denotes: {seg} plus its
 /// reverse twin when the street is two-way.
@@ -82,14 +67,7 @@ StatusOr<BoundingRegions> MqmbSearch(const RoadNetwork& network,
                                      const std::vector<SegmentId>& starts,
                                      int64_t start_tod,
                                      int64_t duration_seconds,
-                                     const BoundingSearchOptions& options);
-
-StatusOr<BoundingRegions> MqmbSearch(const RoadNetwork& network,
-                                     const ConIndex& con_index,
-                                     const SpeedProfile& profile,
-                                     const std::vector<SegmentId>& starts,
-                                     int64_t start_tod,
-                                     int64_t duration_seconds);
+                                     SearchMetrics* metrics = nullptr);
 
 /// Boundary extraction (exposed for tests): members of `region` (sorted)
 /// having a neighbour outside it.

@@ -21,7 +21,7 @@ StatusOr<RegionResult> ExhaustiveSearch(const StIndex& st_index,
                                         const SpeedProfile& profile,
                                         const SQuery& query, int64_t delta_t,
                                         const std::vector<SegmentId>& starts) {
-  if (query.prob <= 0.0 || query.prob > 1.0) {
+  if (!(query.prob > 0.0 && query.prob <= 1.0)) {  // NaN fails too
     return Status::InvalidArgument("ES: Prob must be in (0, 1]");
   }
   if (starts.empty()) {

@@ -56,13 +56,14 @@ StatusOr<ReachabilityProbability> ReachabilityProbability::Create(
 }
 
 StatusOr<double> ReachabilityProbability::Probability(SegmentId r) {
-  verifications_.fetch_add(1, std::memory_order_relaxed);
+  ++verifications_;
   const int num_days = st_index_->num_days();
   if (num_days == 0 || start_active_days_ == 0) return 0.0;
 
   // Test r's per-day ids over the duration slots against the start lists,
   // straight from the posting bytes. A day counts once some common id
-  // appears. The marks are per thread: TBS rings verify in parallel.
+  // appears. The marks are per thread, so a worker reuses one buffer
+  // across queries.
   thread_local std::vector<uint8_t> day_hit;
   day_hit.assign(static_cast<size_t>(num_days), 0);
   int hits = 0;
@@ -71,7 +72,7 @@ StatusOr<double> ReachabilityProbability::Probability(SegmentId r) {
     STRR_ASSIGN_OR_RETURN(
         int marked,
         st_index_->MarkDaysIntersecting(r, slot, start_ids_, &day_hit));
-    time_lists_read_.fetch_add(1, std::memory_order_relaxed);
+    ++time_lists_read_;
     hits += marked;
     if (hits == num_days) break;  // cannot improve further
   }

@@ -17,7 +17,6 @@
 #ifndef STRR_QUERY_PROBABILITY_H_
 #define STRR_QUERY_PROBABILITY_H_
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -37,43 +36,12 @@ class ReachabilityProbability {
       int64_t start_tod, int64_t window_seconds, int64_t duration_seconds);
 
   /// probability(r, starts) in [0, 1]; reads r's time lists from disk.
-  /// Safe to call concurrently from multiple threads (parallel TBS rings):
-  /// all query state is read-only after Create and the work counters are
-  /// relaxed atomics.
   StatusOr<double> Probability(SegmentId r);
 
-  ReachabilityProbability(ReachabilityProbability&& o) noexcept
-      : st_index_(o.st_index_),
-        start_tod_(o.start_tod_),
-        duration_(o.duration_),
-        candidate_slots_(std::move(o.candidate_slots_)),
-        start_ids_(std::move(o.start_ids_)),
-        start_active_days_(o.start_active_days_),
-        verifications_(o.verifications_.load(std::memory_order_relaxed)),
-        time_lists_read_(o.time_lists_read_.load(std::memory_order_relaxed)) {}
-  ReachabilityProbability& operator=(ReachabilityProbability&& o) noexcept {
-    st_index_ = o.st_index_;
-    start_tod_ = o.start_tod_;
-    duration_ = o.duration_;
-    candidate_slots_ = std::move(o.candidate_slots_);
-    start_ids_ = std::move(o.start_ids_);
-    start_active_days_ = o.start_active_days_;
-    verifications_.store(o.verifications_.load(std::memory_order_relaxed),
-                         std::memory_order_relaxed);
-    time_lists_read_.store(
-        o.time_lists_read_.load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
-    return *this;
-  }
-
   /// Number of candidate verifications performed so far.
-  uint64_t verifications() const {
-    return verifications_.load(std::memory_order_relaxed);
-  }
+  uint64_t verifications() const { return verifications_; }
   /// Number of time-list reads issued (start + candidates).
-  uint64_t time_lists_read() const {
-    return time_lists_read_.load(std::memory_order_relaxed);
-  }
+  uint64_t time_lists_read() const { return time_lists_read_; }
 
   /// True when no trajectory left the start segments in the window on any
   /// day (every probability will be 0).
@@ -93,8 +61,8 @@ class ReachabilityProbability {
   /// start_ids_[d] = sorted trajectory ids leaving the starts on day d.
   std::vector<std::vector<TrajectoryId>> start_ids_;
   int start_active_days_ = 0;
-  std::atomic<uint64_t> verifications_{0};
-  std::atomic<uint64_t> time_lists_read_{0};
+  uint64_t verifications_ = 0;
+  uint64_t time_lists_read_ = 0;
 };
 
 /// Sorted-vector intersection test (exposed for tests).

@@ -53,9 +53,6 @@ struct QueryStats {
   uint64_t segments_expanded = 0;
   /// d-ary heap pops in the timed (Dijkstra) expansions.
   uint64_t heap_pops = 0;
-  /// Level-synchronous gather/commit rounds that actually fanned across
-  /// the interior pool (0 when the interior ran sequentially).
-  uint64_t parallel_rounds = 0;
   /// True when the result was served from the executor's ResultCache. The
   /// remaining stats then describe the execution that originally produced
   /// the entry, not the (near-free) cache lookup.

@@ -35,7 +35,7 @@ Status QueryPlanner::ResolveLocation(const XyPoint& location,
 StatusOr<QueryPlan> QueryPlanner::PlanSQuery(const SQuery& query,
                                              QueryStrategy strategy,
                                              TenantId tenant) const {
-  if (query.prob <= 0.0 || query.prob > 1.0) {
+  if (!(query.prob > 0.0 && query.prob <= 1.0)) {  // NaN fails too
     return Status::InvalidArgument("SQuery: Prob must be in (0, 1]");
   }
   if (query.duration <= 0) {
@@ -62,7 +62,7 @@ StatusOr<QueryPlan> QueryPlanner::PlanMQuery(const MQuery& query,
   if (query.locations.empty()) {
     return Status::InvalidArgument("MQuery: no locations");
   }
-  if (query.prob <= 0.0 || query.prob > 1.0) {
+  if (!(query.prob > 0.0 && query.prob <= 1.0)) {  // NaN fails too
     return Status::InvalidArgument("MQuery: Prob must be in (0, 1]");
   }
   if (query.duration <= 0) {

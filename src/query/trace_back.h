@@ -12,6 +12,10 @@
 //
 // A visited set guarantees each segment is examined at most once even when
 // multiple inward paths reach it (the paper's r* example in Fig. 3.5).
+//
+// The walk is sequential, on the calling thread: its probability checks
+// are the ST-Index reads that dominate a query, and the executor gets its
+// parallelism from running queries side by side.
 #ifndef STRR_QUERY_TRACE_BACK_H_
 #define STRR_QUERY_TRACE_BACK_H_
 
@@ -21,7 +25,6 @@
 #include "query/probability.h"
 #include "query/query.h"
 #include "util/result.h"
-#include "util/thread_pool.h"
 
 namespace strr {
 
@@ -34,27 +37,12 @@ struct TbsOutcome {
   uint64_t segments_failed = 0;
 };
 
-/// Execution knobs for TBS. Results are bit-identical for every setting:
-/// the FIFO walk is ring-by-ring (all of ring k verifies before ring k+1
-/// exists), per-segment probabilities are pure, and the inward expansion
-/// commits in ring order — exactly the sequential queue order.
-struct TraceBackOptions {
-  ThreadPool* pool = nullptr;  ///< null = sequential
-  int workers = 1;
-  /// Walk neighbours through the network's flat CSR view (identical
-  /// neighbour order; layout change only).
-  bool flat_adjacency = false;
-
-  bool parallel() const { return pool != nullptr && workers > 1; }
-};
-
 /// Runs trace back search. `prob_oracle` must have been created for the
 /// same query (same starts / T / L).
 StatusOr<TbsOutcome> TraceBackSearch(const RoadNetwork& network,
                                      const BoundingRegions& regions,
                                      double prob_threshold,
-                                     ReachabilityProbability& prob_oracle,
-                                     const TraceBackOptions& options = {});
+                                     ReachabilityProbability& prob_oracle);
 
 }  // namespace strr
 

@@ -16,10 +16,9 @@
 //
 // These are convenience wrappers over the unified frontier-search core in
 // src/search/ (FrontierEngine + pooled ExpansionContexts — see
-// search/frontier_engine.h for the interior and its determinism
-// contract); SpeedFn and ExpansionHit live there and are re-exported
-// here. Callers that run many expansions or want the parallel interior
-// use the engine directly.
+// search/frontier_engine.h for the interior and its tie rule); SpeedFn
+// and ExpansionHit live there and are re-exported here. Callers that run
+// many expansions use the engine directly.
 #ifndef STRR_ROADNET_EXPANSION_H_
 #define STRR_ROADNET_EXPANSION_H_
 

@@ -4,8 +4,6 @@
 #include <limits>
 #include <unordered_set>
 
-#include "roadnet/csr_graph.h"
-
 namespace strr {
 
 NodeId AddNodeImpl(std::vector<XyPoint>& nodes, const XyPoint& pos) {
@@ -110,7 +108,6 @@ Status RoadNetwork::Finalize() {
     std::sort(neighbors_[s.id].begin(), neighbors_[s.id].end());
   }
   finalized_ = true;
-  csr_ = std::make_shared<const CsrAdjacency>(*this);
   return Status::OK();
 }
 

@@ -9,7 +9,6 @@
 #ifndef STRR_ROADNET_ROAD_NETWORK_H_
 #define STRR_ROADNET_ROAD_NETWORK_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -19,8 +18,6 @@
 #include "util/status.h"
 
 namespace strr {
-
-class CsrAdjacency;
 
 /// Immutable-after-Finalize directed road graph.
 class RoadNetwork {
@@ -81,10 +78,6 @@ class RoadNetwork {
     return node_out_[n];
   }
 
-  /// Flat CSR view of the adjacency (built by Finalize); null before
-  /// finalization. Shared so engines can hold it across network copies.
-  const CsrAdjacency* csr() const { return csr_.get(); }
-
   /// Total length of all segments, meters (each direction counted once).
   double TotalLengthMeters() const;
 
@@ -108,7 +101,6 @@ class RoadNetwork {
   std::vector<std::vector<SegmentId>> incoming_;
   std::vector<std::vector<SegmentId>> neighbors_;
   std::vector<std::vector<SegmentId>> node_out_;
-  std::shared_ptr<const CsrAdjacency> csr_;
   bool finalized_ = false;
 };
 

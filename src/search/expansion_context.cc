@@ -38,7 +38,6 @@ void ExpansionContext::Begin(size_t num_segments) {
   reached_.clear();
   heap_.clear();
   frontier_.clear();
-  next_frontier_.clear();
   members_.clear();
 }
 
@@ -74,18 +73,6 @@ bool ExpansionContext::HeapPop(double* time, SegmentId* s) {
     i = best;
   }
   return true;
-}
-
-std::vector<FrontierCandidate>& ExpansionContext::worker_buffer(
-    size_t worker) {
-  if (worker >= worker_buffers_.size()) {
-    worker_buffers_.resize(worker + 1);
-  }
-  return worker_buffers_[worker];
-}
-
-void ExpansionContext::EnsureWorkerBuffers(size_t workers) {
-  if (workers > worker_buffers_.size()) worker_buffers_.resize(workers);
 }
 
 ExpansionContextPool& ExpansionContextPool::Global() {

@@ -13,12 +13,10 @@
 //    search is O(1) amortized and steady-state searches allocate nothing;
 //  * a reusable 4-ary min-heap (d-ary: shallower than binary, sift paths
 //    touch fewer cache lines for the heavy-pop workloads here);
-//  * reusable frontier/member/candidate buffers for the level-synchronous
-//    parallel mode (see FrontierEngine).
+//  * reusable frontier/member buffers for the cone walk (see
+//    FrontierEngine).
 //
-// Contexts are NOT thread-safe: one search owns a context at a time. The
-// parallel engine shares a context across workers only in read-only gather
-// phases (writes happen on the committing thread between phases).
+// Contexts are NOT thread-safe: one search owns a context at a time.
 //
 // ExpansionContextPool hands out contexts process-wide so all subsystems
 // share one warm set sized to the network; the pool is thread-safe and
@@ -41,21 +39,6 @@ namespace strr {
 /// Label value for unreached segments.
 inline constexpr double kUnreachedLabel =
     std::numeric_limits<double>::infinity();
-
-/// One relaxation/discovery produced by a parallel gather phase, applied by
-/// the (single) committing thread. `aux` carries the winning origin for
-/// timed expansion or the owning start for cone expansion.
-struct FrontierCandidate {
-  SegmentId target = kInvalidSegment;
-  SegmentId aux = kInvalidSegment;
-  SegmentId parent = kInvalidSegment;
-  /// Position of the producing frontier member in the round's frontier
-  /// array. Locality-chunked gathers visit members out of order; the
-  /// commit phase sorts candidates by `pos` to restore the exact
-  /// contiguous-chunk commit order (bit-identity contract).
-  uint32_t pos = 0;
-  double time = 0.0;
-};
 
 /// See file comment. All per-segment state is valid only between Begin()
 /// calls; reads of never-touched segments return the documented defaults.
@@ -82,16 +65,8 @@ class ExpansionContext {
     return Seen(s) ? parent_[s] : kInvalidSegment;
   }
   /// Generic per-segment marker (-1 when unset): the cone walk stores the
-  /// profile slot a member last expanded under; the parallel timed mode
-  /// stores frontier-dedup round ids.
+  /// profile slot a member last expanded under.
   int32_t Mark(SegmentId s) const { return Seen(s) ? mark_[s] : -1; }
-
-  /// Prefetches the stamp and label slots for `s` — the two arrays every
-  /// relaxation reads first. A pure scheduling hint (no effect on results).
-  void PrefetchSlot(SegmentId s) const {
-    PrefetchRead(stamp_.data() + s);
-    PrefetchRead(label_.data() + s);
-  }
 
   /// Stamps `s` (label=inf, origin/parent invalid, mark -1) if untouched.
   void Touch(SegmentId s) {
@@ -139,16 +114,7 @@ class ExpansionContext {
   // --- Reusable buffers for the engine --------------------------------------
 
   std::vector<SegmentId>& frontier() { return frontier_; }
-  std::vector<SegmentId>& next_frontier() { return next_frontier_; }
   std::vector<SegmentId>& members() { return members_; }
-  /// Per-worker candidate buffers for parallel gather phases; `workers`
-  /// buffers are kept alive (and reused) across rounds.
-  std::vector<FrontierCandidate>& worker_buffer(size_t worker);
-  void EnsureWorkerBuffers(size_t workers);
-  /// Scratch for locality-aware chunking: the cell-sorted permutation of
-  /// the frontier and the merged commit buffer. Reused across rounds.
-  std::vector<uint32_t>& permutation() { return permutation_; }
-  std::vector<FrontierCandidate>& commit_buffer() { return commit_buffer_; }
 
  private:
   using HeapEntry = std::pair<double, SegmentId>;
@@ -165,11 +131,7 @@ class ExpansionContext {
   std::vector<SegmentId> reached_;
   std::vector<HeapEntry> heap_;
   std::vector<SegmentId> frontier_;
-  std::vector<SegmentId> next_frontier_;
   std::vector<SegmentId> members_;
-  std::vector<std::vector<FrontierCandidate>> worker_buffers_;
-  std::vector<uint32_t> permutation_;
-  std::vector<FrontierCandidate> commit_buffer_;
 };
 
 /// Thread-safe bounded free list of contexts. All search consumers go

@@ -1,6 +1,6 @@
 // Cache-line-aligned allocation for the hot per-segment arrays.
 //
-// The frontier interior's label/stamp/offset arrays are streamed by every
+// The frontier interior's label/stamp arrays are streamed by every
 // expansion; starting each array on its own 64-byte line keeps one pop's
 // touches to one line per array and stops allocator-placed headers from
 // splitting the first elements across lines. AlignedVector is a plain
@@ -43,17 +43,6 @@ struct CacheAlignedAllocator {
 
 template <typename T>
 using AlignedVector = std::vector<T, CacheAlignedAllocator<T>>;
-
-/// Software prefetch of the line holding `p` (read intent). A no-op on
-/// toolchains without the builtin — prefetching is a scheduling hint and
-/// never affects results.
-inline void PrefetchRead(const void* p) {
-#if defined(__GNUC__) || defined(__clang__)
-  __builtin_prefetch(p, /*rw=*/0, /*locality=*/1);
-#else
-  (void)p;
-#endif
-}
 
 }  // namespace strr
 

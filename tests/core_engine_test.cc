@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "core/dataset.h"
 #include "core/reachability_engine.h"
@@ -111,8 +112,13 @@ TEST(EngineTest, QueryValidation) {
   EXPECT_TRUE(stack.engine->SQueryIndexed(q).status().IsInvalidArgument());
   q.prob = 1.5;
   EXPECT_TRUE(stack.engine->SQueryIndexed(q).status().IsInvalidArgument());
+  q.prob = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(stack.engine->SQueryIndexed(q).status().IsInvalidArgument());
   MQuery m;
   m.prob = 0.5;
+  EXPECT_TRUE(stack.engine->MQueryIndexed(m).status().IsInvalidArgument());
+  m.locations = {stack.dataset.center};
+  m.prob = std::numeric_limits<double>::quiet_NaN();
   EXPECT_TRUE(stack.engine->MQueryIndexed(m).status().IsInvalidArgument());
 }
 

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -69,6 +70,8 @@ TEST(QueryPlannerTest, ValidatesArguments) {
   EXPECT_TRUE(planner.PlanSQuery(q).status().IsInvalidArgument());
   q.prob = 1.5;
   EXPECT_TRUE(planner.PlanSQuery(q).status().IsInvalidArgument());
+  q.prob = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(planner.PlanSQuery(q).status().IsInvalidArgument());
   q.prob = 0.2;
   q.duration = 0;
   EXPECT_TRUE(planner.PlanSQuery(q).status().IsInvalidArgument());
@@ -76,6 +79,9 @@ TEST(QueryPlannerTest, ValidatesArguments) {
   m.prob = 0.5;
   EXPECT_TRUE(planner.PlanMQuery(m).status().IsInvalidArgument());
   m.locations = {stack.dataset.center};
+  m.prob = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(planner.PlanMQuery(m).status().IsInvalidArgument());
+  m.prob = 0.5;
   EXPECT_TRUE(planner.PlanMQuery(m, QueryStrategy::kExhaustive)
                   .status()
                   .IsInvalidArgument());
@@ -132,21 +138,24 @@ TEST(QueryExecutorTest, ErrorPlansDoNotPoisonBatch) {
 
   QueryPlan bad_prob = *good;
   bad_prob.prob = 0.0;
+  QueryPlan nan_prob = *good;
+  nan_prob.prob = std::numeric_limits<double>::quiet_NaN();
   QueryPlan no_location;  // never touched a planner: no resolved starts
   QueryPlan bad_starts = *good;
   bad_starts.location_starts = {{}};
 
-  std::vector<QueryPlan> plans = {*good, bad_prob, no_location, bad_starts,
-                                  *good};
+  std::vector<QueryPlan> plans = {*good,      bad_prob,   nan_prob,
+                                  no_location, bad_starts, *good};
   auto executor = stack.engine->MakeExecutor({.num_threads = 4});
   auto results = executor->ExecuteBatch(plans);
-  ASSERT_EQ(results.size(), 5u);
+  ASSERT_EQ(results.size(), 6u);
   EXPECT_TRUE(results[0].ok());
   EXPECT_TRUE(results[1].status().IsInvalidArgument());
   EXPECT_TRUE(results[2].status().IsInvalidArgument());
   EXPECT_TRUE(results[3].status().IsInvalidArgument());
-  EXPECT_TRUE(results[4].ok());
-  EXPECT_EQ(results[0]->segments, results[4]->segments);
+  EXPECT_TRUE(results[4].status().IsInvalidArgument());
+  EXPECT_TRUE(results[5].ok());
+  EXPECT_EQ(results[0]->segments, results[5]->segments);
   EXPECT_FALSE(results[0]->segments.empty());
 }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 
 #include "query/bounding_region.h"
@@ -462,6 +463,10 @@ TEST_F(SqmbTest, TbsRejectsBadProb) {
   ASSERT_TRUE(oracle.ok());
   EXPECT_FALSE(TraceBackSearch(*net_, *regions, 0.0, *oracle).ok());
   EXPECT_FALSE(TraceBackSearch(*net_, *regions, 1.5, *oracle).ok());
+  EXPECT_FALSE(TraceBackSearch(*net_, *regions,
+                               std::numeric_limits<double>::quiet_NaN(),
+                               *oracle)
+                   .ok());
 }
 
 }  // namespace

@@ -1,19 +1,20 @@
 // src/search/ tests: the unified frontier-search core.
 //
 //  * ExpansionContext pooling (epoch-stamped reuse, pool hit accounting);
-//  * the parallel-vs-sequential bit-identity oracle for timed (Dijkstra)
-//    expansion across randomized cities and tie-heavy uniform grids;
-//  * SQMB / MQMB parallel-interior bit-identity over a real engine stack;
+//  * the canonical tie rule of timed (Dijkstra) expansion, checked against
+//    an independent oracle on randomized cities and a tie-heavy grid;
 //  * Con-Index parallel-build determinism (concurrent builders produce
 //    exactly the sequential lists);
 //  * ingest-driven prewarm (LiveProfileManager rebuilds partially
 //    invalidated tables in the background, bit-identical to lazy builds);
-//  * a concurrent query-x-ingest hammer over an interior-parallel
-//    executor (the TSan/ASan CI suite for the new subsystem).
+//  * a concurrent query-x-ingest hammer with context-pool reuse (the
+//    TSan/ASan CI suite for the subsystem).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -49,31 +50,68 @@ SpeedFn ConstantSpeed(double v) {
   return [v](SegmentId) { return v; };
 }
 
-/// Forces fan-out on every round so even small frontiers exercise the
-/// parallel commit path.
-FrontierRuntime ParallelRuntime(ThreadPool& pool, int workers) {
-  FrontierRuntime runtime;
-  runtime.pool = &pool;
-  runtime.workers = workers;
-  runtime.min_parallel_frontier = 1;
-  return runtime;
-}
+/// Checks the canonical tie rule (see search/frontier_engine.h) against
+/// an oracle built from the engine's own labels: visiting segments in
+/// label order, a segment's origin is the smallest origin among its
+/// optimal predecessors (or itself, when it is a source whose own
+/// traversal time is optimal) and its parent is the smallest optimal
+/// predecessor. Labels are checked against the minimum over one
+/// single-source run per source.
+void ExpectCanonicalTimed(const RoadNetwork& net,
+                          const std::vector<SegmentId>& sources,
+                          double budget, const SpeedFn& speed) {
+  FrontierEngine engine(net);
+  FrontierEngine::TimedRequest request;
+  request.sources = sources;
+  request.budget = budget;
+  request.track_origin = true;
+  request.track_parent = true;
+  ExpansionContext ctx;
+  engine.RunTimed(ctx, request, speed);
 
-/// Asserts ctx-for-ctx equality of timed-expansion results.
-void ExpectTimedIdentical(const RoadNetwork& net, ExpansionContext& seq,
-                          ExpansionContext& par, bool origins, bool parents) {
-  for (SegmentId s = 0; s < net.NumSegments(); ++s) {
-    ASSERT_EQ(seq.Seen(s) && seq.Label(s) < kUnreachedLabel,
-              par.Seen(s) && par.Label(s) < kUnreachedLabel)
-        << "reachability differs at segment " << s;
-    if (!seq.Seen(s)) continue;
-    ASSERT_EQ(seq.Label(s), par.Label(s)) << "label differs at " << s;
-    if (origins) {
-      ASSERT_EQ(seq.Origin(s), par.Origin(s)) << "origin differs at " << s;
+  const size_t n = net.NumSegments();
+  std::vector<double> best(n, kUnreachedLabel);
+  for (SegmentId src : sources) {
+    FrontierEngine::TimedRequest single;
+    single.sources = std::span<const SegmentId>(&src, 1);
+    single.budget = budget;
+    ExpansionContext one;
+    engine.RunTimed(one, single, speed);
+    for (SegmentId s : one.reached()) best[s] = std::min(best[s], one.Label(s));
+  }
+  std::vector<std::vector<SegmentId>> preds(n);
+  for (SegmentId p = 0; p < n; ++p) {
+    for (SegmentId s : net.OutgoingOf(p)) preds[s].push_back(p);
+  }
+  std::vector<SegmentId> order;
+  for (SegmentId s = 0; s < n; ++s) {
+    ASSERT_EQ(ctx.Label(s), best[s]) << "label differs at " << s;
+    if (best[s] < kUnreachedLabel) order.push_back(s);
+  }
+  ASSERT_FALSE(order.empty());
+  std::sort(order.begin(), order.end(), [&](SegmentId a, SegmentId b) {
+    return best[a] < best[b];
+  });
+  std::vector<SegmentId> origin(n, kInvalidSegment);
+  for (SegmentId s : order) {
+    SegmentId want_origin = kInvalidSegment;
+    SegmentId want_parent = kInvalidSegment;
+    for (SegmentId src : sources) {
+      if (src == s && net.segment(s).TravelTimeSeconds(speed(s)) == best[s]) {
+        want_origin = s;
+      }
     }
-    if (parents) {
-      ASSERT_EQ(seq.Parent(s), par.Parent(s)) << "parent differs at " << s;
+    for (SegmentId p : preds[s]) {
+      if (best[p] == kUnreachedLabel) continue;
+      if (best[p] + net.segment(s).TravelTimeSeconds(speed(s)) != best[s]) {
+        continue;
+      }
+      want_origin = std::min(want_origin, origin[p]);
+      want_parent = std::min(want_parent, p);
     }
+    origin[s] = want_origin;
+    ASSERT_EQ(ctx.Origin(s), want_origin) << "origin differs at " << s;
+    ASSERT_EQ(ctx.Parent(s), want_parent) << "parent differs at " << s;
   }
 }
 
@@ -153,10 +191,9 @@ TEST(ExpansionContextPoolTest, BoundedPoolDiscardsOverflow) {
   EXPECT_EQ(stats.discarded, 1u);
 }
 
-// --- Timed expansion: parallel == sequential --------------------------------
+// --- Timed expansion: canonical tie rule -----------------------------------
 
-TEST(FrontierEngineTest, ParallelTimedBitIdenticalOnRandomCities) {
-  ThreadPool pool(3);
+TEST(FrontierEngineTest, TimedTieRuleCanonicalOnRandomCities) {
   for (uint64_t seed : {3ull, 19ull, 71ull}) {
     CityOptions copt;
     copt.grid_cols = 9;
@@ -168,49 +205,17 @@ TEST(FrontierEngineTest, ParallelTimedBitIdenticalOnRandomCities) {
     std::vector<SegmentId> sources{
         0, SegmentId(net.NumSegments() / 3), SegmentId(net.NumSegments() / 2),
         SegmentId(net.NumSegments() - 1)};
-
-    FrontierEngine::TimedRequest request;
-    request.sources = sources;
-    request.budget = 700.0;
-    request.track_origin = true;
-    request.track_parent = true;
-    SpeedFn speeds = HashSpeeds(seed);
-
-    FrontierEngine sequential(net);
-    FrontierEngine parallel(net, ParallelRuntime(pool, 4));
-    ExpansionContext seq_ctx, par_ctx;
-    SearchMetrics par_metrics;
-    sequential.RunTimed(seq_ctx, request, speeds);
-    parallel.RunTimed(par_ctx, request, speeds, &par_metrics);
-
-    ExpectTimedIdentical(net, seq_ctx, par_ctx, true, true);
-    EXPECT_EQ(sequential.ReachedSorted(seq_ctx),
-              parallel.ReachedSorted(par_ctx));
-    EXPECT_GT(par_metrics.parallel_rounds, 0u) << "fan-out never engaged";
+    ExpectCanonicalTimed(net, sources, 700.0, HashSpeeds(seed));
   }
 }
 
-TEST(FrontierEngineTest, ParallelTimedBitIdenticalUnderHeavyTies) {
+TEST(FrontierEngineTest, TimedTieRuleCanonicalUnderHeavyTies) {
   // Uniform grid + constant speed: nearly every segment has several
-  // equal-cost shortest paths and several equidistant sources — the
-  // worst case for origin/parent determinism.
+  // equal-cost shortest paths and several equidistant sources.
   RoadNetwork net = MakeGridNetwork(9, 9, 250.0);
-  ThreadPool pool(3);
   std::vector<SegmentId> sources{0, SegmentId(net.NumSegments() / 2),
                                  SegmentId(net.NumSegments() - 2)};
-  FrontierEngine::TimedRequest request;
-  request.sources = sources;
-  request.budget = 500.0;
-  request.track_origin = true;
-  request.track_parent = true;
-  SpeedFn speeds = ConstantSpeed(10.0);
-
-  FrontierEngine sequential(net);
-  FrontierEngine parallel(net, ParallelRuntime(pool, 4));
-  ExpansionContext seq_ctx, par_ctx;
-  sequential.RunTimed(seq_ctx, request, speeds);
-  parallel.RunTimed(par_ctx, request, speeds);
-  ExpectTimedIdentical(net, seq_ctx, par_ctx, true, true);
+  ExpectCanonicalTimed(net, sources, 500.0, ConstantSpeed(10.0));
 }
 
 TEST(FrontierEngineTest, WrapperFunctionsMatchEngineResults) {
@@ -227,86 +232,6 @@ TEST(FrontierEngineTest, WrapperFunctionsMatchEngineResults) {
   size_t in_budget = 0;
   for (double l : labels) in_budget += (l <= 400.0) ? 1 : 0;
   EXPECT_EQ(hits.size(), in_budget);
-}
-
-// --- SQMB / MQMB: parallel interior == sequential ---------------------------
-
-TEST(BoundingSearchTest, SqmbParallelInteriorBitIdentical) {
-  auto& stack = GetSharedStack();
-  const RoadNetwork& net = stack.engine->network();
-  const ConIndex& con = stack.engine->con_index();
-  ThreadPool pool(3);
-  BoundingSearchOptions parallel_opt;
-  parallel_opt.runtime = ParallelRuntime(pool, 4);
-  SearchMetrics metrics;
-  parallel_opt.metrics = &metrics;
-
-  for (int64_t tod : {HMS(8), HMS(11), HMS(17)}) {
-    for (int64_t duration : {300, 900, 1800}) {
-      std::vector<SegmentId> starts = LocationSegmentSet(net, 0);
-      auto seq = SqmbSearchSet(net, con, starts, tod, duration);
-      auto par = SqmbSearchSet(net, con, starts, tod, duration, parallel_opt);
-      ASSERT_TRUE(seq.ok() && par.ok());
-      EXPECT_EQ(seq->max_region, par->max_region);
-      EXPECT_EQ(seq->min_region, par->min_region);
-      EXPECT_EQ(seq->boundary, par->boundary);
-      EXPECT_EQ(seq->start_segments, par->start_segments);
-    }
-  }
-  EXPECT_GT(metrics.segments_expanded, 0u);
-}
-
-TEST(BoundingSearchTest, MqmbParallelInteriorBitIdentical) {
-  auto& stack = GetSharedStack();
-  const RoadNetwork& net = stack.engine->network();
-  const ConIndex& con = stack.engine->con_index();
-  const SpeedProfile& profile = stack.engine->speed_profile();
-  ThreadPool pool(3);
-  BoundingSearchOptions parallel_opt;
-  parallel_opt.runtime = ParallelRuntime(pool, 4);
-
-  std::vector<SegmentId> starts{0, SegmentId(net.NumSegments() / 2),
-                                SegmentId(net.NumSegments() - 1)};
-  for (int64_t tod : {HMS(9), HMS(14)}) {
-    for (int64_t duration : {600, 1500}) {
-      auto seq = MqmbSearch(net, con, profile, starts, tod, duration);
-      auto par =
-          MqmbSearch(net, con, profile, starts, tod, duration, parallel_opt);
-      ASSERT_TRUE(seq.ok() && par.ok());
-      EXPECT_EQ(seq->max_region, par->max_region);
-      EXPECT_EQ(seq->min_region, par->min_region);
-      EXPECT_EQ(seq->boundary, par->boundary);
-    }
-  }
-}
-
-TEST(BoundingSearchTest, ExecutorInteriorWorkersMatchSequential) {
-  auto& stack = GetSharedStack();
-  auto sequential = stack.engine->MakeExecutor({.num_threads = 1});
-  auto parallel = stack.engine->MakeExecutor(
-      {.num_threads = 1, .interior_workers = 4});
-
-  MQuery q;
-  q.locations = {stack.dataset.center,
-                 {stack.dataset.center.x + 1500.0, stack.dataset.center.y},
-                 {stack.dataset.center.x, stack.dataset.center.y - 1800.0}};
-  q.start_tod = HMS(11);
-  q.duration = 1200;
-  q.prob = 0.2;
-  auto plan = stack.engine->planner().PlanMQuery(q, QueryStrategy::kIndexed);
-  ASSERT_TRUE(plan.ok());
-
-  auto seq = sequential->Execute(*plan);
-  auto par = parallel->Execute(*plan);
-  ASSERT_TRUE(seq.ok() && par.ok());
-  EXPECT_EQ(seq->segments, par->segments);
-  EXPECT_EQ(seq->total_length_m, par->total_length_m);
-  EXPECT_EQ(seq->stats.segments_expanded, par->stats.segments_expanded);
-  EXPECT_EQ(seq->stats.parallel_rounds, 0u);
-  EXPECT_GT(seq->stats.segments_expanded, 0u);
-
-  QueryExecutor::FrontDoorStats fds = parallel->front_door_stats();
-  EXPECT_GT(fds.ctx_pool_acquires, 0u);
 }
 
 // --- Con-Index: parallel builds are deterministic ---------------------------
@@ -436,15 +361,14 @@ TEST(LivePrewarmTest, PrewarmRebuildsExactlyTheInvalidatedTables) {
   EXPECT_EQ(ref2.con_index().Near(seg, tod), (**oracle2).Near(seg, tod));
 }
 
-// --- Concurrent query x ingest over the parallel interior -------------------
+// --- Concurrent query x ingest ---------------------------------------------
 
-TEST(SearchConcurrencyTest, QueryIngestHammerWithParallelInterior) {
+TEST(SearchConcurrencyTest, QueryIngestHammer) {
   auto& base = GetSharedStack();
   EngineOptions opt;
   opt.work_dir = testing_util::MakeTempDir("search_hammer");
   opt.delta_t_seconds = 300;
   opt.query_threads = 2;
-  opt.interior_workers = 3;
   opt.live_ingestion = true;
   opt.live_batch_window_ms = 2;
   opt.live_prewarm = true;
@@ -465,13 +389,10 @@ TEST(SearchConcurrencyTest, QueryIngestHammerWithParallelInterior) {
   std::thread feeder([&] {
     uint64_t i = 0;
     while (!stop.load()) {
-      SpeedObservation obs;
-      obs.segment = static_cast<SegmentId>(
+      SegmentId seg = static_cast<SegmentId>(
           i % base.dataset.network.NumSegments());
-      obs.time_of_day_sec = HMS(11, static_cast<int>(i % 60));
-      obs.speed_mps = 3.0 + static_cast<double>(i % 14);
-      engine.ApplySpeedObservation(obs.segment, obs.time_of_day_sec,
-                                   obs.speed_mps);
+      engine.ApplySpeedObservation(seg, HMS(11, static_cast<int>(i % 60)),
+                                   3.0 + static_cast<double>(i % 14));
       ++i;
       std::this_thread::yield();
     }
@@ -489,6 +410,10 @@ TEST(SearchConcurrencyTest, QueryIngestHammerWithParallelInterior) {
   stop.store(true);
   feeder.join();
   EXPECT_TRUE(ok.load());
+
+  // Expansion contexts must be recycled, not reallocated per query.
+  QueryExecutor::FrontDoorStats fds = engine.executor().front_door_stats();
+  EXPECT_GT(fds.ctx_pool_reuses, 0u);
 
   // Same version => bit-identical region (determinism under live load).
   auto again = engine.executor().Execute(*plan);
