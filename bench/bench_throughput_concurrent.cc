@@ -16,7 +16,7 @@
 // (threading and caching must never change a region); shed plans are
 // excluded (they return ResourceExhausted by design).
 //
-// A multi-tenant sweep exercises the WFQ front door (tenant_fairness):
+// A multi-tenant sweep exercises the WFQ front door's tenant weights:
 // 2-4 tenants with skewed weights saturate a small ticket pool from
 // closed-loop client threads; columns show total qps, each tenant's
 // observed completion share vs its weight share, and the max relative
@@ -311,7 +311,6 @@ int main() {
     QueryExecutorOptions opt;
     opt.num_threads = 4;
     opt.max_inflight = 8;
-    opt.max_queued = 8;
     opt.batch_share = 1.0;
     RowResult row = run_config(4, "admit", opt, /*allow_shed=*/true);
     PrintRow({std::to_string(row.workers), row.mode, Cell(row.batch_ms, 1),
@@ -343,7 +342,6 @@ int main() {
       QueryExecutorOptions opt;
       opt.num_threads = 2;
       opt.max_inflight = 2;
-      opt.tenant_fairness = true;
       auto executor = stack.engine->MakeExecutor(opt);
       TenantRegistry* registry = executor->tenant_registry();
       uint32_t weight_sum = 0;
@@ -481,9 +479,8 @@ int main() {
       LiveProfileManager live(epochs, profile, stack.engine->con_index());
       QueryExecutorOptions qopt;
       qopt.num_threads = 1;  // queries run on the bench's own threads
-      QueryExecutor exec(network, stack.engine->st_index(),
-                         stack.engine->con_index(), profile,
-                         stack.engine->delta_t_seconds(), qopt, &live);
+      QueryExecutor exec(network, stack.engine->st_index(), live,
+                         stack.engine->delta_t_seconds(), qopt);
       ObservationIngestorOptions iopt;
       iopt.batch_window_ms = 200;
       iopt.queue_bound = 1 << 15;

@@ -91,47 +91,31 @@ Status ValidatePlan(const QueryPlan& plan) {
 
 QueryExecutor::QueryExecutor(const RoadNetwork& network,
                              const StIndex& st_index,
-                             const ConIndex& con_index,
-                             const SpeedProfile& profile,
+                             LiveProfileManager& live,
                              int64_t delta_t_seconds,
                              const QueryExecutorOptions& options,
-                             LiveProfileManager* live,
                              TenantRegistry* tenants)
     : network_(&network),
       st_index_(&st_index),
-      con_index_(&con_index),
-      profile_(&profile),
       delta_t_seconds_(delta_t_seconds),
       options_(options),
-      live_(live),
+      live_(&live),
+      tenants_(tenants),
       pool_(options.num_threads < 0
                 ? 1
                 : static_cast<size_t>(options.num_threads)) {
-  if (options_.tenant_fairness) {
-    // Tenant-aware front door: per-tenant attribution always; WFQ
-    // admission when a global cap is configured. A shared registry keeps
-    // quotas/counters consistent across every executor over one engine;
-    // a standalone executor gets a private one.
-    if (tenants != nullptr) {
-      tenants_ = tenants;
-    } else {
-      // The executor-level max_queued knob caps the default per-tenant
-      // waiting bound, so {max_inflight, max_queued} keeps meaning what
-      // it meant on the plain path; explicitly Configure()d tenants may
-      // still exceed it.
-      TenantConfig defaults = options_.tenant_defaults;
-      defaults.max_queued = std::min(defaults.max_queued,
-                                     options_.max_queued);
-      owned_tenants_ = std::make_unique<TenantRegistry>(defaults);
-      tenants_ = owned_tenants_.get();
-    }
-    if (options_.max_inflight > 0) {
-      WfqOptions wfq_opt;
-      wfq_opt.max_inflight = options_.max_inflight;
-      wfq_opt.batch_share = options_.batch_share;
-      wfq_opt.cost_based = options_.wfq_cost_based;
-      wfq_ = std::make_unique<WfqAdmissionController>(wfq_opt, tenants_);
-    }
+  // A shared registry keeps configs/counters consistent across every
+  // executor over one engine; a standalone executor gets a private one.
+  if (tenants_ == nullptr) {
+    owned_tenants_ = std::make_unique<TenantRegistry>(options_.tenant_defaults);
+    tenants_ = owned_tenants_.get();
+  }
+  if (options_.max_inflight > 0) {
+    WfqOptions wfq_opt;
+    wfq_opt.max_inflight = options_.max_inflight;
+    wfq_opt.batch_share = options_.batch_share;
+    wfq_opt.cost_based = options_.wfq_cost_based;
+    wfq_ = std::make_unique<WfqAdmissionController>(wfq_opt, tenants_);
   }
   if (options_.result_cache_entries > 0) {
     ResultCacheOptions cache_opt;
@@ -145,20 +129,9 @@ QueryExecutor::QueryExecutor(const RoadNetwork& network,
     cache_opt.protected_share = options_.result_cache_protected_share;
     cache_opt.tenant_capacity_share = options_.result_cache_tenant_share;
     cache_ = std::make_unique<ResultCache>(delta_t_seconds_, cache_opt);
-  }
-  if (options_.max_inflight > 0 && wfq_ == nullptr) {
-    // Plain (tenant-blind) admission — the PR-2 path, byte-for-byte, so
-    // single-tenant deployments are unaffected by the tenancy layer.
-    AdmissionOptions adm_opt;
-    adm_opt.max_inflight = options_.max_inflight;
-    adm_opt.max_queued = options_.max_queued;
-    adm_opt.batch_share = options_.batch_share;
-    admission_ = std::make_unique<AdmissionController>(adm_opt);
-  }
-  if (live_ != nullptr && cache_ != nullptr) {
-    // Every cached executor over a live manager gets the Δt-slot eviction
-    // fan-out — including MakeExecutor-created ones the engine does not
-    // know about. Unregistered in the destructor, before cache_ dies.
+    // Every cached executor gets the manager's Δt-slot eviction fan-out —
+    // including MakeExecutor-created ones the engine does not know about.
+    // Unregistered in the destructor, before cache_ dies.
     ResultCache* cache = cache_.get();
     live_listener_id_ = live_->AddInvalidationListener(
         [cache](int64_t begin_tod, int64_t end_tod) {
@@ -192,18 +165,18 @@ StatusOr<RegionResult> QueryExecutor::ExecuteFrontDoor(const QueryPlan& plan,
       hit = cache_->Lookup(*key);
     }
     if (hit) {
-      if (tenants_ != nullptr) tenants_->RecordCacheHit(plan.tenant);
+      tenants_->RecordCacheHit(plan.tenant);
       StatusOr<RegionResult> result = *std::move(hit);
       RecordQueryMetrics(wall_watch, result);
       return result;
     }
-    if (tenants_ != nullptr) tenants_->RecordCacheMiss(plan.tenant);
+    tenants_->RecordCacheMiss(plan.tenant);
   }
   // Work already on this executor's pool (m-query legs, nested calls) was
   // admitted as part of its enclosing query; re-admitting it here could
   // shed or block mid-query. Admission gates external callers only.
   bool ticket = false;
-  if (AdmissionEnabled() && !pool_.OnWorkerThread()) {
+  if (wfq_ != nullptr && !pool_.OnWorkerThread()) {
     if (batch) {
       // Batch plans take a ticket or shed — they never wait, and they
       // count against the batch fair share even on the inline path.
@@ -219,9 +192,7 @@ StatusOr<RegionResult> QueryExecutor::ExecuteFrontDoor(const QueryPlan& plan,
     ReleaseTicket(plan.tenant, batch,
                   /*cost_us=*/exec_watch.ElapsedMillis() * 1000.0);
   }
-  if (tenants_ != nullptr && result.ok()) {
-    tenants_->RecordCompletion(plan.tenant, result->stats.io);
-  }
+  if (result.ok()) tenants_->RecordCompletion(plan.tenant, result->stats.io);
   if (key && result.ok()) MaybeCacheInsert(*key, *result, plan.tenant);
   RecordQueryMetrics(wall_watch, result);
   return result;
@@ -231,8 +202,7 @@ Status QueryExecutor::AdmitSingle(TenantId tenant) {
   obs::TraceSpan span("admission_wait");
   bool timed = obs::MetricsRegistry::Global().enabled();
   Stopwatch watch;
-  Status admitted =
-      wfq_ != nullptr ? wfq_->Admit(tenant) : admission_->Admit();
+  Status admitted = wfq_->Admit(tenant);
   if (timed) {
     AdmissionWaitHistogram().Record(
         static_cast<uint64_t>(watch.ElapsedMicros()));
@@ -242,26 +212,17 @@ Status QueryExecutor::AdmitSingle(TenantId tenant) {
 }
 
 Status QueryExecutor::TryAdmitBatchTicket(TenantId tenant) {
-  Status admitted = wfq_ != nullptr ? wfq_->TryAdmitBatch(tenant)
-                                    : admission_->TryAdmitBatch();
+  Status admitted = wfq_->TryAdmitBatch(tenant);
   if (!admitted.ok()) AdmissionShedCounter().Add();
   return admitted;
 }
 
 void QueryExecutor::ReleaseTicket(TenantId tenant, bool batch,
                                   double cost_us) {
-  if (wfq_ != nullptr) {
-    if (batch) {
-      wfq_->ReleaseBatch(tenant, cost_us);
-    } else {
-      wfq_->Release(tenant, cost_us);
-    }
-  } else if (admission_ != nullptr) {
-    if (batch) {
-      admission_->ReleaseBatch();
-    } else {
-      admission_->Release();
-    }
+  if (batch) {
+    wfq_->ReleaseBatch(tenant, cost_us);
+  } else {
+    wfq_->Release(tenant, cost_us);
   }
 }
 
@@ -277,9 +238,7 @@ StatusOr<RegionResult> QueryExecutor::RunAdmitted(const QueryPlan& plan,
     ReleaseTicket(plan.tenant, /*batch=*/true,
                   /*cost_us=*/exec_watch.ElapsedMillis() * 1000.0);
   }
-  if (tenants_ != nullptr && result.ok()) {
-    tenants_->RecordCompletion(plan.tenant, result->stats.io);
-  }
+  if (result.ok()) tenants_->RecordCompletion(plan.tenant, result->stats.io);
   if (key != nullptr && result.ok()) {
     MaybeCacheInsert(*key, *result, plan.tenant);
   }
@@ -291,14 +250,11 @@ StatusOr<RegionResult> QueryExecutor::ExecutePinned(const QueryPlan& plan) {
   // Pin one snapshot for the whole query (legs included) — after
   // admission, so a query waiting in the admission queue doesn't hold a
   // version alive (and then answers with the freshest snapshot anyway).
-  SnapshotRef snap;
-  IndexView view = StaticView();
-  if (live_ != nullptr) {
+  SnapshotRef snap = [&] {
     obs::TraceSpan span("snapshot_pin");
-    snap = live_->Acquire();
-    view = IndexView{&snap.con_index(), &snap.profile(), snap.version()};
-  }
-  return ExecutePlan(plan, view);
+    return live_->Acquire();
+  }();
+  return ExecutePlan(plan, snap);
 }
 
 void QueryExecutor::MaybeCacheInsert(const PlanKey& key,
@@ -306,18 +262,14 @@ void QueryExecutor::MaybeCacheInsert(const PlanKey& key,
                                      TenantId tenant) {
   if (cache_ == nullptr) return;
   obs::TraceSpan span("cache_insert");
-  if (live_ == nullptr) {
-    cache_->Insert(key, result, tenant);
-    return;
-  }
-  // Under live ingestion, never let an insert computed on a superseded
-  // snapshot outlive that snapshot's Δt-slot invalidation: skip when a
-  // newer version already published, and re-check after inserting — a
-  // publish can land between the check and the insert, and its eviction
-  // pass must not be undone by our late insert. (Publish stores the
-  // version before firing evictions, all seq_cst: if the post-insert load
-  // still reads our version, every eviction that could cover this entry
-  // happens after the insert and removes it normally.)
+  // Never let an insert computed on a superseded snapshot outlive that
+  // snapshot's Δt-slot invalidation: skip when a newer version already
+  // published, and re-check after inserting — a publish can land between
+  // the check and the insert, and its eviction pass must not be undone by
+  // our late insert. (Publish stores the version before firing evictions,
+  // all seq_cst: if the post-insert load still reads our version, every
+  // eviction that could cover this entry happens after the insert and
+  // removes it normally.)
   if (result.stats.snapshot_version != live_->version()) return;
   cache_->Insert(key, result, tenant);
   if (result.stats.snapshot_version != live_->version()) cache_->Erase(key);
@@ -347,16 +299,20 @@ std::vector<StatusOr<RegionResult>> QueryExecutor::ExecuteBatch(
     const QueryPlan& plan = plans[i];
     std::optional<PlanKey> key;
     if (cache_ != nullptr) {
+      Stopwatch hit_watch;
       key = MakePlanKey(plan, /*tenant_scoped=*/!options_.tenant_shared_cache);
       if (std::optional<RegionResult> hit = cache_->Lookup(*key)) {
-        if (tenants_ != nullptr) tenants_->RecordCacheHit(plan.tenant);
+        tenants_->RecordCacheHit(plan.tenant);
         immediate[i].emplace(*std::move(hit));
+        // Served here, so recorded here: query metrics must not depend on
+        // whether the batch ran inline (ExecuteFrontDoor) or fanned out.
+        RecordQueryMetrics(hit_watch, *immediate[i]);
         continue;
       }
-      if (tenants_ != nullptr) tenants_->RecordCacheMiss(plan.tenant);
+      tenants_->RecordCacheMiss(plan.tenant);
     }
     bool ticket = false;
-    if (AdmissionEnabled()) {
+    if (wfq_ != nullptr) {
       Status admitted = TryAdmitBatchTicket(plan.tenant);
       if (!admitted.ok()) {
         immediate[i].emplace(std::move(admitted));
@@ -382,33 +338,27 @@ std::vector<StatusOr<RegionResult>> QueryExecutor::ExecuteBatch(
 }
 
 std::vector<StatusOr<RegionResult>> QueryExecutor::ExecuteRaw(
-    std::span<const QueryPlan> plans, const IndexView& view) {
+    std::span<const QueryPlan> plans, const SnapshotRef& snap) {
   std::vector<StatusOr<RegionResult>> results;
   results.reserve(plans.size());
   if (pool_.OnWorkerThread() || pool_.num_threads() <= 1) {
     for (const QueryPlan& plan : plans) {
-      results.push_back(ExecutePlan(plan, view));
+      results.push_back(ExecutePlan(plan, snap));
     }
     return results;
   }
   std::vector<std::future<StatusOr<RegionResult>>> futures;
   futures.reserve(plans.size());
   for (const QueryPlan& plan : plans) {
-    // `view` stays valid: the enclosing query's frame holds the snapshot
-    // pin (or the static indexes are engine-owned) and blocks on the
-    // futures below before returning.
+    // `snap` stays valid: the enclosing query's frame holds the pin and
+    // blocks on the futures below before returning.
     futures.push_back(
-        pool_.Submit([this, &plan, &view]() -> StatusOr<RegionResult> {
-          return ExecutePlan(plan, view);
+        pool_.Submit([this, &plan, &snap]() -> StatusOr<RegionResult> {
+          return ExecutePlan(plan, snap);
         }));
   }
   for (auto& f : futures) results.push_back(f.get());
   return results;
-}
-
-void QueryExecutor::InvalidateCachedTimeRange(int64_t begin_tod,
-                                              int64_t end_tod) {
-  if (cache_ != nullptr) cache_->InvalidateTimeRange(begin_tod, end_tod);
 }
 
 QueryExecutor::FrontDoorStats QueryExecutor::front_door_stats() const {
@@ -431,35 +381,31 @@ QueryExecutor::FrontDoorStats QueryExecutor::front_door_stats() const {
     WfqAdmissionController::Stats a = wfq_->stats();
     out.admitted = a.admitted;
     out.shed = a.shed;
-  } else if (admission_ != nullptr) {
-    AdmissionController::Stats a = admission_->stats();
-    out.admitted = a.admitted;
-    out.shed = a.shed;
   }
-  if (tenants_ != nullptr) out.tenants = tenants_->Snapshot();
+  out.tenants = tenants_->Snapshot();
   ThreadPool::Stats p = pool_.stats();
   out.pool_submitted = p.submitted;
   out.pool_completed = p.completed;
   out.pool_queue_depth = p.queue_depth;
-  if (live_ != nullptr) out.snapshot_version = live_->version();
+  out.snapshot_version = live_->version();
   return out;
 }
 
 StatusOr<RegionResult> QueryExecutor::ExecutePlan(const QueryPlan& plan,
-                                                  const IndexView& view) {
+                                                  const SnapshotRef& snap) {
   STRR_RETURN_IF_ERROR(ValidatePlan(plan));
   StatusOr<RegionResult> result = [&]() -> StatusOr<RegionResult> {
     switch (plan.strategy) {
       case QueryStrategy::kIndexed:
-        return ExecuteIndexed(plan, view);
+        return ExecuteIndexed(plan, snap);
       case QueryStrategy::kExhaustive:
-        return ExecuteExhaustive(plan, view);
+        return ExecuteExhaustive(plan, snap);
       case QueryStrategy::kRepeatedS:
-        return ExecuteRepeatedS(plan, view);
+        return ExecuteRepeatedS(plan, snap);
     }
     return Status::Internal("QueryPlan: unknown strategy");
   }();
-  if (result.ok()) result->stats.snapshot_version = view.version;
+  if (result.ok()) result->stats.snapshot_version = snap.version();
   return result;
 }
 
@@ -503,7 +449,7 @@ StatusOr<RegionResult> QueryExecutor::RunTraceBack(
 }
 
 StatusOr<RegionResult> QueryExecutor::ExecuteIndexed(const QueryPlan& plan,
-                                                     const IndexView& view) {
+                                                     const SnapshotRef& snap) {
   Stopwatch watch;
   ScopedIoCounters io_scope;  // attributes this query's storage traffic
   SearchMetrics metrics;
@@ -511,14 +457,14 @@ StatusOr<RegionResult> QueryExecutor::ExecuteIndexed(const QueryPlan& plan,
   if (plan.IsMultiLocation()) {
     obs::TraceSpan span("mqmb_search");
     STRR_ASSIGN_OR_RETURN(
-        regions, MqmbSearch(*network_, *view.con_index, *view.profile,
+        regions, MqmbSearch(*network_, snap.con_index(), snap.profile(),
                             plan.AllStartSegments(), plan.start_tod,
                             plan.duration, &metrics));
   } else {
     obs::TraceSpan span("sqmb_search");
     STRR_ASSIGN_OR_RETURN(
         regions,
-        SqmbSearchSet(*network_, *view.con_index, plan.location_starts[0],
+        SqmbSearchSet(*network_, snap.con_index(), plan.location_starts[0],
                       plan.start_tod, plan.duration, &metrics));
   }
   StatusOr<RegionResult> result =
@@ -532,12 +478,12 @@ StatusOr<RegionResult> QueryExecutor::ExecuteIndexed(const QueryPlan& plan,
 }
 
 StatusOr<RegionResult> QueryExecutor::ExecuteExhaustive(
-    const QueryPlan& plan, const IndexView& view) {
+    const QueryPlan& plan, const SnapshotRef& snap) {
   ScopedIoCounters io_scope;
   SQuery query{plan.locations[0], plan.start_tod, plan.duration, plan.prob};
   STRR_ASSIGN_OR_RETURN(
       RegionResult result,
-      ExhaustiveSearch(*st_index_, *view.profile, query, delta_t_seconds_,
+      ExhaustiveSearch(*st_index_, snap.profile(), query, delta_t_seconds_,
                        plan.location_starts[0]));
   result.stats.sum_wall_ms = result.stats.wall_ms;
   // ES computes stats.io as an engine-global delta (fine for its
@@ -547,8 +493,8 @@ StatusOr<RegionResult> QueryExecutor::ExecuteExhaustive(
   return result;
 }
 
-StatusOr<RegionResult> QueryExecutor::ExecuteRepeatedS(const QueryPlan& plan,
-                                                       const IndexView& view) {
+StatusOr<RegionResult> QueryExecutor::ExecuteRepeatedS(
+    const QueryPlan& plan, const SnapshotRef& snap) {
   Stopwatch watch;
 
   // One independent single-location indexed leg per query location.
@@ -572,11 +518,11 @@ StatusOr<RegionResult> QueryExecutor::ExecuteRepeatedS(const QueryPlan& plan,
     // a single-thread pool — one fan-out decision point. Legs bypass the
     // front door: the m-query was admitted (and snapshot-pinned, and will
     // be cached) as one unit, so every leg reads the same version.
-    leg_results = ExecuteRaw(legs, view);
+    leg_results = ExecuteRaw(legs, snap);
   } else {
     leg_results.reserve(legs.size());
     for (const QueryPlan& leg : legs) {
-      leg_results.push_back(ExecutePlan(leg, view));
+      leg_results.push_back(ExecutePlan(leg, snap));
     }
   }
 

@@ -9,26 +9,25 @@
 //  * inside one kRepeatedS m-query, the per-location SQMB+TBS legs can run
 //    in parallel on the same pool.
 //
-// Front door (both opt-in via options, off by default so the facade
-// reproduces the paper's measurements exactly):
+// Front door (caching and admission opt-in via options, off by default so
+// the facade reproduces the paper's measurements exactly):
 //  * ResultCache — plans are keyed canonically (MakePlanKey) and identical
 //    plans are served from cache bit-identically, with Δt-slot
-//    invalidation wired to speed-profile/congestion refreshes through
-//    InvalidateCachedTimeRange;
-//  * AdmissionController — bounded outstanding work with typed
-//    ResourceExhausted shedding; batch plans shed instead of queueing
-//    unboundedly, and batches keep at most a configured share of the
-//    tickets so they cannot starve single queries. Work already running
-//    on this executor's own pool (m-query legs, nested batches) is never
-//    re-admitted: the enclosing query was admitted as one unit.
-//  * Multi-tenant fairness (tenant_fairness, off by default) — admission
-//    becomes tenant-aware: per-tenant quotas with typed per-tenant
-//    shedding and deficit-round-robin weighted fair dispatch
-//    (core/wfq_admission.h), cache entries are tenant-scoped (or
-//    explicitly shared via tenant_shared_cache), and front_door_stats()
-//    carries per-tenant hit/shed/in-flight/io counters from the shared
-//    TenantRegistry. Tenancy never changes a computed region — only who
-//    waits, who sheds, and how counters are attributed.
+//    invalidation fired by the live manager's publishes;
+//  * WfqAdmissionController (max_inflight > 0) — bounded outstanding work
+//    with typed ResourceExhausted shedding, per-tenant quotas and
+//    deficit-round-robin weighted fair dispatch over plan.tenant
+//    (core/wfq_admission.h). Single-tenant traffic is its default-tenant
+//    case. Batch plans shed instead of queueing, and batches keep at most
+//    batch_share of the tickets so they cannot starve single queries.
+//    Work already running on this executor's own pool (m-query legs,
+//    nested batches) is never re-admitted: the enclosing query was
+//    admitted as one unit;
+//  * TenantRegistry — per-tenant configs plus hit/shed/in-flight/io
+//    counters, carried in front_door_stats(). Cache entries are
+//    tenant-scoped (or shared via tenant_shared_cache). Tenancy never
+//    changes a computed region — only who waits, who sheds, and how
+//    counters are attributed.
 //
 // Concurrency contract: every index read path underneath (ST-Index
 // time-list reads through the BufferPool, lazy Con-Index materialization,
@@ -41,15 +40,14 @@
 // in the storage layer, so concurrent queries never contaminate each
 // other's I/O deltas.
 //
-// Live ingestion: when constructed with a LiveProfileManager, every query
-// pins one immutable index snapshot (epoch pin + pointer load) at its
-// front door and executes entirely against that version — profile reads
-// and Con-Index tables can neither tear nor dangle while ingestion
-// publishes refreshes concurrently, and stats.snapshot_version records
-// exactly which version answered. An m-query's legs share their enclosing
-// query's snapshot, so a composite result is never stitched from two
-// versions. Without a manager, queries read the engine-built indexes
-// directly (snapshot_version 0) with zero overhead.
+// Snapshots: every query pins one immutable index snapshot from the
+// LiveProfileManager (epoch pin + pointer load) after admission and
+// executes entirely against it — profile reads and Con-Index tables can
+// neither tear nor dangle while ingestion publishes refreshes
+// concurrently, and stats.snapshot_version records exactly which version
+// answered (0 = the engine-built indexes). An m-query's legs share their
+// enclosing query's snapshot, so a composite result is never stitched
+// from two versions.
 #ifndef STRR_CORE_QUERY_EXECUTOR_H_
 #define STRR_CORE_QUERY_EXECUTOR_H_
 
@@ -57,12 +55,9 @@
 #include <span>
 #include <vector>
 
-#include "core/admission_controller.h"
 #include "core/result_cache.h"
 #include "core/tenant_registry.h"
 #include "core/wfq_admission.h"
-#include "index/con_index.h"
-#include "index/speed_profile.h"
 #include "index/st_index.h"
 #include "live/live_profile_manager.h"
 #include "query/bounding_region.h"
@@ -101,27 +96,14 @@ struct QueryExecutorOptions {
   /// Per-tenant cache capacity envelope, in (0, 1]; 0 = off. See
   /// ResultCacheOptions::tenant_capacity_share.
   double result_cache_tenant_share = 0.0;
-  /// Max admitted-and-outstanding queries; 0 disables admission control.
+  /// Max admitted-and-outstanding queries across all tenants; 0 disables
+  /// admission control (see core/wfq_admission.h).
   size_t max_inflight = 0;
-  /// Max single-query callers blocked waiting for admission. With
-  /// tenant_fairness on, this caps the *default* per-tenant waiting
-  /// bound (explicitly configured tenants may exceed it).
-  size_t max_queued = 64;
   /// Share of max_inflight all batch work combined may hold, in (0, 1].
   double batch_share = 0.5;
-  // --- Multi-tenant front door (off by default: single-tenant behavior is
-  // bit-identical to the plain admission path) -------------------------------
-  /// Tenant-aware admission: per-tenant in-flight quotas and
-  /// deficit-round-robin weighted fair queueing over plan.tenant, layered
-  /// where the global AdmissionController would sit (requires
-  /// max_inflight > 0 to actually gate; see core/wfq_admission.h). Also
-  /// turns on per-tenant hit/shed/in-flight/io counters in
-  /// front_door_stats() via the TenantRegistry.
-  bool tenant_fairness = false;
   /// Cost-based DRR: charge each WFQ grant the tenant's measured average
   /// query cost in microseconds instead of one count, so fairness holds in
-  /// CPU time (see WfqOptions::cost_based). Requires tenant_fairness and
-  /// max_inflight > 0.
+  /// CPU time (see WfqOptions::cost_based). Requires max_inflight > 0.
   bool wfq_cost_based = false;
   /// Serve cache entries across tenants from one shared key space instead
   /// of tenant-scoped entries. Results are bit-identical across tenants by
@@ -129,9 +111,8 @@ struct QueryExecutorOptions {
   /// visibility), never answers.
   bool tenant_shared_cache = false;
   /// Defaults for tenants never Configure()d in the registry (weight,
-  /// quota, queue bound). Only meaningful when tenant_fairness is on and
-  /// the executor creates its own registry (an engine-provided registry
-  /// carries its own defaults).
+  /// quota, queue bound). Only used when the executor creates its own
+  /// registry (an engine-provided registry carries its own defaults).
   TenantConfig tenant_defaults;
 };
 
@@ -139,25 +120,20 @@ struct QueryExecutorOptions {
 /// and ExecuteBatch may be called concurrently from any thread.
 class QueryExecutor {
  public:
-  /// All referenced structures must outlive the executor. When `live` is
-  /// non-null, queries pin snapshots from it instead of reading `con_index`
-  /// / `profile` directly (those still serve as the version-0 base).
+  /// All referenced structures must outlive the executor. Queries pin
+  /// snapshots from `live`; its version 0 is the engine-built indexes.
   /// `tenants` (optional) is the shared per-tenant config/stats registry
-  /// — pass one registry to every executor over an engine so quotas and
-  /// counters aggregate across them. Null + tenant_fairness on = the
-  /// executor creates a private registry from options.tenant_defaults.
+  /// — pass one registry to every executor over an engine so configs and
+  /// counters aggregate across them. Null = the executor creates a
+  /// private registry from options.tenant_defaults.
   QueryExecutor(const RoadNetwork& network, const StIndex& st_index,
-                const ConIndex& con_index, const SpeedProfile& profile,
-                int64_t delta_t_seconds,
+                LiveProfileManager& live, int64_t delta_t_seconds,
                 const QueryExecutorOptions& options = {},
-                LiveProfileManager* live = nullptr,
                 TenantRegistry* tenants = nullptr);
 
   /// Unregisters this executor's cache from the live manager's
   /// invalidation fan-out (registered automatically at construction when
-  /// both live mode and caching are on — every executor's cache sees
-  /// publishes, including MakeExecutor-created ones). The manager must
-  /// outlive the executor.
+  /// caching is on). The manager must outlive the executor.
   ~QueryExecutor();
 
   /// Executes one plan on the calling thread (kRepeatedS legs may still
@@ -181,22 +157,12 @@ class QueryExecutor {
   /// The plan-keyed result cache, or nullptr when disabled.
   ResultCache* result_cache() { return cache_.get(); }
 
-  /// The admission controller, or nullptr when disabled (or when the
-  /// tenant-aware scheduler replaced it — see wfq_admission()).
-  AdmissionController* admission_controller() { return admission_.get(); }
-
-  /// The tenant-aware WFQ admission scheduler, or nullptr when
-  /// tenant_fairness is off (or admission is unbounded).
+  /// The WFQ admission controller, or nullptr when admission is
+  /// unbounded (max_inflight == 0).
   WfqAdmissionController* wfq_admission() { return wfq_.get(); }
 
-  /// The per-tenant config/stats registry this executor attributes to, or
-  /// nullptr when tenancy is off.
+  /// The per-tenant config/stats registry this executor attributes to.
   TenantRegistry* tenant_registry() { return tenants_; }
-
-  /// Evicts cached results whose Δt-slot window intersects
-  /// [begin_tod, end_tod) — call after a congestion / speed-profile
-  /// refresh of that time range. No-op when caching is off.
-  void InvalidateCachedTimeRange(int64_t begin_tod, int64_t end_tod);
 
   /// Snapshot of the front-door counters (zeroes when the corresponding
   /// feature is disabled). Pool counters are always live: together with
@@ -214,7 +180,7 @@ class QueryExecutor {
     uint64_t pool_submitted = 0;
     uint64_t pool_completed = 0;
     size_t pool_queue_depth = 0;
-    /// Current live snapshot version (0 when live ingestion is off).
+    /// Current snapshot version (0 until the first publish).
     uint64_t snapshot_version = 0;
     /// ExpansionContext pool counters (process-global — the pool is shared
     /// by queries, Con-Index builds and live rebuilds; reuses / acquires
@@ -223,8 +189,8 @@ class QueryExecutor {
     uint64_t ctx_pool_reuses = 0;
     /// Entries the result-cache doorkeeper refused to admit (0 when off).
     uint64_t cache_doorkeeper_rejects = 0;
-    /// Per-tenant breakdown (empty when tenancy is off), snapshotted
-    /// from the TenantRegistry this executor attributes to. With a
+    /// Per-tenant breakdown, snapshotted from the TenantRegistry this
+    /// executor attributes to (tenants never seen are absent). With a
     /// private registry (standalone executor) the per-tenant
     /// admitted/shed sum to the global counters above and
     /// cache_hits/cache_misses to the global cache counters; with the
@@ -241,42 +207,26 @@ class QueryExecutor {
   int64_t delta_t_seconds() const { return delta_t_seconds_; }
 
  private:
-  /// The index surfaces one query reads: either the engine-built statics
-  /// (version 0) or one pinned live snapshot. Plain pointers — the pin
-  /// that keeps a snapshot alive is held in the enclosing query's frame
-  /// (ExecuteFrontDoor / RunAdmitted) and outlives every view use,
-  /// including m-query legs running on pool workers.
-  struct IndexView {
-    const ConIndex* con_index = nullptr;
-    const SpeedProfile* profile = nullptr;
-    uint64_t version = 0;
-  };
-
-  /// The engine-built indexes (used when live ingestion is off).
-  IndexView StaticView() const { return {con_index_, profile_, 0}; }
-
-  /// Validates and dispatches one plan against `view` (no front door).
-  /// Runs on the calling thread; used for admitted work and m-query legs.
+  /// Validates and dispatches one plan against the pinned `snap` (no
+  /// front door). Runs on the calling thread; used for admitted work and
+  /// m-query legs. The pin is held in the enclosing query's frame
+  /// (ExecuteFrontDoor / RunAdmitted) and outlives every use, including
+  /// m-query legs running on pool workers.
   StatusOr<RegionResult> ExecutePlan(const QueryPlan& plan,
-                                     const IndexView& view);
+                                     const SnapshotRef& snap);
 
   /// The front door for one plan on the calling thread: cache lookup,
   /// admission (batch semantics = take-or-shed, single = bounded wait),
   /// snapshot pin, execute, release, cache insert.
   StatusOr<RegionResult> ExecuteFrontDoor(const QueryPlan& plan, bool batch);
 
-  // One admission surface over the two controllers (at most one of
-  // wfq_/admission_ is active; the plain controller ignores the tenant).
-  // Every front-door site goes through these so the tenant-aware and
-  // plain paths can never diverge per call site.
-  bool AdmissionEnabled() const {
-    return wfq_ != nullptr || admission_ != nullptr;
-  }
+  // Admission wrappers: trace span, wait histogram and shed counter
+  // around the WFQ controller. Call only when wfq_ is non-null.
   Status AdmitSingle(TenantId tenant);
   Status TryAdmitBatchTicket(TenantId tenant);
   /// `cost_us` (>= 0) is the query's measured execution wall time; it
-  /// feeds the tenant's cost EWMA under cost-based DRR (ignored by the
-  /// plain controller). Negative = unmeasured.
+  /// feeds the tenant's cost EWMA under cost-based DRR. Negative =
+  /// unmeasured.
   void ReleaseTicket(TenantId tenant, bool batch, double cost_us = -1.0);
 
   /// Shared tail of the front-door paths: pin a snapshot, run, release the
@@ -284,8 +234,8 @@ class QueryExecutor {
   StatusOr<RegionResult> RunAdmitted(const QueryPlan& plan,
                                      const PlanKey* key, bool batch_ticket);
 
-  /// Pins one snapshot (when live) and executes the plan against it; the
-  /// pin spans the whole execution, m-query legs included.
+  /// Pins one snapshot and executes the plan against it; the pin spans
+  /// the whole execution, m-query legs included.
   StatusOr<RegionResult> ExecutePinned(const QueryPlan& plan);
 
   /// Inserts `result` under `key` unless a newer snapshot was published
@@ -294,18 +244,18 @@ class QueryExecutor {
   void MaybeCacheInsert(const PlanKey& key, const RegionResult& result,
                         TenantId tenant);
 
-  /// Executes `plans` against one shared `view` with no admission or
-  /// caching — the raw fan-out PR 1 shipped, kept for m-query legs
-  /// (admitted, and snapshot-pinned, as one unit with their m-query).
+  /// Executes `plans` against one shared snapshot with no admission or
+  /// caching — the raw fan-out for m-query legs (admitted, and
+  /// snapshot-pinned, as one unit with their m-query).
   std::vector<StatusOr<RegionResult>> ExecuteRaw(
-      std::span<const QueryPlan> plans, const IndexView& view);
+      std::span<const QueryPlan> plans, const SnapshotRef& snap);
 
   StatusOr<RegionResult> ExecuteIndexed(const QueryPlan& plan,
-                                        const IndexView& view);
+                                        const SnapshotRef& snap);
   StatusOr<RegionResult> ExecuteExhaustive(const QueryPlan& plan,
-                                           const IndexView& view);
+                                           const SnapshotRef& snap);
   StatusOr<RegionResult> ExecuteRepeatedS(const QueryPlan& plan,
-                                          const IndexView& view);
+                                          const SnapshotRef& snap);
 
   /// Shared tail of the indexed paths: probability oracle, TBS, stats.
   /// `io_scope` is the attribution scope covering this query's execution.
@@ -316,20 +266,13 @@ class QueryExecutor {
 
   const RoadNetwork* network_;
   const StIndex* st_index_;
-  const ConIndex* con_index_;
-  const SpeedProfile* profile_;
   int64_t delta_t_seconds_;
   QueryExecutorOptions options_;
-  LiveProfileManager* live_;                    // null = live ingestion off
+  LiveProfileManager* live_;
   uint64_t live_listener_id_ = 0;               // 0 = not registered
   std::unique_ptr<ResultCache> cache_;          // null = caching off
-  std::unique_ptr<AdmissionController> admission_;  // null = admission off
-  /// Tenant-aware admission (replaces admission_ when tenant_fairness is
-  /// on); null = plain/global admission or none.
-  std::unique_ptr<WfqAdmissionController> wfq_;
-  /// Shared registry (engine-owned), or owned_tenants_.get(), or null
-  /// when tenancy is off. Used for per-tenant cache/io attribution even
-  /// when admission itself is unbounded.
+  std::unique_ptr<WfqAdmissionController> wfq_;  // null = admission off
+  /// Shared registry (engine-owned) or owned_tenants_.get(); never null.
   TenantRegistry* tenants_ = nullptr;
   std::unique_ptr<TenantRegistry> owned_tenants_;
   ThreadPool pool_;

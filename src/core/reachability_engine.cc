@@ -84,19 +84,17 @@ StatusOr<std::unique_ptr<ReachabilityEngine>> ReachabilityEngine::Build(
     STRR_RETURN_IF_ERROR(engine->con_index_->BuildAll());
   }
 
-  if (options.live_ingestion) {
-    // Live ingestion stack: epochs reclaim superseded snapshots, the
-    // manager publishes them over the engine-built base (version 0), and
-    // the ingestor batches the observation stream into publishes.
-    EpochManagerOptions epoch_opt;
-    epoch_opt.max_retained = options.live_max_retained_epochs;
-    engine->epochs_ = std::make_unique<EpochManager>(epoch_opt);
-    LiveProfileOptions live_opt;
-    live_opt.prewarm = options.live_prewarm;
-    live_opt.prewarm_threads = options.live_prewarm_threads;
-    engine->live_manager_ = std::make_unique<LiveProfileManager>(
-        *engine->epochs_, *engine->profile_, *engine->con_index_, live_opt);
-  }
+  // Snapshot stack: every query pins a snapshot from the manager, whose
+  // version 0 aliases the engine-built indexes. Epochs reclaim superseded
+  // versions once something publishes (the ingestor, below).
+  EpochManagerOptions epoch_opt;
+  epoch_opt.max_retained = options.live_max_retained_epochs;
+  engine->epochs_ = std::make_unique<EpochManager>(epoch_opt);
+  LiveProfileOptions live_opt;
+  live_opt.prewarm = options.live_prewarm;
+  live_opt.prewarm_threads = options.live_prewarm_threads;
+  engine->live_manager_ = std::make_unique<LiveProfileManager>(
+      *engine->epochs_, *engine->profile_, *engine->con_index_, live_opt);
 
   if (options.negative_cache_entries > 0) {
     NegativeCacheOptions neg_opt;
@@ -105,16 +103,9 @@ StatusOr<std::unique_ptr<ReachabilityEngine>> ReachabilityEngine::Build(
     engine->negative_cache_ = std::make_unique<NegativeCache>(neg_opt);
   }
 
-  if (options.tenant_fairness) {
-    // One registry for the whole engine: the default executor and every
-    // MakeExecutor-created one share tenant configs, quotas and counters.
-    // max_queued_queries caps the default per-tenant waiting bound, so
-    // the knob keeps meaning what it meant on the plain admission path.
-    TenantConfig defaults = options.tenant_defaults;
-    defaults.max_queued =
-        std::min(defaults.max_queued, options.max_queued_queries);
-    engine->tenants_ = std::make_unique<TenantRegistry>(defaults);
-  }
+  // One registry for the whole engine: the default executor and every
+  // MakeExecutor-created one share tenant configs, quotas and counters.
+  engine->tenants_ = std::make_unique<TenantRegistry>(options.tenant_defaults);
 
   engine->planner_ =
       std::make_unique<QueryPlanner>(network, *engine->st_index_);
@@ -127,20 +118,17 @@ StatusOr<std::unique_ptr<ReachabilityEngine>> ReachabilityEngine::Build(
   exec_opt.result_cache_protected_share = options.result_cache_protected_share;
   exec_opt.result_cache_tenant_share = options.result_cache_tenant_share;
   exec_opt.max_inflight = options.max_inflight_queries;
-  exec_opt.max_queued = options.max_queued_queries;
   exec_opt.batch_share = options.batch_share;
-  exec_opt.tenant_fairness = options.tenant_fairness;
   exec_opt.wfq_cost_based = options.wfq_cost_based;
   exec_opt.tenant_shared_cache = options.tenant_shared_cache;
-  exec_opt.tenant_defaults = options.tenant_defaults;
   engine->executor_ = engine->MakeExecutor(exec_opt);
 
   if (options.live_ingestion) {
-    // Refresh fan-out for the live path needs no wiring here: every
-    // cached executor over the live manager (the default one above and
-    // any MakeExecutor-created one) registered its own Δt-slot eviction
-    // listener at construction. Con-Index tables need no hook either —
-    // every publish carries its own copy-on-invalidate index.
+    // Refresh fan-out needs no wiring here: every cached executor over the
+    // live manager (the default one above and any MakeExecutor-created
+    // one) registered its own Δt-slot eviction listener at construction.
+    // Con-Index tables need no hook either — every publish carries its own
+    // copy-on-invalidate index.
     if (options.live_durability) {
       // Durability bring-up happens before the ingestor exists, so no new
       // observations race the replay: recover the acked stream, fold it
@@ -194,27 +182,9 @@ StatusOr<std::unique_ptr<ReachabilityEngine>> ReachabilityEngine::Build(
     ingest_opt.journal = engine->journal_.get();
     engine->ingestor_ = std::make_unique<ObservationIngestor>(
         *engine->live_manager_, ingest_opt);
-  } else {
-    // Legacy direct-mutation fan-out: a profile refresh drops the
-    // Con-Index tables and the default executor's cached results for the
-    // covered time range. Requires external serialization against queries
-    // (the reason live deployments enable live_ingestion instead). The
-    // captured pointers are owned by the engine and outlive the profile
-    // that holds the listener.
-    ConIndex* con_index = engine->con_index_.get();
-    QueryExecutor* executor = engine->executor_.get();
-    engine->profile_->AddUpdateListener(
-        [con_index, executor](int64_t begin_tod, int64_t end_tod) {
-          con_index->InvalidateTimeRange(begin_tod, end_tod);
-          executor->InvalidateCachedTimeRange(begin_tod, end_tod);
-        });
   }
 
   if (!options.tenant_config_path.empty()) {
-    if (engine->tenants_ == nullptr) {
-      return Status::InvalidArgument(
-          "EngineOptions.tenant_config_path requires tenant_fairness");
-    }
     STRR_RETURN_IF_ERROR(engine->tenants_->StartFileWatch(
         options.tenant_config_path, options.tenant_config_poll_ms));
   }
@@ -223,11 +193,8 @@ StatusOr<std::unique_ptr<ReachabilityEngine>> ReachabilityEngine::Build(
 
 std::unique_ptr<QueryExecutor> ReachabilityEngine::MakeExecutor(
     const QueryExecutorOptions& options) const {
-  // Executors share the engine's tenant registry (when tenancy is on) so
-  // quotas and per-tenant counters stay consistent across all of them.
-  return std::make_unique<QueryExecutor>(*network_, *st_index_, *con_index_,
-                                         *profile_, options_.delta_t_seconds,
-                                         options, live_manager_.get(),
+  return std::make_unique<QueryExecutor>(*network_, *st_index_, *live_manager_,
+                                         options_.delta_t_seconds, options,
                                          tenants_.get());
 }
 
@@ -311,21 +278,6 @@ void ReachabilityEngine::DumpMetricsPrometheus(std::string* out) const {
 void ReachabilityEngine::ResetIoStats(bool drop_cache) {
   st_index_->ResetStorageStats();
   if (drop_cache) st_index_->DropCache();
-}
-
-void ReachabilityEngine::ApplySpeedObservation(SegmentId seg,
-                                               int64_t time_of_day_sec,
-                                               double speed_mps) {
-  if (ingestor_ != nullptr) {
-    // Live path: enqueue for the batcher; the refresh lands as the next
-    // published snapshot version, safe under concurrent queries.
-    ingestor_->Offer(SpeedObservation{seg, time_of_day_sec, speed_mps});
-    return;
-  }
-  // Legacy path: the profile notifies its update listeners (registered in
-  // Build), which invalidate the Con-Index slot tables and the cached
-  // query results. Caller serializes against queries.
-  profile_->ApplyObservation(seg, time_of_day_sec, speed_mps);
 }
 
 bool ReachabilityEngine::OfferObservation(

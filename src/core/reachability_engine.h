@@ -65,9 +65,10 @@ struct EngineOptions {
   /// facade reproduces the paper's single-threaded baseline timings;
   /// throughput-oriented callers flip it (or use the executor directly).
   bool parallel_mquery_legs = false;
-  // --- Query front door (see QueryExecutorOptions; both off by default so
-  // the facade's per-query stats keep their paper-reproduction semantics —
-  // cached results replay the original execution's stats) ---------------------
+  // --- Query front door (see QueryExecutorOptions). Caching and admission
+  // are off by default so the facade's per-query stats keep their
+  // paper-reproduction semantics — cached results replay the original
+  // execution's stats ------------------------------------------------------
   /// Result-cache capacity in entries; 0 disables caching.
   size_t result_cache_entries = 0;
   size_t result_cache_shards = 8;
@@ -78,44 +79,37 @@ struct EngineOptions {
   /// result cache (see ResultCacheOptions). Both off by default.
   double result_cache_protected_share = 0.0;
   double result_cache_tenant_share = 0.0;
-  /// Max admitted-and-outstanding queries; 0 disables admission control.
+  /// Max admitted-and-outstanding queries across all tenants; 0 disables
+  /// admission control. Admission is weighted fair queueing over
+  /// QueryPlan::tenant with per-tenant quotas and waiting bounds from the
+  /// engine's TenantRegistry (see core/wfq_admission.h); single-tenant
+  /// traffic runs as the default tenant.
   size_t max_inflight_queries = 0;
-  /// Max single-query callers blocked waiting for admission. With
-  /// tenant_fairness on, caps the default per-tenant waiting bound.
-  size_t max_queued_queries = 64;
   /// Share of max_inflight_queries all batch work combined may hold.
   double batch_share = 0.5;
-  // --- Multi-tenant front door (off by default — single-tenant behavior
-  // is bit-identical to the plain admission path) -----------------------------
-  /// Tenant-aware admission: per-tenant quotas + weighted fair queueing
-  /// keyed on QueryPlan::tenant, with per-tenant counters in
-  /// front_door_stats(). The engine then owns a TenantRegistry shared by
-  /// its executor and every MakeExecutor-created one; configure tenants
-  /// through tenant_registry()->Configure(). See core/wfq_admission.h.
-  bool tenant_fairness = false;
   /// Cost-based DRR dispatch: WFQ charges grants in measured microseconds
   /// instead of counts (see WfqOptions::cost_based).
   bool wfq_cost_based = false;
   /// Share result-cache entries across tenants instead of scoping them
   /// per tenant (see QueryExecutorOptions::tenant_shared_cache).
   bool tenant_shared_cache = false;
-  /// Registry defaults for tenants never configured explicitly.
+  /// Registry defaults for tenants never configured explicitly; its
+  /// max_queued is the single-query waiting bound per tenant.
   TenantConfig tenant_defaults;
-  /// Dynamic tenant configuration: when non-empty (and tenant_fairness is
-  /// on), the registry loads this file at build and re-loads it whenever
-  /// its mtime changes — weights/quotas reconfigure under load without a
-  /// restart (see TenantRegistry::StartFileWatch). Build fails if the
-  /// initial load fails.
+  /// Dynamic tenant configuration: when non-empty, the registry loads this
+  /// file at build and re-loads it whenever its mtime changes —
+  /// weights/quotas reconfigure under load without a restart (see
+  /// TenantRegistry::StartFileWatch). Build fails if the initial load
+  /// fails.
   std::string tenant_config_path;
   /// Poll interval for tenant_config_path mtime checks.
   int64_t tenant_config_poll_ms = 200;
-  // --- Live ingestion (see live/; off by default so paper-reproduction
-  // numbers are untouched — queries then read the engine-built indexes
-  // directly with zero snapshot overhead) ------------------------------------
-  /// Enables the streaming ingestion subsystem: ApplySpeedObservation and
-  /// OfferObservation enqueue into a batcher that publishes immutable
-  /// snapshot versions, and queries pin a snapshot instead of racing a
-  /// mutable profile — refreshes are safe under full query load.
+  // --- Live ingestion (see live/). Every engine serves pinned snapshots
+  // from a LiveProfileManager whose version 0 is the engine-built indexes;
+  // these knobs decide whether anything publishes new versions ------------
+  /// Creates the ObservationIngestor: OfferObservation enqueues into a
+  /// batcher that publishes immutable snapshot versions, safe under full
+  /// query load. Off by default (queries then always read version 0).
   bool live_ingestion = false;
   /// Batch window the ingestor coalesces over before publishing.
   int64_t live_batch_window_ms = 20;
@@ -200,12 +194,10 @@ struct EngineOptions {
 };
 
 /// Facade over the whole query stack. Thread-safe for concurrent queries:
-/// the index read paths are concurrent-read-safe and the executor's pool
-/// is shared. With live ingestion enabled, speed refreshes are also safe
-/// under full query load — queries pin immutable index snapshots (see
-/// live/) instead of racing a mutable profile. (Per-query StorageStats
-/// deltas are only meaningful for sequential execution — the counters are
-/// engine-global.)
+/// the index read paths are concurrent-read-safe, the executor's pool is
+/// shared, and every query pins an immutable index snapshot (see live/),
+/// so speed refreshes through OfferObservation are safe under full query
+/// load.
 class ReachabilityEngine {
  public:
   /// Builds every index. The network and store must outlive the engine.
@@ -232,9 +224,9 @@ class ReachabilityEngine {
   QueryExecutor& executor() { return *executor_; }
 
   /// Builds an additional executor over this engine's indexes (e.g. a
-  /// bench sweeping worker counts, or an isolated pool per tenant),
-  /// snapshot-pinning when live ingestion is on. The engine must outlive
-  /// it.
+  /// bench sweeping worker counts, or an isolated pool per tenant). It
+  /// pins snapshots from the engine's live manager and attributes to the
+  /// engine's tenant registry. The engine must outlive it.
   std::unique_ptr<QueryExecutor> MakeExecutor(
       const QueryExecutorOptions& options) const;
 
@@ -242,10 +234,9 @@ class ReachabilityEngine {
 
   const StIndex& st_index() const { return *st_index_; }
   StIndex& st_index() { return *st_index_; }
+  /// The engine-built Con-Index and speed profile (snapshot version 0).
   const ConIndex& con_index() const { return *con_index_; }
-  ConIndex& con_index() { return *con_index_; }
   const SpeedProfile& speed_profile() const { return *profile_; }
-  SpeedProfile& speed_profile() { return *profile_; }
   const RoadNetwork& network() const { return *network_; }
   int64_t delta_t_seconds() const { return options_.delta_t_seconds; }
 
@@ -254,31 +245,15 @@ class ReachabilityEngine {
 
   // --- Live updates ----------------------------------------------------------
 
-  /// Folds a fresh speed observation (e.g. a live congestion feed sample)
-  /// into the serving speed statistics and invalidates everything derived
-  /// from the covered time range (Con-Index tables, cached results whose
-  /// Δt windows intersect it).
-  ///
-  /// With live ingestion ON (EngineOptions::live_ingestion) this enqueues
-  /// into the ObservationIngestor — safe from any thread, under full
-  /// concurrent query load, with no quiescing: queries pin immutable
-  /// snapshots and the refresh lands as the next published version (use
-  /// OfferObservation to see drops). With live ingestion OFF this is the
-  /// legacy direct-mutation path: it mutates the profile in place and is
-  /// NOT safe against concurrent queries (callers must serialize), which
-  /// is why live deployments turn the subsystem on. Executors created
-  /// through MakeExecutor own private caches this fan-out does not see
-  /// only in the OFF path; in the ON path they registered with the live
-  /// manager at construction.
-  void ApplySpeedObservation(SegmentId seg, int64_t time_of_day_sec,
-                             double speed_mps);
-
-  /// Live-mode ApplySpeedObservation with backpressure visibility: false
-  /// when the observation was rejected (invalid speed, queue full, or
-  /// live ingestion off).
+  /// Enqueues a fresh speed observation (e.g. a live congestion feed
+  /// sample) into the ObservationIngestor — safe from any thread, under
+  /// full concurrent query load: the refresh lands as the next published
+  /// snapshot version, which invalidates the Con-Index tables and cached
+  /// results it affects. False when the observation was rejected (invalid
+  /// speed, queue full, or live ingestion off).
   bool OfferObservation(const SpeedObservation& observation);
 
-  /// The live snapshot manager, or nullptr when live ingestion is off.
+  /// The snapshot manager every executor over this engine pins from.
   LiveProfileManager* live_manager() { return live_manager_.get(); }
 
   /// The observation ingestor, or nullptr when live ingestion is off.
@@ -313,8 +288,8 @@ class ReachabilityEngine {
   /// format (convenience over obs::MetricsRegistry::Global()).
   void DumpMetricsPrometheus(std::string* out) const;
 
-  /// The engine-wide tenant config/stats registry, or nullptr when
-  /// tenant_fairness is off. Shared by every executor over this engine.
+  /// The engine-wide tenant config/stats registry, shared by every
+  /// executor over this engine. Configure tenants through Configure().
   TenantRegistry* tenant_registry() { return tenants_.get(); }
 
  private:
@@ -336,10 +311,10 @@ class ReachabilityEngine {
   std::unique_ptr<SpeedProfile> profile_;
   std::unique_ptr<StIndex> st_index_;
   std::unique_ptr<ConIndex> con_index_;
-  // Live ingestion stack (null when off). Sits between the indexes it
-  // snapshots and the executor that pins those snapshots; destroyed in
-  // reverse order, so the ingestor's batcher joins before the manager
-  // reclaims and the manager before the base indexes die.
+  // Snapshot stack. Sits between the indexes it snapshots and the
+  // executor that pins those snapshots; destroyed in reverse order, so the
+  // ingestor's batcher (null when live ingestion is off) joins before the
+  // manager reclaims and the manager before the base indexes die.
   std::unique_ptr<EpochManager> epochs_;
   std::unique_ptr<LiveProfileManager> live_manager_;
   // Journal before ingestor: the ingestor appends to it from the batcher
@@ -348,7 +323,7 @@ class ReachabilityEngine {
   LiveRecoveryInfo live_recovery_;
   std::unique_ptr<ObservationIngestor> ingestor_;
   std::unique_ptr<NegativeCache> negative_cache_;  // null when disabled
-  /// Per-tenant config/stats shared across executors (null = tenancy off).
+  /// Per-tenant config/stats shared across executors.
   std::unique_ptr<TenantRegistry> tenants_;
   // Constructed after (and destroyed before) the indexes they reference.
   std::unique_ptr<QueryPlanner> planner_;

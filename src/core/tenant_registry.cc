@@ -1,8 +1,10 @@
 #include "core/tenant_registry.h"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -10,6 +12,15 @@ namespace strr {
 
 namespace {
 constexpr auto kRelaxed = std::memory_order_relaxed;
+
+/// Parses a whole token as an unsigned decimal no larger than `max`.
+/// Signs, junk and out-of-range values fail — `istream >> uint64_t` would
+/// wrap "-1" to 2^64-1 and a later cast would truncate it.
+bool ParseUnsigned(const std::string& token, uint64_t max, uint64_t* out) {
+  const char* end = token.data() + token.size();
+  auto [ptr, ec] = std::from_chars(token.data(), end, *out);
+  return ec == std::errc() && ptr == end && *out <= max;
+}
 }  // namespace
 
 TenantRegistry::TenantRegistry(const TenantConfig& defaults)
@@ -65,35 +76,37 @@ Status TenantRegistry::LoadFromFile(const std::string& path) {
     size_t hash = line.find('#');
     if (hash != std::string::npos) line.resize(hash);
     std::istringstream fields(line);
-    uint64_t tenant = 0;
-    uint64_t weight = 0;
-    uint64_t max_inflight = 0;
-    uint64_t max_queued = 0;
-    if (!(fields >> tenant)) {
-      // Only genuinely empty lines skip; junk must reject, or a typoed
-      // tenant id silently serves under defaults.
-      if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
+    auto reject = [&](const std::string& why) {
       return Status::InvalidArgument("tenant config: " + path + ":" +
-                                     std::to_string(line_no) +
-                                     ": non-numeric tenant id");
-    }
-    if (!(fields >> weight >> max_inflight >> max_queued)) {
-      return Status::InvalidArgument("tenant config: " + path + ":" +
-                                     std::to_string(line_no) +
-                                     ": want `tenant weight max_inflight "
-                                     "max_queued`");
+                                     std::to_string(line_no) + ": " + why);
+    };
+    std::string tokens[4];
+    if (!(fields >> tokens[0])) continue;  // blank or comment-only line
+    if (!(fields >> tokens[1] >> tokens[2] >> tokens[3])) {
+      return reject("want `tenant weight max_inflight max_queued`");
     }
     std::string extra;
-    if (fields >> extra) {
-      return Status::InvalidArgument("tenant config: " + path + ":" +
-                                     std::to_string(line_no) +
-                                     ": trailing field `" + extra + "`");
+    if (fields >> extra) return reject("trailing field `" + extra + "`");
+    // Junk must reject, or a typoed tenant id silently serves under
+    // defaults; so must a value its field cannot hold.
+    constexpr uint64_t kU32Max = std::numeric_limits<uint32_t>::max();
+    constexpr uint64_t kSizeMax = std::numeric_limits<size_t>::max();
+    static constexpr const char* kNames[4] = {"tenant id", "weight",
+                                              "max_inflight", "max_queued"};
+    const uint64_t kMax[4] = {kU32Max, kU32Max, kSizeMax, kSizeMax};
+    uint64_t values[4];
+    for (int i = 0; i < 4; ++i) {
+      if (!ParseUnsigned(tokens[i], kMax[i], &values[i])) {
+        return reject("`" + tokens[i] + "` is not a valid " + kNames[i] +
+                      " (an integer in [0, " + std::to_string(kMax[i]) +
+                      "])");
+      }
     }
     TenantConfig config;
-    config.weight = weight == 0 ? 1 : static_cast<uint32_t>(weight);
-    config.max_inflight = static_cast<size_t>(max_inflight);
-    config.max_queued = static_cast<size_t>(max_queued);
-    parsed.emplace_back(static_cast<TenantId>(tenant), config);
+    config.weight = values[1] == 0 ? 1 : static_cast<uint32_t>(values[1]);
+    config.max_inflight = static_cast<size_t>(values[2]);
+    config.max_queued = static_cast<size_t>(values[3]);
+    parsed.emplace_back(static_cast<TenantId>(values[0]), config);
   }
   for (const auto& [tenant, config] : parsed) {
     Configure(tenant, config);

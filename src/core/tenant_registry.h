@@ -1,13 +1,11 @@
 // TenantRegistry: identity, configuration and accounting for the
 // multi-tenant query front door.
 //
-// A production front door serving millions of users is never one client:
-// it is many tenants (apps, fleets, API keys) with very different
-// traffic shapes, and PR 2's AdmissionController treats them all as one
-// global ticket pool — one aggressive client can monopolize the executor
-// and starve everyone else. The registry is the shared source of truth
-// the tenant-aware pieces hang off:
-//
+// The front door serves many tenants (apps, fleets, API keys) with very
+// different traffic shapes; single-tenant traffic is simply the default
+// tenant. Every engine owns one registry, shared by all of its executors
+// (a standalone executor creates a private one). It is the source of
+// truth the tenant-aware pieces hang off:
 //  * configuration — per-tenant WFQ weight, in-flight quota and waiting
 //    bound, with a default config for tenants that never registered
 //    explicitly (open admission: unknown tenants are served under the
@@ -74,8 +72,8 @@ struct TenantCounters {
   uint64_t completed = 0;
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
-  /// Currently admitted-and-outstanding queries (0 when the WFQ
-  /// scheduler is off — plain admission does not track tenants).
+  /// Currently admitted-and-outstanding queries (0 when admission is
+  /// unbounded).
   size_t inflight = 0;
   /// Storage traffic attributed to this tenant's completed queries, from
   /// the per-query ScopedIoCounters attribution — exact and disjoint
@@ -104,9 +102,11 @@ class TenantRegistry {
 
   /// Replaces tenant configs from a text file: one whitespace-separated
   /// `tenant weight max_inflight max_queued` line per tenant, '#' starts
-  /// a comment, blank lines ignored. The whole file parses before any
-  /// tenant is touched — a malformed line rejects the load and leaves
-  /// every config as it was (counters always survive).
+  /// a comment, blank lines ignored. Every field is an unsigned decimal
+  /// within its field's range (tenant and weight are 32-bit). The whole
+  /// file parses before any tenant is touched — a malformed line rejects
+  /// the load with a line-numbered InvalidArgument and leaves every
+  /// config as it was (counters always survive).
   Status LoadFromFile(const std::string& path);
 
   /// Starts a background thread that re-runs LoadFromFile whenever the

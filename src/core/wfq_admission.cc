@@ -9,9 +9,7 @@ namespace strr {
 
 namespace {
 
-// Shared with the plain controller: both report parked callers into the
-// one strr_admission_queued gauge (at most one controller is active per
-// executor).
+// Parked callers across every controller in the process.
 obs::Gauge& QueuedGauge() {
   static obs::Gauge& g =
       obs::MetricsRegistry::Global().GetGauge("strr_admission_queued");
@@ -181,9 +179,12 @@ double WfqAdmissionController::AvgCostUs(TenantId tenant) const {
 void WfqAdmissionController::RemoveFromRingLocked() {
   queues_[ring_[rr_pos_]]->in_ring = false;
   ring_.erase(ring_.begin() + static_cast<ptrdiff_t>(rr_pos_));
-  // rr_pos_ now points at the element that slid into the removed slot
-  // (or past the end, which the dispatch loop wraps) — no advance, so the
-  // slid-in tenant is not skipped.
+  // rr_pos_ now points at the element that slid into the removed slot — no
+  // advance, so the slid-in tenant is not skipped. Removing the last
+  // element wraps to the front: left past the end, the position would hand
+  // the next turn to whichever tenant is appended next (typically the one
+  // just removed, re-entering), jumping every tenant ahead of it.
+  if (rr_pos_ >= ring_.size()) rr_pos_ = 0;
 }
 
 void WfqAdmissionController::GrantFrontLocked(TenantId tenant,

@@ -1,16 +1,13 @@
 // WfqAdmissionController: per-tenant bounded ticket pools with a global
-// cap, dispatched by deficit round robin — the multi-tenant layer of the
-// query front door's admission control.
-//
-// PR 2's AdmissionController bounds *total* outstanding work but knows
-// nothing about who submitted it: one aggressive client fills the global
-// pool and everyone else sheds. This controller keeps the same outer
-// contract (bounded in-flight, bounded waiting, typed ResourceExhausted
-// shedding, batch plans never wait, admitted work always completes) and
-// adds tenant awareness:
-//
+// cap, dispatched by deficit round robin — the query front door's one
+// admission controller (QueryExecutor builds it whenever max_inflight >
+// 0). Its contract: bounded in-flight, bounded waiting, typed
+// ResourceExhausted shedding, batch plans never wait, admitted work always
+// completes. Single-tenant traffic is the default-tenant case: one ticket
+// pool of max_inflight, a waiting bound of the registry default's
+// max_queued, and batches capped at batch_share of the pool. Tenants add:
 //  * global cap — at most `max_inflight` tickets outstanding across all
-//    tenants, exactly like the single-tenant controller;
+//    tenants;
 //  * per-tenant quota — a tenant holds at most its configured
 //    max_inflight tickets (0 = bounded only by the global cap); a tenant
 //    at quota queues or sheds against ITS OWN bounds while every other

@@ -263,42 +263,6 @@ Status ConIndex::BuildAll() {
   return Status::OK();
 }
 
-size_t ConIndex::InvalidateTimeRange(int64_t begin_tod, int64_t end_tod) {
-  if (end_tod <= begin_tod) return 0;
-  const int64_t width = profile_->slot_seconds();
-  SlotId first = static_cast<SlotId>(std::max<int64_t>(begin_tod, 0) / width);
-  SlotId last = static_cast<SlotId>((end_tod - 1) / width);
-  first = std::min(first, num_slots_ - 1);
-  last = std::min(last, num_slots_ - 1);
-  size_t dropped = 0;
-  for (SlotId slot = first; slot <= last; ++slot) {
-    // Defensive: live-mode clones carry overlays; dropping one counts its
-    // base-served tables and falls through to clearing the local bucket.
-    // (The legacy direct-mutation path never creates overlays.)
-    SlotOverlay& overlay = overlays_[slot];
-    if (overlay.base != nullptr) {
-      for (uint8_t u : overlay.use_base) dropped += u;
-      overlay = SlotOverlay{};
-    }
-    SlotTables& bucket = *slots_[slot];
-    std::lock_guard<std::mutex> lock(bucket.mu);
-    // Fast path for a refresh stream hitting an already-cold slot: don't
-    // rescan every segment when nothing is materialized.
-    if (bucket.ready_count == 0) continue;
-    for (SegmentId seg = 0; seg < network_->NumSegments(); ++seg) {
-      if (!bucket.ready[seg]) continue;
-      bucket.near[seg].clear();
-      bucket.near[seg].shrink_to_fit();
-      bucket.far[seg].clear();
-      bucket.far[seg].shrink_to_fit();
-      bucket.ready[seg] = 0;
-      ++dropped;
-    }
-    bucket.ready_count = 0;
-  }
-  return dropped;
-}
-
 size_t ConIndex::MaterializedTables() const {
   size_t count = 0;
   for (SlotId s = 0; s < num_slots_; ++s) {

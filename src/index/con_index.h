@@ -16,6 +16,12 @@
 // Tables are built lazily and memoized by default (BuildAll precomputes);
 // both paths produce identical lists, and the lazy path lets benches sweep
 // Δt without paying a full rebuild for slots they never touch.
+//
+// An index never changes the profile it was built over: each table is
+// written once and then only read. A speed refresh derives a new index
+// over the refreshed profile with CloneWithInvalidation, which the live
+// snapshot publisher (live/live_profile_manager.h) installs as the next
+// version while readers keep this one.
 #ifndef STRR_INDEX_CON_INDEX_H_
 #define STRR_INDEX_CON_INDEX_H_
 
@@ -66,19 +72,6 @@ class ConIndex {
 
   /// Precomputes every table (the paper's offline index construction).
   Status BuildAll();
-
-  /// Drops the materialized tables of every profile slot overlapping
-  /// [begin_tod, end_tod) so the next query lazily rebuilds them against
-  /// the current SpeedProfile — the hook a profile/congestion refresh
-  /// fires (see SpeedProfile::AddUpdateListener). Returns the number of
-  /// tables dropped.
-  ///
-  /// Direct-mutation path: NOT safe against concurrent readers (Far()/
-  /// Near() hand out references whose lifetime assumes tables are written
-  /// once), so callers must serialize against queries. Refreshes under
-  /// live query load go through CloneWithInvalidation instead, which
-  /// leaves this index untouched.
-  size_t InvalidateTimeRange(int64_t begin_tod, int64_t end_tod);
 
   /// One slot whose extremes changed on a *few segment cells only* (no
   /// level-fallback change): instead of dropping the whole slot, the
@@ -145,7 +138,7 @@ class ConIndex {
     std::vector<std::vector<SegmentId>> near;  // per segment
     std::vector<std::vector<SegmentId>> far;
     std::vector<uint8_t> ready;                // per segment
-    size_t ready_count = 0;  // materialized tables; invalidation fast path
+    size_t ready_count = 0;  // materialized tables; clone fast path
     std::mutex mu;
   };
 

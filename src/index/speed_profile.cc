@@ -90,10 +90,6 @@ double SpeedProfile::MeanSpeed(SegmentId seg, int64_t time_of_day_sec) const {
   return 0.7 * FreeFlowSpeed(network_->segment(seg).level);
 }
 
-void SpeedProfile::AddUpdateListener(UpdateListener listener) {
-  listeners_.push_back(std::move(listener));
-}
-
 void SpeedProfile::ApplyObservation(SegmentId seg, int64_t time_of_day_sec,
                                     double speed_mps) {
   if (seg >= network_->NumSegments()) return;
@@ -106,12 +102,6 @@ void SpeedProfile::ApplyObservation(SegmentId seg, int64_t time_of_day_sec,
   SlotId slot = SlotFor(NormalizeTimeOfDay(time_of_day_sec));
   ApplyUpdate(seg, static_cast<int64_t>(slot) * options_.slot_seconds, speed,
               speed, speed, 1);
-
-  int64_t begin_tod = static_cast<int64_t>(slot) * options_.slot_seconds;
-  int64_t end_tod = begin_tod + options_.slot_seconds;
-  for (const UpdateListener& listener : listeners_) {
-    listener(begin_tod, end_tod);
-  }
 }
 
 uint8_t SpeedProfile::ApplyUpdate(SegmentId seg, int64_t time_of_day_sec,
@@ -146,12 +136,6 @@ uint8_t SpeedProfile::ApplyUpdate(SegmentId seg, int64_t time_of_day_sec,
     effect |= kFallbackExtremesChanged;
   }
   return effect;
-}
-
-SpeedProfile SpeedProfile::Fork() const {
-  SpeedProfile copy = *this;
-  copy.listeners_.clear();
-  return copy;
 }
 
 double SpeedProfile::CoverageFraction() const {

@@ -11,7 +11,6 @@
 #define STRR_INDEX_SPEED_PROFILE_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "roadnet/road_network.h"
@@ -49,29 +48,15 @@ class SpeedProfile {
   /// True when the segment itself (not a fallback) had samples in the slot.
   bool HasObservations(SegmentId seg, int64_t time_of_day_sec) const;
 
-  // --- Live updates ----------------------------------------------------------
+  // --- Updates --------------------------------------------------------------
 
-  /// Called after ApplyObservation mutates a slot, with the time-of-day
-  /// range [begin_tod, end_tod) the change covers. The engine wires this
-  /// to Con-Index table invalidation and result-cache Δt-slot eviction so
-  /// a congestion refresh evicts exactly the affected windows.
-  using UpdateListener = std::function<void(int64_t begin_tod,
-                                            int64_t end_tod)>;
-
-  /// Registers a listener; fired synchronously inside ApplyObservation in
-  /// registration order. Register during engine construction — not
-  /// thread-safe against concurrent ApplyObservation calls.
-  void AddUpdateListener(UpdateListener listener);
-
-  /// Folds one fresh speed observation (e.g. from a live congestion feed)
-  /// into the (segment, slot) statistics and notifies update listeners.
-  /// Observations below the min_speed_floor are dropped, mirroring Build.
-  ///
-  /// Direct-mutation path: NOT safe against concurrent readers (the cell
-  /// floats are read lock-free on the query path) — callers must serialize
-  /// against queries themselves. For refreshes under live query load use
-  /// the live ingestion subsystem (live/), which applies updates to forked
-  /// snapshot copies instead of mutating a profile readers hold.
+  /// Folds one fresh speed observation into the (segment, slot)
+  /// statistics. Observations below the min_speed_floor are dropped,
+  /// mirroring Build. Mutates in place, so never call it on a profile
+  /// queries are reading: serving refreshes go through the live ingestion
+  /// subsystem (live/), which applies batches to forked copies. This is
+  /// the one-observation-at-a-time reference the coalesced ApplyUpdate
+  /// path is tested against.
   void ApplyObservation(SegmentId seg, int64_t time_of_day_sec,
                         double speed_mps);
 
@@ -89,16 +74,11 @@ class SpeedProfile {
 
   /// Folds a pre-aggregated batch of observations for one (segment, slot)
   /// — the coalesced form the live ingestor produces; equivalent to
-  /// `count` ApplyObservation calls but without listener fan-out (the
-  /// snapshot publisher carries its own invalidation). Inputs must be
-  /// pre-filtered (finite, >= min_speed_floor) and `count` > 0. Returns
-  /// UpdateEffect flags (OR-ed).
+  /// `count` ApplyObservation calls. Inputs must be pre-filtered (finite,
+  /// >= min_speed_floor) and `count` > 0. Returns UpdateEffect flags
+  /// (OR-ed).
   uint8_t ApplyUpdate(SegmentId seg, int64_t time_of_day_sec, float min_speed,
                       float max_speed, float sum_speed, uint32_t count);
-
-  /// Copy with listeners dropped — the mutable working copy a live
-  /// snapshot publisher applies a batch to before publishing.
-  SpeedProfile Fork() const;
 
   double min_speed_floor() const { return options_.min_speed_floor; }
 
@@ -131,7 +111,6 @@ class SpeedProfile {
   int32_t num_slots_ = 0;
   std::vector<Cell> cells_;                 // segment-major
   std::vector<Cell> level_fallback_;        // (level, slot)
-  std::vector<UpdateListener> listeners_;
 };
 
 }  // namespace strr

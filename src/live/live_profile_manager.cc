@@ -109,8 +109,7 @@ uint64_t LiveProfileManager::Publish(std::span<const CoalescedUpdate> batch) {
   // invalidate partially (tables the changed segments can actually reach);
   // a level-fallback change shifts every observation-less segment of that
   // level, so its slot invalidates fully.
-  auto profile =
-      std::make_unique<SpeedProfile>(cur->profile->Fork());
+  auto profile = std::make_unique<SpeedProfile>(*cur->profile);
   const int64_t slot_sec = profile->slot_seconds();
   std::vector<SlotId> full_slots;
   std::map<SlotId, std::vector<SegmentId>> cell_changes;

@@ -7,8 +7,11 @@
 // mid-query can never tear a profile read or dangle a Con-Index table
 // reference: the query finishes on the version it started on, and the
 // superseded version is reclaimed only after every pinned reader drains
-// (EpochManager grace period). This replaces the old "quiesce all queries
-// before ApplySpeedObservation" contract.
+// (EpochManager grace period). Every engine owns one manager and every
+// query pins from it: with no ingestor nothing publishes, and queries read
+// version 0 — the engine-built indexes, aliased rather than copied. The
+// manager's invalidation listeners are the only way cached results learn
+// of a refresh.
 //
 // Publication is cheap and precise:
 //  * the profile is forked (one flat cell-array copy) and the coalesced

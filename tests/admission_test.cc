@@ -1,9 +1,9 @@
 // Tests for the query front door's admission control: deterministic
-// ticket/queue accounting on AdmissionController itself, typed
-// ResourceExhausted shedding, completion of already-admitted work, and
-// executor-level behaviour — an over-capacity ExecuteBatch sheds instead
-// of queueing unboundedly, and a saturating batch cannot starve
-// concurrent single queries.
+// ticket/queue accounting on WfqAdmissionController's default tenant (the
+// single-tenant case), typed ResourceExhausted shedding, completion of
+// already-admitted work, and executor-level behaviour — an over-capacity
+// ExecuteBatch sheds instead of queueing unboundedly, and a saturating
+// batch cannot starve concurrent single queries.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,9 +11,10 @@
 #include <thread>
 #include <vector>
 
-#include "core/admission_controller.h"
 #include "core/query_executor.h"
 #include "core/reachability_engine.h"
+#include "core/tenant_registry.h"
+#include "core/wfq_admission.h"
 #include "query/query_plan.h"
 #include "tests/test_util.h"
 
@@ -22,77 +23,68 @@ namespace {
 
 using testing_util::GetSharedStack;
 
-// --- AdmissionController unit behaviour -------------------------------------
+// --- Default-tenant WFQ unit behaviour ---------------------------------------
 
-TEST(AdmissionControllerTest, DisabledControllerAdmitsEverything) {
-  AdmissionController controller({.max_inflight = 0});
-  EXPECT_FALSE(controller.enabled());
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_TRUE(controller.Admit().ok());
-    EXPECT_TRUE(controller.TryAdmitBatch().ok());
-  }
-  EXPECT_EQ(controller.stats().shed, 0u);
-}
+TEST(WfqDefaultTenantTest, TicketAndBatchShareAccounting) {
+  // 4 tickets, batches capped at half of them, nobody may wait.
+  TenantRegistry registry({.weight = 1, .max_inflight = 0, .max_queued = 0});
+  WfqAdmissionController wfq({.max_inflight = 4, .batch_share = 0.5},
+                             &registry);
 
-TEST(AdmissionControllerTest, TicketAndBatchShareAccounting) {
-  // 4 tickets, batches capped at half of them.
-  AdmissionController controller(
-      {.max_inflight = 4, .max_queued = 0, .batch_share = 0.5});
-  EXPECT_EQ(controller.batch_cap(), 2u);
-
-  EXPECT_TRUE(controller.TryAdmitBatch().ok());
-  EXPECT_TRUE(controller.TryAdmitBatch().ok());
-  Status third = controller.TryAdmitBatch();
+  EXPECT_TRUE(wfq.TryAdmitBatch(kDefaultTenant).ok());
+  EXPECT_TRUE(wfq.TryAdmitBatch(kDefaultTenant).ok());
+  Status third = wfq.TryAdmitBatch(kDefaultTenant);
   EXPECT_TRUE(third.IsResourceExhausted()) << third.ToString();
 
   // The two tickets batches may not touch still admit singles.
-  EXPECT_TRUE(controller.Admit().ok());
-  EXPECT_TRUE(controller.Admit().ok());
-  EXPECT_EQ(controller.inflight(), 4u);
+  EXPECT_TRUE(wfq.Admit(kDefaultTenant).ok());
+  EXPECT_TRUE(wfq.Admit(kDefaultTenant).ok());
+  EXPECT_EQ(wfq.inflight(), 4u);
 
   // Full house, empty queue: the next single sheds typed.
-  Status full = controller.Admit();
+  Status full = wfq.Admit(kDefaultTenant);
   EXPECT_TRUE(full.IsResourceExhausted()) << full.ToString();
 
-  controller.ReleaseBatch();
-  EXPECT_TRUE(controller.TryAdmitBatch().ok());  // batch slot freed
-  controller.Release();
-  controller.Release();
-  controller.ReleaseBatch();
-  controller.ReleaseBatch();
-  EXPECT_EQ(controller.inflight(), 0u);
+  wfq.ReleaseBatch(kDefaultTenant);
+  EXPECT_TRUE(wfq.TryAdmitBatch(kDefaultTenant).ok());  // batch slot freed
+  wfq.Release(kDefaultTenant);
+  wfq.Release(kDefaultTenant);
+  wfq.ReleaseBatch(kDefaultTenant);
+  wfq.ReleaseBatch(kDefaultTenant);
+  EXPECT_EQ(wfq.inflight(), 0u);
 
-  AdmissionController::Stats stats = controller.stats();
+  WfqAdmissionController::Stats stats = wfq.stats();
   EXPECT_EQ(stats.admitted, 5u);
   EXPECT_EQ(stats.shed, 2u);
 }
 
-TEST(AdmissionControllerTest, BoundedQueueWaitsThenSheds) {
-  AdmissionController controller({.max_inflight = 1, .max_queued = 1});
-  ASSERT_TRUE(controller.Admit().ok());  // occupy the only ticket
+TEST(WfqDefaultTenantTest, BoundedQueueWaitsThenSheds) {
+  TenantRegistry registry({.weight = 1, .max_inflight = 0, .max_queued = 1});
+  WfqAdmissionController wfq({.max_inflight = 1}, &registry);
+  ASSERT_TRUE(wfq.Admit(kDefaultTenant).ok());  // occupy the only ticket
 
   std::atomic<bool> waiter_admitted{false};
   std::thread waiter([&] {
-    Status s = controller.Admit();  // queues (1 of 1), then blocks
+    Status s = wfq.Admit(kDefaultTenant);  // queues (1 of 1), then blocks
     EXPECT_TRUE(s.ok()) << s.ToString();
     waiter_admitted.store(true);
-    controller.Release();
+    wfq.Release(kDefaultTenant);
   });
-  while (controller.queued() == 0) std::this_thread::yield();
+  while (wfq.queued() == 0) std::this_thread::yield();
   EXPECT_FALSE(waiter_admitted.load());
 
   // Queue is now full: a third caller is shed immediately, typed.
-  Status shed = controller.Admit();
+  Status shed = wfq.Admit(kDefaultTenant);
   EXPECT_TRUE(shed.IsResourceExhausted()) << shed.ToString();
 
   // Releasing the ticket hands it to the queued waiter, which completes:
   // admitted work is never shed after the fact.
-  controller.Release();
+  wfq.Release(kDefaultTenant);
   waiter.join();
   EXPECT_TRUE(waiter_admitted.load());
-  EXPECT_EQ(controller.inflight(), 0u);
-  EXPECT_EQ(controller.stats().shed, 1u);
-  EXPECT_EQ(controller.stats().admitted, 2u);
+  EXPECT_EQ(wfq.inflight(), 0u);
+  EXPECT_EQ(wfq.stats().shed, 1u);
+  EXPECT_EQ(wfq.stats().admitted, 2u);
 }
 
 // --- Executor-level shedding ------------------------------------------------
@@ -108,7 +100,6 @@ TEST(QueryExecutorAdmissionTest, OverCapacityBatchShedsTyped) {
   QueryExecutorOptions opt;
   opt.num_threads = 4;
   opt.max_inflight = 2;
-  opt.max_queued = 2;
   opt.batch_share = 1.0;
   auto executor = stack.engine->MakeExecutor(opt);
 
@@ -134,7 +125,7 @@ TEST(QueryExecutorAdmissionTest, OverCapacityBatchShedsTyped) {
   // whole overhang sheds. Generous slack for completions mid-submission.
   EXPECT_GE(shed, kBatch - 12);
   EXPECT_EQ(executor->front_door_stats().shed, shed);
-  EXPECT_EQ(executor->admission_controller()->inflight(), 0u);
+  EXPECT_EQ(executor->wfq_admission()->inflight(), 0u);
 }
 
 TEST(QueryExecutorAdmissionTest, SaturatingBatchCannotStarveSingles) {
@@ -154,7 +145,6 @@ TEST(QueryExecutorAdmissionTest, SaturatingBatchCannotStarveSingles) {
   QueryExecutorOptions opt;
   opt.num_threads = 4;
   opt.max_inflight = 4;
-  opt.max_queued = 4;
   opt.batch_share = 0.5;  // batches hold at most 2 of the 4 tickets
   auto executor = stack.engine->MakeExecutor(opt);
 
@@ -216,13 +206,12 @@ TEST(QueryExecutorAdmissionTest, MQueryLegsAreNotReadmitted) {
   opt.num_threads = 4;
   opt.parallel_mquery_legs = true;
   opt.max_inflight = 1;  // tightest possible: the m-query takes the ticket
-  opt.max_queued = 0;
   auto executor = stack.engine->MakeExecutor(opt);
   auto r = executor->Execute(*plan);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->segments, reference->segments);
   EXPECT_EQ(executor->front_door_stats().shed, 0u);
-  EXPECT_EQ(executor->admission_controller()->inflight(), 0u);
+  EXPECT_EQ(executor->wfq_admission()->inflight(), 0u);
 }
 
 }  // namespace

@@ -302,10 +302,10 @@ TEST(ObservationIngestorTest, CoalescesPerSegmentSlotAndMatchesSequential) {
   EXPECT_EQ(stats.published, 5u);
   EXPECT_EQ(live.version(), 1u) << "one publish for the whole batch";
 
-  // Oracle: the legacy one-at-a-time path over a private fork. Extremes
+  // Oracle: one-at-a-time ApplyObservation over a private copy. Extremes
   // (all the query path reads) are exact; the mean may differ by float
   // summation order.
-  SpeedProfile oracle = base.Fork();
+  SpeedProfile oracle = base;
   for (const SpeedObservation& o : obs) {
     oracle.ApplyObservation(o.segment, o.time_of_day_sec, o.speed_mps);
   }
@@ -407,9 +407,9 @@ TEST(LiveExecutorTest, ResultsRecordSnapshotVersionAndTrackRefreshes) {
   EpochManager epochs;
   LiveProfileManager live(epochs, engine.speed_profile(),
                           engine.con_index());
-  QueryExecutor exec(engine.network(), engine.st_index(), engine.con_index(),
-                     engine.speed_profile(), engine.delta_t_seconds(),
-                     QueryExecutorOptions{.num_threads = 1}, &live);
+  QueryExecutor exec(engine.network(), engine.st_index(), live,
+                     engine.delta_t_seconds(),
+                     QueryExecutorOptions{.num_threads = 1});
 
   auto plan = engine.planner().PlanSQuery({stack.dataset.center, HMS(9), 600,
                                            0.2});
@@ -430,12 +430,12 @@ TEST(LiveExecutorTest, ResultsRecordSnapshotVersionAndTrackRefreshes) {
   EXPECT_EQ(after->stats.snapshot_version, live.version());
   EXPECT_EQ(exec.front_door_stats().snapshot_version, live.version());
 
-  // The static engine path is untouched by live publishes.
+  // The engine's own snapshots are untouched by this manager's publishes.
   auto static_result = engine.SQueryIndexed({stack.dataset.center, HMS(9),
                                              600, 0.2});
   ASSERT_TRUE(static_result.ok());
   EXPECT_EQ(static_result->segments, before->segments)
-      << "live publishes must not leak into the engine-built indexes";
+      << "publishes must not leak into the engine-built indexes";
 }
 
 TEST(LiveExecutorTest, FrontDoorStatsExposePoolCounters) {
@@ -473,11 +473,10 @@ TEST(LiveExecutorTest, ConcurrentQueryIngestHammerServesConsistentSnapshots) {
   EpochManager epochs(epoch_opt);
   LiveProfileManager live(epochs, engine.speed_profile(),
                           engine.con_index());
-  QueryExecutor exec(engine.network(), engine.st_index(), engine.con_index(),
-                     engine.speed_profile(), engine.delta_t_seconds(),
+  QueryExecutor exec(engine.network(), engine.st_index(), live,
+                     engine.delta_t_seconds(),
                      QueryExecutorOptions{.num_threads = 4,
-                                          .result_cache_entries = 256},
-                     &live);
+                                          .result_cache_entries = 256});
   // No manual invalidation wiring: the executor registered its cache with
   // the live manager at construction — this hammer exercises exactly that
   // fan-out (a stale cache serve would surface as a version mismatch).
@@ -557,7 +556,7 @@ TEST(LiveExecutorTest, ConcurrentQueryIngestHammerServesConsistentSnapshots) {
   }
 
   // Final consistency: the live executor's answer matches a from-scratch
-  // executor bound statically to the final snapshot's indexes. A miss
+  // executor whose version 0 is the final snapshot's indexes. A miss
   // runs on exactly the final snapshot. A cache hit may be stamped with
   // an older version: Δt-slot invalidation keeps an entry across
   // publishes that left its slots untouched, so it must still equal the
@@ -571,8 +570,9 @@ TEST(LiveExecutorTest, ConcurrentQueryIngestHammerServesConsistentSnapshots) {
     } else {
       ASSERT_EQ(live_result->stats.snapshot_version, fin.version());
     }
-    QueryExecutor static_exec(engine.network(), engine.st_index(),
-                              fin.con_index(), fin.profile(),
+    EpochManager fin_epochs;
+    LiveProfileManager fin_live(fin_epochs, fin.profile(), fin.con_index());
+    QueryExecutor static_exec(engine.network(), engine.st_index(), fin_live,
                               engine.delta_t_seconds(),
                               QueryExecutorOptions{.num_threads = 1});
     auto static_result = static_exec.Execute(*plan);
@@ -589,14 +589,14 @@ TEST(LiveExecutorTest, ConcurrentQueryIngestHammerServesConsistentSnapshots) {
 
 // --- Engine end-to-end -------------------------------------------------------
 
-TEST(LiveEngineTest, ApplySpeedObservationRoutesThroughIngestor) {
+TEST(LiveEngineTest, OfferObservationRoutesThroughIngestor) {
   ReachabilityEngine& engine = *GetLiveStack().engine;
   ASSERT_NE(engine.live_manager(), nullptr);
   ASSERT_NE(engine.ingestor(), nullptr);
   uint64_t version_before = engine.live_manager()->version();
   double base_min =
       engine.speed_profile().MinSpeed(0, HMS(3));  // quiet 3am slot
-  engine.ApplySpeedObservation(0, HMS(3), 0.9);
+  ASSERT_TRUE(engine.OfferObservation({0, HMS(3), 0.9}));
   auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
   while (engine.live_manager()->version() == version_before &&
          std::chrono::steady_clock::now() < deadline) {

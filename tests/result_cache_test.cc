@@ -12,6 +12,7 @@
 #include "core/query_executor.h"
 #include "core/reachability_engine.h"
 #include "core/result_cache.h"
+#include "obs/metrics.h"
 #include "query/query_plan.h"
 #include "tests/test_util.h"
 
@@ -367,7 +368,16 @@ TEST(ResultCacheExecutorTest, BatchesServeRepeatsFromCache) {
   ASSERT_EQ(warm.size(), plans.size());
   for (const auto& r : warm) ASSERT_TRUE(r.ok()) << r.status().ToString();
 
+  // Hits served by the multi-thread fan-out count as queries exactly as
+  // they do on the inline (1-thread) path.
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  obs::Counter& queries = metrics.GetCounter("strr_queries_total");
+  const bool metrics_were_enabled = metrics.enabled();
+  metrics.set_enabled(true);
+  const uint64_t queries_before = queries.Value();
   auto repeat = executor->ExecuteBatch(plans);
+  const uint64_t queries_after = queries.Value();
+  metrics.set_enabled(metrics_were_enabled);
   ASSERT_EQ(repeat.size(), plans.size());
   for (size_t i = 0; i < repeat.size(); ++i) {
     ASSERT_TRUE(repeat[i].ok());
@@ -375,19 +385,21 @@ TEST(ResultCacheExecutorTest, BatchesServeRepeatsFromCache) {
     EXPECT_EQ(repeat[i]->segments, warm[i]->segments);
   }
   EXPECT_GE(executor->front_door_stats().cache_hits, plans.size());
+  EXPECT_EQ(queries_after - queries_before, plans.size());
 }
 
 // --- Δt-slot invalidation end to end ----------------------------------------
 
 TEST(ResultCacheExecutorTest, SpeedRefreshInvalidatesAffectedSlotsOnly) {
-  // Fresh engine: this test mutates the speed profile, which must never
-  // leak into the shared stack other suites measure against.
+  // Fresh live engine: this test publishes speed refreshes, which must
+  // never leak into the shared stack other suites measure against.
   auto& stack = GetSharedStack();
   EngineOptions opt;
   opt.work_dir = testing_util::MakeTempDir("cache_invalidation");
   opt.delta_t_seconds = 300;
   opt.query_threads = 2;
   opt.result_cache_entries = 128;
+  opt.live_ingestion = true;
   auto built = ReachabilityEngine::Build(stack.dataset.network,
                                          *stack.dataset.store, opt);
   ASSERT_TRUE(built.ok()) << built.status().ToString();
@@ -410,7 +422,8 @@ TEST(ResultCacheExecutorTest, SpeedRefreshInvalidatesAffectedSlotsOnly) {
   // A live observation at 11:05 covers the 11:00-12:00 profile slot: the
   // rush entry must drop, the morning entry must keep serving.
   SegmentId start_seg = rush->location_starts[0][0];
-  engine.ApplySpeedObservation(start_seg, HMS(11, 5), 0.8);
+  ASSERT_TRUE(engine.OfferObservation({start_seg, HMS(11, 5), 0.8}));
+  engine.ingestor()->Flush();
   EXPECT_GT(engine.executor().front_door_stats().cache_invalidated, 0u);
 
   auto morning_warm = engine.executor().Execute(*morning);
@@ -482,7 +495,7 @@ TEST(ResultCacheExecutorTest, HammerMixedHotColdNeverTearsResults) {
   // One thread keeps invalidating the hot window while clients hammer it.
   std::thread invalidator([&] {
     while (!stop.load()) {
-      executor->InvalidateCachedTimeRange(HMS(11), HMS(11, 10));
+      executor->result_cache()->InvalidateTimeRange(HMS(11), HMS(11, 10));
       std::this_thread::yield();
     }
   });

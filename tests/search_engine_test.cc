@@ -391,8 +391,8 @@ TEST(SearchConcurrencyTest, QueryIngestHammer) {
     while (!stop.load()) {
       SegmentId seg = static_cast<SegmentId>(
           i % base.dataset.network.NumSegments());
-      engine.ApplySpeedObservation(seg, HMS(11, static_cast<int>(i % 60)),
-                                   3.0 + static_cast<double>(i % 14));
+      engine.OfferObservation({seg, HMS(11, static_cast<int>(i % 60)),
+                               3.0 + static_cast<double>(i % 14)});
       ++i;
       std::this_thread::yield();
     }

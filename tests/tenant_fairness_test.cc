@@ -2,10 +2,10 @@
 // accounting, WfqAdmissionController quota isolation and deficit-round-
 // robin dispatch (deterministic grant-order and weighted completion-ratio
 // properties, no-starvation), executor-level tenancy (typed per-tenant
-// shedding, tenant-scoped vs shared caching, off-knob bit-identity with
-// the PR-4 front door), per-tenant front_door_stats() aggregation under
-// concurrent mixed-tenant load, and a TSan hammer mixing tenants with
-// live ingestion.
+// shedding, tenant-scoped vs shared caching, exact default-tenant
+// counters for single-tenant traffic), per-tenant front_door_stats()
+// aggregation under concurrent mixed-tenant load, and a TSan hammer
+// mixing tenants with live ingestion.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -29,6 +29,17 @@ namespace {
 
 using testing_util::GetSharedStack;
 using testing_util::MakeTempDir;
+
+/// A standalone executor over the shared stack. It owns a private tenant
+/// registry, so configs and counters start from zero in every test
+/// (MakeExecutor would share the engine-wide registry).
+std::unique_ptr<QueryExecutor> MakeStandaloneExecutor(
+    const QueryExecutorOptions& options) {
+  ReachabilityEngine& engine = *GetSharedStack().engine;
+  return std::make_unique<QueryExecutor>(
+      engine.network(), engine.st_index(), *engine.live_manager(),
+      engine.delta_t_seconds(), options);
+}
 
 // --- TenantRegistry units ----------------------------------------------------
 
@@ -105,11 +116,25 @@ TEST(TenantRegistryTest, LoadFromFileParsesAndRejectsAtomically) {
   EXPECT_EQ(registry.config(2).max_inflight, 0u);
   EXPECT_EQ(registry.reloads(), 1u);
 
-  // A malformed line rejects the whole load and leaves configs untouched.
-  WriteConfigFile(path, "1 9 9 9\nnot a config line\n");
-  EXPECT_FALSE(registry.LoadFromFile(path).ok());
-  EXPECT_EQ(registry.config(1).weight, 4u) << "partial load applied";
-  EXPECT_EQ(registry.reloads(), 1u);
+  // A malformed line rejects the whole load and leaves configs untouched:
+  // junk, negative numbers (which `>> uint64_t` wraps to 2^64-1) and
+  // values beyond the 32-bit tenant id / weight fields.
+  for (const char* bad : {"not a config line", "-1 1 0 64", "7 -1 0 64",
+                          "7 4294967298 0 64", "4294967296 1 0 64",
+                          "7 1 -3 64", "7 1 0 -64"}) {
+    WriteConfigFile(path, std::string("1 9 9 9\n") + bad + "\n");
+    Status status = registry.LoadFromFile(path);
+    const std::string what = std::string(bad) + ": " + status.ToString();
+    EXPECT_TRUE(status.IsInvalidArgument()) << what;
+    EXPECT_NE(status.message().find(":2:"), std::string::npos) << what;
+    EXPECT_EQ(registry.config(1).weight, 4u) << what << " (partial load)";
+    EXPECT_EQ(registry.config(7).weight, 1u) << what;
+    EXPECT_EQ(registry.reloads(), 1u) << what;
+  }
+  // The largest values each field holds still load.
+  WriteConfigFile(path, "4294967295 4294967295 0 64\n");
+  STRR_ASSERT_OK(registry.LoadFromFile(path));
+  EXPECT_EQ(registry.config(4294967295u).weight, 4294967295u);
 
   EXPECT_FALSE(registry.LoadFromFile(dir + "/absent.cfg").ok());
 }
@@ -173,17 +198,15 @@ TEST(TenantRegistryTest, EngineWiresConfigFileIntoRegistry) {
   opt.work_dir = MakeTempDir("tenant_engine");
   opt.delta_t_seconds = 300;
   opt.tenant_config_path = path;
-  // The config file requires a registry to load into.
-  EXPECT_TRUE(ReachabilityEngine::Build(stack.dataset.network,
-                                        *stack.dataset.store, opt)
-                  .status()
-                  .IsInvalidArgument());
-
-  opt.tenant_fairness = true;
   auto engine = ReachabilityEngine::Build(stack.dataset.network,
                                           *stack.dataset.store, opt);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-  ASSERT_NE((*engine)->tenant_registry(), nullptr);
+  TenantRegistry* registry = (*engine)->tenant_registry();
+  ASSERT_NE(registry, nullptr);
+  // Every executor over the engine attributes to the one registry.
+  EXPECT_EQ((*engine)->executor().tenant_registry(), registry);
+  EXPECT_EQ((*engine)->MakeExecutor({.num_threads = 1})->tenant_registry(),
+            registry);
   EXPECT_EQ((*engine)->tenant_registry()->config(3).weight, 2u);
   EXPECT_EQ((*engine)->tenant_registry()->config(3).max_inflight, 8u);
   EXPECT_GE((*engine)->tenant_registry()->reloads(), 1u);
@@ -196,6 +219,10 @@ TEST(WfqAdmissionTest, DisabledControllerAdmitsEverything) {
   for (TenantId t = 0; t < 5; ++t) {
     EXPECT_TRUE(wfq.Admit(t).ok());
     EXPECT_TRUE(wfq.TryAdmitBatch(t).ok());
+  }
+  for (int i = 0; i < 100; ++i) {  // single-tenant traffic
+    EXPECT_TRUE(wfq.Admit(kDefaultTenant).ok());
+    EXPECT_TRUE(wfq.TryAdmitBatch(kDefaultTenant).ok());
   }
   EXPECT_EQ(wfq.stats().shed, 0u);
 }
@@ -305,6 +332,54 @@ TEST(WfqAdmissionTest, DeficitRoundRobinGrantOrderFollowsWeights) {
   EXPECT_EQ(order, expected);
   EXPECT_EQ(wfq.inflight(), 0u);
   EXPECT_EQ(wfq.queued(), 0u);
+}
+
+TEST(WfqAdmissionTest, TenantReenteringAtRingEndCannotJumpTheFront) {
+  // Regression: when the tenant at the end of the DRR ring drained and
+  // left it, the ring position stayed one past the end, so the same
+  // tenant re-entering (appended at the end) took the next turn ahead of
+  // the tenant at the front. Under saturation this starved a light
+  // tenant for long stretches. One ticket; grants are recorded in order
+  // and released from here, so the sequence is deterministic.
+  TenantRegistry registry;
+  WfqAdmissionController wfq({.max_inflight = 1}, &registry);
+  ASSERT_TRUE(wfq.Admit(99).ok());  // occupy the only ticket
+
+  std::mutex order_mu;
+  std::vector<TenantId> order;
+  std::vector<std::thread> waiters;
+  auto spawn_waiter = [&](TenantId tenant) {
+    size_t queued_before = wfq.queued();
+    waiters.emplace_back([&wfq, &order_mu, &order, tenant] {
+      ASSERT_TRUE(wfq.Admit(tenant).ok());
+      std::lock_guard<std::mutex> lock(order_mu);
+      order.push_back(tenant);
+    });
+    while (wfq.queued() == queued_before) std::this_thread::yield();
+  };
+  auto granted = [&] {
+    std::lock_guard<std::mutex> lock(order_mu);
+    return order.size();
+  };
+  auto release_and_await = [&](TenantId holder, size_t grants) {
+    wfq.Release(holder);
+    while (granted() < grants) std::this_thread::yield();
+  };
+
+  spawn_waiter(1);
+  spawn_waiter(1);
+  spawn_waiter(2);                // ring [1, 2]
+  release_and_await(99, 1);       // tenant 1's turn
+  release_and_await(1, 2);        // tenant 2's turn drains it off the ring
+  spawn_waiter(2);                // tenant 2 re-enters at the ring end
+  release_and_await(2, 3);        // the front tenant's turn, not 2's again
+  release_and_await(order[2], 4);
+  wfq.Release(order[3]);
+  for (auto& t : waiters) t.join();
+
+  std::vector<TenantId> expected = {1, 2, 1, 2};
+  EXPECT_EQ(order, expected);
+  EXPECT_EQ(wfq.inflight(), 0u);
 }
 
 TEST(WfqAdmissionTest, CompletionRatioTracksWeightsUnderSaturation) {
@@ -532,8 +607,7 @@ TEST(TenantFairnessExecutorTest, WeightedThroughputUnderSaturation) {
   QueryExecutorOptions opt;
   opt.num_threads = 1;
   opt.max_inflight = 2;
-  opt.tenant_fairness = true;
-  auto executor = stack.engine->MakeExecutor(opt);
+  auto executor = MakeStandaloneExecutor(opt);
   ASSERT_NE(executor->wfq_admission(), nullptr);
   TenantRegistry* registry = executor->tenant_registry();
   ASSERT_NE(registry, nullptr);
@@ -602,8 +676,7 @@ TEST(TenantFairnessExecutorTest, QuotaShedsTypedWhileOtherTenantIsServed) {
   opt.num_threads = 4;
   opt.max_inflight = 8;
   opt.batch_share = 1.0;
-  opt.tenant_fairness = true;
-  auto executor = stack.engine->MakeExecutor(opt);
+  auto executor = MakeStandaloneExecutor(opt);
   TenantRegistry* registry = executor->tenant_registry();
   registry->Configure(7, {.weight = 1, .max_inflight = 1, .max_queued = 0});
 
@@ -644,24 +717,6 @@ TEST(TenantFairnessExecutorTest, QuotaShedsTypedWhileOtherTenantIsServed) {
   EXPECT_EQ(executor->wfq_admission()->inflight(), 0u);
 }
 
-TEST(TenantFairnessExecutorTest, ExecutorMaxQueuedCapsDefaultTenantBound) {
-  // Regression: {max_inflight, max_queued} must keep meaning what it
-  // means on the plain admission path — the executor-level queue bound
-  // caps the default per-tenant waiting bound in the owned registry.
-  auto& stack = GetSharedStack();
-  QueryExecutorOptions opt;
-  opt.num_threads = 1;
-  opt.max_inflight = 2;
-  opt.max_queued = 3;
-  opt.tenant_fairness = true;
-  auto executor = stack.engine->MakeExecutor(opt);
-  EXPECT_EQ(executor->tenant_registry()->config(42).max_queued, 3u);
-  // An explicit Configure may still exceed the executor default.
-  executor->tenant_registry()->Configure(
-      7, {.weight = 1, .max_inflight = 0, .max_queued = 50});
-  EXPECT_EQ(executor->tenant_registry()->config(7).max_queued, 50u);
-}
-
 TEST(TenantFairnessExecutorTest, TenantScopedCacheIsolatesAndKnobShares) {
   auto& stack = GetSharedStack();
   auto plan = stack.engine->planner().PlanSQuery(
@@ -677,8 +732,7 @@ TEST(TenantFairnessExecutorTest, TenantScopedCacheIsolatesAndKnobShares) {
     QueryExecutorOptions opt;
     opt.num_threads = 1;
     opt.result_cache_entries = 64;
-    opt.tenant_fairness = true;
-    auto executor = stack.engine->MakeExecutor(opt);
+    auto executor = MakeStandaloneExecutor(opt);
     ASSERT_TRUE(executor->Execute(t1).ok());
     auto second = executor->Execute(t2);
     ASSERT_TRUE(second.ok());
@@ -699,9 +753,8 @@ TEST(TenantFairnessExecutorTest, TenantScopedCacheIsolatesAndKnobShares) {
     QueryExecutorOptions opt;
     opt.num_threads = 1;
     opt.result_cache_entries = 64;
-    opt.tenant_fairness = true;
     opt.tenant_shared_cache = true;
-    auto executor = stack.engine->MakeExecutor(opt);
+    auto executor = MakeStandaloneExecutor(opt);
     ASSERT_TRUE(executor->Execute(t1).ok());
     auto second = executor->Execute(t2);
     ASSERT_TRUE(second.ok());
@@ -710,13 +763,13 @@ TEST(TenantFairnessExecutorTest, TenantScopedCacheIsolatesAndKnobShares) {
   }
 }
 
-TEST(TenantFairnessExecutorTest, TenancyOffMatchesPlainFrontDoorExactly) {
-  // Regression for the acceptance criterion "with tenancy knobs off,
-  // front-door behavior is bit-identical to PR-4": same workload through
-  // a plain executor and a tenant-aware one (all plans on the default
-  // tenant) must produce identical regions, identical cache counters and
-  // identical admission counters; and the plain executor must not even
-  // construct the tenancy machinery.
+TEST(TenantFairnessExecutorTest, DefaultTenantFrontDoorCountsExactly) {
+  // Single-tenant traffic is the default tenant of the one WFQ front
+  // door. Six distinct plans, each run twice through a cached,
+  // admission-gated executor: every first run misses, is admitted and
+  // completes; every repeat hits without touching admission. The counts
+  // below are the ones the former tenant-blind controller produced on the
+  // same workload, and regions match the uncached engine executor.
   auto& stack = GetSharedStack();
   const QueryPlanner& planner = stack.engine->planner();
   std::vector<QueryPlan> plans;
@@ -728,37 +781,36 @@ TEST(TenantFairnessExecutorTest, TenancyOffMatchesPlainFrontDoorExactly) {
     plans.push_back(*plan);  // repeats exercise the cache path
   }
 
-  QueryExecutorOptions plain_opt;
-  plain_opt.num_threads = 1;
-  plain_opt.result_cache_entries = 64;
-  plain_opt.max_inflight = 4;
-  auto plain = stack.engine->MakeExecutor(plain_opt);
-  EXPECT_EQ(plain->wfq_admission(), nullptr);
-  EXPECT_EQ(plain->tenant_registry(), nullptr);
-  EXPECT_TRUE(plain->front_door_stats().tenants.empty());
+  QueryExecutorOptions opt;
+  opt.num_threads = 1;
+  opt.result_cache_entries = 64;
+  opt.max_inflight = 4;
+  auto executor = MakeStandaloneExecutor(opt);
+  ASSERT_NE(executor->wfq_admission(), nullptr);
 
-  QueryExecutorOptions tenant_opt = plain_opt;
-  tenant_opt.tenant_fairness = true;
-  auto tenanted = stack.engine->MakeExecutor(tenant_opt);
-  ASSERT_NE(tenanted->wfq_admission(), nullptr);
-
-  for (const QueryPlan& plan : plans) {
-    auto a = plain->Execute(plan);
-    auto b = tenanted->Execute(plan);
-    ASSERT_TRUE(a.ok()) << a.status().ToString();
-    ASSERT_TRUE(b.ok()) << b.status().ToString();
-    EXPECT_EQ(a->segments, b->segments);
-    EXPECT_EQ(a->stats.cache_hit, b->stats.cache_hit);
+  for (size_t i = 0; i < plans.size(); ++i) {
+    auto reference = stack.engine->executor().Execute(plans[i]);
+    auto result = executor->Execute(plans[i]);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->segments, reference->segments);
+    EXPECT_EQ(result->stats.cache_hit, i % 2 == 1) << "plan " << i;
   }
-  QueryExecutor::FrontDoorStats plain_stats = plain->front_door_stats();
-  QueryExecutor::FrontDoorStats tenant_stats = tenanted->front_door_stats();
-  EXPECT_EQ(plain_stats.cache_hits, tenant_stats.cache_hits);
-  EXPECT_EQ(plain_stats.cache_misses, tenant_stats.cache_misses);
-  EXPECT_EQ(plain_stats.admitted, tenant_stats.admitted);
-  EXPECT_EQ(plain_stats.shed, tenant_stats.shed);
-  // The tenant-aware stats carry exactly one tenant: the default one.
-  ASSERT_EQ(tenant_stats.tenants.size(), 1u);
-  EXPECT_EQ(tenant_stats.tenants[0].tenant, kDefaultTenant);
+  QueryExecutor::FrontDoorStats stats = executor->front_door_stats();
+  EXPECT_EQ(stats.cache_hits, 6u);
+  EXPECT_EQ(stats.cache_misses, 6u);
+  EXPECT_EQ(stats.admitted, 6u);
+  EXPECT_EQ(stats.shed, 0u);
+  // The stats carry exactly one tenant: the default one.
+  ASSERT_EQ(stats.tenants.size(), 1u);
+  const TenantCounters& tenant = stats.tenants[0];
+  EXPECT_EQ(tenant.tenant, kDefaultTenant);
+  EXPECT_EQ(tenant.admitted, 6u);
+  EXPECT_EQ(tenant.completed, 6u);
+  EXPECT_EQ(tenant.cache_hits, 6u);
+  EXPECT_EQ(tenant.cache_misses, 6u);
+  EXPECT_EQ(tenant.shed, 0u);
+  EXPECT_EQ(tenant.inflight, 0u);
 }
 
 // --- front_door_stats() aggregation under concurrent mixed-tenant load -------
@@ -788,8 +840,7 @@ TEST(TenantFairnessExecutorTest, StatsAggregateAcrossTenantsUnderLoad) {
   opt.num_threads = 2;
   opt.result_cache_entries = 64;
   opt.max_inflight = 4;
-  opt.tenant_fairness = true;
-  auto executor = stack.engine->MakeExecutor(opt);
+  auto executor = MakeStandaloneExecutor(opt);
   TenantRegistry* registry = executor->tenant_registry();
 
   constexpr int kRoundsPerClient = 8;
@@ -862,7 +913,6 @@ TEST(TenantFairnessLiveTest, MixedTenantHammerWithLiveIngestion) {
   opt.query_threads = 2;
   opt.result_cache_entries = 128;
   opt.max_inflight_queries = 4;
-  opt.tenant_fairness = true;
   opt.live_ingestion = true;
   opt.live_batch_window_ms = 20;
   auto engine_or = ReachabilityEngine::Build(stack.dataset.network,
@@ -909,7 +959,7 @@ TEST(TenantFairnessLiveTest, MixedTenantHammerWithLiveIngestion) {
     while (!stop.load()) {
       SegmentId seg = static_cast<SegmentId>(i % network.NumSegments());
       int64_t tod = static_cast<int64_t>((i * 977) % kSecondsPerDay);
-      engine->ApplySpeedObservation(seg, tod, 6.0 + (i % 7));
+      engine->OfferObservation({seg, tod, 6.0 + (i % 7)});
       ++i;
       std::this_thread::sleep_for(std::chrono::microseconds(500));
     }

@@ -48,7 +48,6 @@ int Run(const std::string& out_dir) {
   // Tiny admission capacity: the concurrent mix below must queue, so the
   // trace shows real admission_wait spans, not zero-length ones.
   opt.max_inflight_queries = 2;
-  opt.max_queued_queries = 64;
   // Result cache + live snapshots on, so cache_lookup / cache_insert /
   // snapshot_pin spans appear in the trace alongside the search spans.
   opt.result_cache_entries = 256;
