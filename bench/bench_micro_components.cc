@@ -122,7 +122,9 @@ void BM_PostingStoreGet(benchmark::State& state) {
     }
     (void)(*builder)->Finish();
   }
-  auto store = PostingStore::Open(path, static_cast<size_t>(state.range(0)));
+  const PostingGrid grid{1, kEntries};
+  const size_t cache_pages = static_cast<size_t>(state.range(0));
+  auto store = PostingStore::Open(path, grid, cache_pages);
   Rng rng(13);
   for (auto _ : state) {
     auto blob =

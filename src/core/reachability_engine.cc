@@ -70,7 +70,6 @@ StatusOr<std::unique_ptr<ReachabilityEngine>> ReachabilityEngine::Build(
   st_opt.cache_policy = options.block_cache_tinylfu ? CachePolicy::kTinyLfu
                                                     : CachePolicy::kLru;
   st_opt.cache_protected_share = options.block_cache_protected_share;
-  st_opt.posting_bloom_bits_per_key = options.posting_bloom_bits_per_key;
   STRR_ASSIGN_OR_RETURN(engine->st_index_,
                         StIndex::Build(network, store, st_opt));
 

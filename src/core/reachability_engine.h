@@ -158,9 +158,6 @@ struct EngineOptions {
   /// of plain LRU (scan-resistant; per-role metric labels).
   bool block_cache_tinylfu = false;
   double block_cache_protected_share = 0.8;
-  /// Bloom doorkeeper over ST-Index posting keys: cold-start point probes
-  /// for traffic-less (segment, slot) pairs skip the store. 0 disables.
-  int posting_bloom_bits_per_key = 0;
   /// Location match radius for planning (see
   /// StIndexOptions::max_locate_distance_m); <= 0 restores unconditional
   /// snap-to-nearest.

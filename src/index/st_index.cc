@@ -38,21 +38,50 @@ std::string EncodeTimeList(
   return w.Release();
 }
 
+/// Decodes one LEB128 varint32 at `*p`, advancing it. Returns nullptr on
+/// success, else the Corruption message BinaryReader::GetVarint32 gives
+/// for the same bytes (a fifth byte's bits above 32 are dropped there too).
+inline const char* DecodeVarint32(const uint8_t** p, const uint8_t* end,
+                                  uint32_t* value) {
+  const uint8_t* q = *p;
+  uint32_t result = 0;
+  for (int shift = 0; shift <= 28; shift += 7) {
+    if (q == end) return "truncated input reading varint32";
+    const uint32_t byte = *q++;
+    result |= (byte & 0x7f) << shift;
+    if (byte < 0x80) {
+      *p = q;
+      *value = result;
+      return nullptr;
+    }
+  }
+  return "varint32 too long";
+}
+
 /// The one decoder of EncodeTimeList's format. For each present day it
 /// calls visitor.BeginDay(day, count); when that returns true the day's
 /// ids follow, delta-decoded, through visitor.Id(id) until it returns
 /// false. Ids the visitor declines are still decoded, so every blob is
 /// checked in full: a truncated or over-long varint, a day out of range or
 /// not after the previous one, and an id count larger than the bytes left
-/// are all Corruption.
+/// are all Corruption. Varints are read by a pointer loop with no Status
+/// per value; only a failure builds one.
 template <typename Visitor>
 Status DecodeTimeList(const std::string& blob, int32_t num_days,
                       Visitor& visitor) {
-  BinaryReader in(blob);
-  STRR_ASSIGN_OR_RETURN(uint32_t day_count, in.GetVarint32());
+  const auto* p = reinterpret_cast<const uint8_t*>(blob.data());
+  const uint8_t* const end = p + blob.size();
+  const char* error = nullptr;
+  auto next = [&](uint32_t* value) {
+    error = DecodeVarint32(&p, end, value);
+    return error == nullptr;
+  };
+  uint32_t day_count;
+  if (!next(&day_count)) return Status::Corruption(error);
   int64_t prev_day = -1;
   for (uint32_t i = 0; i < day_count; ++i) {
-    STRR_ASSIGN_OR_RETURN(uint32_t day, in.GetVarint32());
+    uint32_t day;
+    if (!next(&day)) return Status::Corruption(error);
     if (day >= static_cast<uint32_t>(num_days)) {
       return Status::Corruption("time list day out of range");
     }
@@ -60,16 +89,18 @@ Status DecodeTimeList(const std::string& blob, int32_t num_days,
       return Status::Corruption("time list days out of order");
     }
     prev_day = day;
-    STRR_ASSIGN_OR_RETURN(uint32_t count, in.GetVarint32());
+    uint32_t count;
+    if (!next(&count)) return Status::Corruption(error);
     // Each id costs at least one byte: reject impossible counts before the
     // visitor reserves for them.
-    if (count > in.RemainingBytes()) {
+    if (count > static_cast<size_t>(end - p)) {
       return Status::Corruption("u32 list count exceeds remaining bytes");
     }
     bool want = visitor.BeginDay(day, count);
     uint32_t id = 0;
     for (uint32_t k = 0; k < count; ++k) {
-      STRR_ASSIGN_OR_RETURN(uint32_t delta, in.GetVarint32());
+      uint32_t delta;
+      if (!next(&delta)) return Status::Corruption(error);
       id += delta;
       if (want) want = visitor.Id(id);
     }
@@ -211,10 +242,11 @@ StatusOr<std::unique_ptr<StIndex>> StIndex::Build(
   store_options.page_size = options.page_size;
   store_options.cache_policy = options.cache_policy;
   store_options.cache_protected_share = options.cache_protected_share;
-  store_options.bloom_bits_per_key = options.posting_bloom_bits_per_key;
   store_options.role = "posting";
+  const PostingGrid grid{static_cast<uint32_t>(network.NumSegments()),
+                         static_cast<uint32_t>(index->slots_per_day_)};
   STRR_ASSIGN_OR_RETURN(index->postings_,
-                        PostingStore::Open(options.posting_path,
+                        PostingStore::Open(options.posting_path, grid,
                                            store_options));
   return index;
 }
@@ -292,7 +324,7 @@ StatusOr<int> StIndex::MarkDaysIntersecting(
       bool found,
       postings_->GetInto(MakePostingKey(seg, static_cast<uint32_t>(slot)),
                          &blob));
-  if (!found) return 0;
+  if (!found) return kNoTimeList;
   IntersectDays intersect{&start_ids, day_hit};
   STRR_RETURN_IF_ERROR(DecodeTimeList(blob, num_days_, intersect));
   return intersect.marked;

@@ -9,7 +9,10 @@
 //  * Time lists — for each (segment, slot), the per-date lists of
 //    trajectory IDs that traversed the segment in that slot. These live on
 //    disk in a PostingStore and are read through a BufferPool, so every
-//    access is measurable I/O.
+//    access is measurable I/O. Build opens the store over the grid
+//    NumSegments() × slots_per_day(), the shape of its dense in-memory
+//    directory: whether a (segment, slot) has a time list is one bitmap
+//    test, with no filter in front of it.
 #ifndef STRR_INDEX_ST_INDEX_H_
 #define STRR_INDEX_ST_INDEX_H_
 
@@ -48,9 +51,6 @@ struct StIndexOptions {
   /// scan-resistant cache; the metric series are labeled role="posting").
   CachePolicy cache_policy = CachePolicy::kLru;
   double cache_protected_share = 0.8;
-  /// Bloom doorkeeper over posting keys: point probes for (segment, slot)
-  /// pairs with no traffic skip the store entirely. 0 disables.
-  int posting_bloom_bits_per_key = 0;
 };
 
 /// Per-day trajectory-ID lists for one (segment, slot): time_lists[d] is
@@ -106,12 +106,16 @@ class StIndex {
   /// the sorted start_ids[d]. The posting is decoded straight from a
   /// per-thread buffer and each day's ids are merge-tested as they are
   /// delta-decoded. Same I/O and same corruption checks as ReadTimeList
-  /// (one decoder serves both). Returns the number of days newly marked;
-  /// a (seg, slot) without traffic marks none and costs no I/O.
+  /// (one decoder serves both). Returns the number of days newly marked,
+  /// or kNoTimeList when (seg, slot) has no traffic (no I/O then), so a
+  /// caller needs no separate HasTraffic probe.
   StatusOr<int> MarkDaysIntersecting(
       SegmentId seg, SlotId slot,
       const std::vector<std::vector<TrajectoryId>>& start_ids,
       std::vector<uint8_t>* day_hit) const;
+
+  /// MarkDaysIntersecting's result for a (segment, slot) without traffic.
+  static constexpr int kNoTimeList = -1;
 
   /// True when some trajectory traversed (segment, slot) on any day —
   /// directory-only check, no I/O.
@@ -126,10 +130,6 @@ class StIndex {
   const RTree& rtree() const { return rtree_; }
   const BPlusTree& temporal_tree() const { return temporal_; }
   uint64_t NumPostings() const { return postings_->NumEntries(); }
-  /// Absent-key probes the posting bloom doorkeeper short-circuited.
-  uint64_t PostingBloomNegatives() const {
-    return postings_->BloomNegatives();
-  }
   const RoadNetwork& network() const { return *network_; }
 
  private:

@@ -68,10 +68,10 @@ StatusOr<double> ReachabilityProbability::Probability(SegmentId r) {
   day_hit.assign(static_cast<size_t>(num_days), 0);
   int hits = 0;
   for (SlotId slot : candidate_slots_) {
-    if (!st_index_->HasTraffic(r, slot)) continue;  // directory check, no IO
     STRR_ASSIGN_OR_RETURN(
         int marked,
         st_index_->MarkDaysIntersecting(r, slot, start_ids_, &day_hit));
+    if (marked == StIndex::kNoTimeList) continue;  // no traffic, no I/O
     ++time_lists_read_;
     hits += marked;
     if (hits == num_days) break;  // cannot improve further

@@ -11,9 +11,11 @@
 // their time lists from the ST-Index (this is the disk I/O the SQMB/TBS
 // machinery exists to minimize). Verification never materialises a
 // candidate's TimeList: StIndex::MarkDaysIntersecting merge-tests the
-// decoded ids against the start lists as it goes. Multi-location queries
-// pass several start segments; their per-day ID lists are unioned
-// (reachable from ANY start).
+// decoded ids against the start lists as it goes. Each duration slot costs
+// one directory probe: MarkDaysIntersecting itself reports a (segment,
+// slot) without traffic, so time_lists_read() counts present lists only.
+// Multi-location queries pass several start segments; their per-day ID
+// lists are unioned (reachable from ANY start).
 #ifndef STRR_QUERY_PROBABILITY_H_
 #define STRR_QUERY_PROBABILITY_H_
 

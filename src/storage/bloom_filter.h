@@ -3,8 +3,9 @@
 // probe side needs no out-of-band configuration.
 //
 // Used by the immutable observation tables to answer "might this table
-// touch segment S?" without decoding the batches; the same building block
-// is the planned doorkeeper for posting lookups (ROADMAP).
+// touch segment S?" without decoding the batches. Posting lookups need no
+// filter: an absent (segment, slot) is one bit test in PostingStore's
+// dense directory.
 #ifndef STRR_STORAGE_BLOOM_FILTER_H_
 #define STRR_STORAGE_BLOOM_FILTER_H_
 

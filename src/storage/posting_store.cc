@@ -1,23 +1,17 @@
 #include "storage/posting_store.h"
 
 #include <algorithm>
+#include <cstring>
 
-#include "storage/bloom_filter.h"
 #include "util/serialize.h"
 
 namespace strr {
 
 namespace {
 constexpr uint64_t kMagic = 0x535452525053544fULL;  // "STRRPSTO"
-
-uint64_t MixKey(PostingKey key) {
-  // splitmix64 finalizer: keys pack (segment, slot) into adjacent bit
-  // ranges, the bloom probes want well-spread bits.
-  uint64_t x = key + 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
+// Serialized directory: u64 count, then (u64 key, u64 offset, u32 length).
+constexpr uint64_t kDirCountBytes = 8;
+constexpr uint64_t kDirEntryBytes = 20;
 }  // namespace
 
 // --- PostingStoreBuilder ----------------------------------------------------
@@ -67,14 +61,17 @@ Status PostingStoreBuilder::Add(PostingKey key, const std::string& blob) {
   if (finished_) {
     return Status::FailedPrecondition("PostingStoreBuilder already finished");
   }
-  if (directory_.count(key) > 0) {
-    return Status::AlreadyExists("duplicate posting key " +
-                                 std::to_string(key));
+  if (!entries_.empty() && key <= entries_.back().key) {
+    if (key == entries_.back().key) {
+      return Status::AlreadyExists("duplicate posting key " +
+                                   std::to_string(key));
+    }
+    return Status::InvalidArgument("posting key " + std::to_string(key) +
+                                   " added after a larger key");
   }
-  Extent extent{data_end_, static_cast<uint32_t>(blob.size())};
+  Entry entry{key, data_end_, static_cast<uint32_t>(blob.size())};
   STRR_RETURN_IF_ERROR(AppendBytes(blob.data(), blob.size()));
-  directory_[key] = extent;
-  insertion_order_.push_back(key);
+  entries_.push_back(entry);
   return Status::OK();
 }
 
@@ -94,12 +91,11 @@ Status PostingStoreBuilder::Finish() {
     current_dirty_ = false;
   }
 
-  // Serialize the directory in insertion order (deterministic files).
+  // Serialize the directory in key order.
   BinaryWriter dir;
-  dir.PutU64(directory_.size());
-  for (PostingKey key : insertion_order_) {
-    const Extent& e = directory_.at(key);
-    dir.PutU64(key);
+  dir.PutU64(entries_.size());
+  for (const Entry& e : entries_) {
+    dir.PutU64(e.key);
     dir.PutU64(e.offset);
     dir.PutU32(e.length);
   }
@@ -131,7 +127,7 @@ Status PostingStoreBuilder::Finish() {
   hw.PutU32(page_size);
   hw.PutU64(dir_offset);  // byte offset of directory in data region
   hw.PutU64(dir_bytes.size());            // directory byte length
-  hw.PutU64(directory_.size());           // entry count (redundant check)
+  hw.PutU64(entries_.size());             // entry count (redundant check)
   header.Write(0, hw.data().data(), static_cast<uint32_t>(hw.size()));
   STRR_RETURN_IF_ERROR(file_->WritePage(0, header));
   finished_ = true;
@@ -141,15 +137,17 @@ Status PostingStoreBuilder::Finish() {
 // --- PostingStore ------------------------------------------------------------
 
 StatusOr<std::unique_ptr<PostingStore>> PostingStore::Open(
-    const std::string& path, size_t cache_pages, uint32_t page_size) {
+    const std::string& path, PostingGrid grid, size_t cache_pages,
+    uint32_t page_size) {
   PostingStoreOptions options;
   options.cache_pages = cache_pages;
   options.page_size = page_size;
-  return Open(path, options);
+  return Open(path, grid, options);
 }
 
 StatusOr<std::unique_ptr<PostingStore>> PostingStore::Open(
-    const std::string& path, const PostingStoreOptions& options) {
+    const std::string& path, PostingGrid grid,
+    const PostingStoreOptions& options) {
   const uint32_t page_size = options.page_size;
   STRR_ASSIGN_OR_RETURN(std::unique_ptr<FileManager> file,
                         FileManager::Open(path, page_size));
@@ -181,56 +179,97 @@ StatusOr<std::unique_ptr<PostingStore>> PostingStore::Open(
   STRR_ASSIGN_OR_RETURN(uint64_t dir_offset, hr.GetU64());
   STRR_ASSIGN_OR_RETURN(uint64_t dir_size, hr.GetU64());
   STRR_ASSIGN_OR_RETURN(uint64_t entry_count, hr.GetU64());
+  // The header is untrusted: check its sizes against the file and the
+  // grid before anything is read or sized from them.
+  const uint64_t data_bytes = (file->NumPages() - 1) * page_size;
+  if (dir_offset > data_bytes || dir_size > data_bytes - dir_offset) {
+    return Status::Corruption("posting directory outside the file " + path);
+  }
+  if (dir_size < kDirCountBytes ||
+      (dir_size - kDirCountBytes) % kDirEntryBytes != 0 ||
+      (dir_size - kDirCountBytes) / kDirEntryBytes != entry_count) {
+    return Status::Corruption("posting directory size mismatch in " + path);
+  }
+  if (entry_count > grid.cells()) {
+    return Status::Corruption("posting directory outgrows its grid in " + path);
+  }
 
   auto store = std::unique_ptr<PostingStore>(
-      new PostingStore(std::move(file), std::move(pool)));
-  store->data_start_ = page_size;  // data region begins at page 1
-
-  // Load the directory bytes (straight reads; bypass the pool).
-  std::string dir_bytes(dir_size, '\0');
-  {
-    const uint64_t begin = dir_offset;
-    uint64_t copied = 0;
-    Page scratch(page_size);
-    while (copied < dir_size) {
-      uint64_t byte = begin + copied;
-      PageId pid = 1 + byte / page_size;
-      uint32_t in_page = static_cast<uint32_t>(byte % page_size);
-      uint32_t chunk =
-          std::min<uint64_t>(page_size - in_page, dir_size - copied);
-      STRR_RETURN_IF_ERROR(store->file_->ReadPage(pid, &scratch));
-      scratch.Read(in_page, dir_bytes.data() + copied, chunk);
-      copied += chunk;
-    }
-  }
-  BinaryReader dr(dir_bytes);
-  STRR_ASSIGN_OR_RETURN(uint64_t n, dr.GetU64());
-  if (n != entry_count) {
-    return Status::Corruption("directory entry count mismatch in " + path);
-  }
-  store->directory_.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    STRR_ASSIGN_OR_RETURN(uint64_t key, dr.GetU64());
-    STRR_ASSIGN_OR_RETURN(uint64_t offset, dr.GetU64());
-    STRR_ASSIGN_OR_RETURN(uint32_t length, dr.GetU32());
-    store->directory_[key] = Extent{offset, length};
-  }
-  if (options.bloom_bits_per_key > 0) {
-    BloomFilterBuilder bloom(options.bloom_bits_per_key);
-    for (const auto& [key, extent] : store->directory_) {
-      bloom.AddHash(MixKey(key));
-    }
-    store->bloom_ = bloom.Build();
-  }
+      new PostingStore(std::move(file), std::move(pool), grid));
+  STRR_RETURN_IF_ERROR(store->LoadDirectory(dir_offset, entry_count, path));
   store->file_->ResetStats();
   return store;
 }
 
-bool PostingStore::MayContain(PostingKey key) const {
-  if (bloom_.empty()) return true;
-  if (BloomMayContain(bloom_, MixKey(key))) return true;
-  bloom_negatives_.fetch_add(1, std::memory_order_relaxed);
-  return false;
+Status PostingStore::LoadDirectory(uint64_t dir_offset, uint64_t entry_count,
+                                   const std::string& path) {
+  auto corrupt = [&](const std::string& what) {
+    return Status::Corruption(what + " in " + path);
+  };
+  const uint32_t page_size = file_->page_size();
+  const uint64_t cells = grid_.cells();
+  starts_.assign(cells + 1, 0);
+  present_.assign((cells + 63) / 64, 0);
+
+  // Stream the directory bytes page by page (straight reads; bypass the
+  // pool) instead of holding a copy of the whole directory.
+  Page page(page_size);
+  uint64_t next_byte = dir_offset;
+  PageId loaded = 0;  // page 0 is the header: never a directory page
+  auto read = [&](void* dst, uint32_t n) -> Status {
+    char* out = static_cast<char*>(dst);
+    while (n > 0) {
+      const PageId pid = 1 + next_byte / page_size;
+      const uint32_t in_page = static_cast<uint32_t>(next_byte % page_size);
+      if (pid != loaded) {
+        STRR_RETURN_IF_ERROR(file_->ReadPage(pid, &page));
+        loaded = pid;
+      }
+      const uint32_t chunk = std::min(page_size - in_page, n);
+      page.Read(in_page, out, chunk);
+      out += chunk;
+      n -= chunk;
+      next_byte += chunk;
+    }
+    return Status::OK();
+  };
+
+  uint64_t count = 0;
+  STRR_RETURN_IF_ERROR(read(&count, sizeof(count)));
+  if (count != entry_count) return corrupt("directory entry count mismatch");
+  // Blobs were appended densely in key order, so each extent starts where
+  // the previous one ended. Absent cells get the running end as their
+  // start: a zero-length extent, told apart from an empty blob by present_.
+  uint64_t end = 0;        // end of the extents tiled so far
+  uint64_t next_cell = 0;  // first cell whose start is not yet set
+  for (uint64_t i = 0; i < entry_count; ++i) {
+    char record[kDirEntryBytes];
+    STRR_RETURN_IF_ERROR(read(record, sizeof(record)));
+    uint64_t key, offset;
+    uint32_t length;
+    std::memcpy(&key, record, 8);
+    std::memcpy(&offset, record + 8, 8);
+    std::memcpy(&length, record + 16, 4);
+    const uint64_t segment = key >> 32;
+    const uint64_t slot = key & 0xffffffffu;
+    if (segment >= grid_.num_segments || slot >= grid_.slots) {
+      return corrupt("posting key outside the grid");
+    }
+    const uint64_t cell = segment * grid_.slots + slot;
+    if (cell < next_cell) return corrupt("posting keys out of order");
+    if (offset > end) return corrupt("posting extents leave a gap");
+    if (offset < end) return corrupt("posting extents overlap");
+    if (length > dir_offset - end) {
+      return corrupt("posting extent runs past the directory");
+    }
+    std::fill(starts_.begin() + next_cell, starts_.begin() + cell + 1, end);
+    present_[cell >> 6] |= uint64_t{1} << (cell & 63);
+    end += length;
+    next_cell = cell + 1;
+  }
+  std::fill(starts_.begin() + next_cell, starts_.end(), end);
+  num_entries_ = entry_count;
+  return Status::OK();
 }
 
 StatusOr<std::string> PostingStore::Get(PostingKey key) const {
@@ -242,20 +281,19 @@ StatusOr<std::string> PostingStore::Get(PostingKey key) const {
 
 StatusOr<bool> PostingStore::GetInto(PostingKey key, std::string* out) const {
   out->clear();
-  if (!MayContain(key)) return false;
-  auto it = directory_.find(key);
-  if (it == directory_.end()) return false;
-  const Extent& e = it->second;
+  const uint64_t cell = CellOf(key);
+  if (cell == kNoCell) return false;
+  const uint64_t offset = starts_[cell];
+  const uint64_t length = starts_[cell + 1] - offset;
   const uint32_t page_size = file_->page_size();
-  out->resize(e.length);
+  out->resize(length);
   uint64_t copied = 0;
-  while (copied < e.length) {
-    uint64_t byte = e.offset + copied;
+  while (copied < length) {
+    uint64_t byte = offset + copied;
     PageId pid = 1 + byte / page_size;
     uint32_t in_page = static_cast<uint32_t>(byte % page_size);
-    uint32_t chunk =
-        static_cast<uint32_t>(std::min<uint64_t>(page_size - in_page,
-                                                 e.length - copied));
+    uint32_t chunk = static_cast<uint32_t>(
+        std::min<uint64_t>(page_size - in_page, length - copied));
     // ReadInto copies under the page's shard lock: safe against concurrent
     // readers evicting the frame mid-copy (Fetch's raw pointer is not).
     STRR_RETURN_IF_ERROR(

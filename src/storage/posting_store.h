@@ -1,25 +1,36 @@
-// PostingStore: key -> blob store for time-list postings, disk-resident.
+// PostingStore: (segment, slot) -> blob store for time-list postings,
+// disk-resident.
 //
 // The ST-Index stores, for every (road segment, time slot), a posting block
 // containing the per-day trajectory-ID lists. Blocks are appended densely
-// across data pages (a block may span pages); a directory (key -> byte
-// extent) is serialized at the tail of the file and loaded fully at open.
+// across data pages in strictly increasing key order (a block may span
+// pages), so their extents tile the data region. A directory of
+// (key, offset, length) triples is serialized at the tail of the file.
+//
+// At open the directory becomes a dense in-memory grid over the key space
+// (num_segments × slots): one uint64 start offset per cell plus one past
+// the end, and a presence bitmap that keeps an empty blob distinct from an
+// absent key. A lookup is one bit test and two array reads. Open checks
+// the header sizes against the file before allocating anything, then
+// validates the directory in one pass while it fills the grid: a key
+// outside the grid, keys out of order, and an extent that leaves a gap,
+// overlaps its neighbour or runs past the directory are all Corruption.
+//
 // Reads pull the covering pages through the BufferPool, so every posting
 // access shows up in StorageStats — exactly the I/O the paper's algorithms
 // compete on.
 //
 // File layout (page 0 is the header):
-//   page 0:  magic | page_size | data_end_offset | dir_offset | dir_size
+//   page 0:  magic | page_size | dir_offset | dir_size | entry_count
 //   data:    concatenated blobs starting at byte offset page_size
-//   dir:     BinaryWriter-encoded (key, offset, length) triples
+//   dir:     u64 count, then BinaryWriter-encoded (u64 key, u64 offset,
+//            u32 length) triples in key order
 #ifndef STRR_STORAGE_POSTING_STORE_H_
 #define STRR_STORAGE_POSTING_STORE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "storage/buffer_pool.h"
@@ -35,25 +46,37 @@ inline PostingKey MakePostingKey(uint32_t segment, uint32_t slot) {
   return (static_cast<uint64_t>(segment) << 32) | slot;
 }
 
-/// Append-only writer; call Add for every key then Finish exactly once.
+/// Shape of the key space: every stored key is MakePostingKey(segment,
+/// slot) with segment < num_segments and slot < slots.
+struct PostingGrid {
+  uint32_t num_segments = 0;
+  uint32_t slots = 0;
+
+  uint64_t cells() const { return uint64_t{num_segments} * slots; }
+};
+
+/// Append-only writer; call Add for every key in strictly increasing order,
+/// then Finish exactly once.
 class PostingStoreBuilder {
  public:
   /// Creates/truncates the store file at `path`.
   static StatusOr<std::unique_ptr<PostingStoreBuilder>> Create(
       const std::string& path, uint32_t page_size = kDefaultPageSize);
 
-  /// Adds a blob under `key`; duplicate keys are rejected.
+  /// Appends a blob under `key`. A key equal to the previous one is
+  /// AlreadyExists; a smaller one is InvalidArgument.
   Status Add(PostingKey key, const std::string& blob);
 
   /// Writes the directory + header and closes the builder. The builder is
   /// unusable afterwards.
   Status Finish();
 
-  uint64_t NumEntries() const { return directory_.size(); }
+  uint64_t NumEntries() const { return entries_.size(); }
   uint64_t DataBytes() const { return data_end_; }
 
  private:
-  struct Extent {
+  struct Entry {
+    PostingKey key;
     uint64_t offset;
     uint32_t length;
   };
@@ -65,9 +88,8 @@ class PostingStoreBuilder {
   Status AppendBytes(const char* data, size_t n);
 
   std::unique_ptr<FileManager> file_;
-  std::unordered_map<PostingKey, Extent> directory_;
-  std::vector<PostingKey> insertion_order_;
-  uint64_t data_end_ = 0;  // byte offset within the data region
+  std::vector<Entry> entries_;  // in key order
+  uint64_t data_end_ = 0;       // byte offset within the data region
   Page current_page_{kDefaultPageSize};
   bool current_dirty_ = false;
   bool finished_ = false;
@@ -82,28 +104,26 @@ struct PostingStoreOptions {
   double cache_protected_share = 0.8;
   /// Metric-label role for the pool's series ("" = unlabeled).
   std::string role;
-  /// Build a bloom doorkeeper over the posting keys at open; lookups for
-  /// absent keys short-circuit on the filter before the directory probe.
-  /// 0 disables (seed behavior).
-  int bloom_bits_per_key = 0;
 };
 
 /// Read side. Thread-safe for concurrent Get calls: the immutable
-/// directory is shared read-only and page bytes are copied out under the
-/// page's BufferPool shard lock (ReadInto), so eviction races cannot tear
-/// a blob.
+/// directory grid is shared read-only and page bytes are copied out under
+/// the page's BufferPool shard lock (ReadInto), so eviction races cannot
+/// tear a blob.
 class PostingStore {
  public:
-  /// Opens the store, loading the directory eagerly. The store owns its
-  /// FileManager and BufferPool; `cache_pages` sizes the pool.
+  /// Opens the store over the key space `grid`, loading the directory
+  /// eagerly. The store owns its FileManager and BufferPool; `cache_pages`
+  /// sizes the pool.
   static StatusOr<std::unique_ptr<PostingStore>> Open(
-      const std::string& path, size_t cache_pages,
+      const std::string& path, PostingGrid grid, size_t cache_pages,
       uint32_t page_size = kDefaultPageSize);
 
   /// Opens with full storage-engine knobs (block-cache policy, per-role
-  /// metric labels, bloom doorkeeper).
+  /// metric labels).
   static StatusOr<std::unique_ptr<PostingStore>> Open(
-      const std::string& path, const PostingStoreOptions& options);
+      const std::string& path, PostingGrid grid,
+      const PostingStoreOptions& options);
 
   /// Fetches the blob stored under `key`; NotFound when absent.
   StatusOr<std::string> Get(PostingKey key) const;
@@ -113,19 +133,10 @@ class PostingStore {
   /// false, with `*out` cleared, when the key is absent.
   StatusOr<bool> GetInto(PostingKey key, std::string* out) const;
 
-  /// True when `key` exists (bloom doorkeeper, then directory; no I/O).
-  bool Contains(PostingKey key) const {
-    if (!MayContain(key)) return false;
-    return directory_.find(key) != directory_.end();
-  }
+  /// True when `key` exists (one bitmap test; no I/O).
+  bool Contains(PostingKey key) const { return CellOf(key) != kNoCell; }
 
-  uint64_t NumEntries() const { return directory_.size(); }
-
-  /// Lookups the bloom doorkeeper answered negatively (absent-key probes
-  /// that skipped the directory). 0 when the filter is off.
-  uint64_t BloomNegatives() const {
-    return bloom_negatives_.load(std::memory_order_relaxed);
-  }
+  uint64_t NumEntries() const { return num_entries_; }
 
   StorageStats stats() const { return pool_->stats(); }
   void ResetStats() { pool_->ResetStats(); }
@@ -135,24 +146,34 @@ class PostingStore {
   BufferPool* buffer_pool() { return pool_.get(); }
 
  private:
-  struct Extent {
-    uint64_t offset;
-    uint32_t length;
-  };
+  static constexpr uint64_t kNoCell = ~uint64_t{0};
 
   PostingStore(std::unique_ptr<FileManager> file,
-               std::unique_ptr<BufferPool> pool)
-      : file_(std::move(file)), pool_(std::move(pool)) {}
+               std::unique_ptr<BufferPool> pool, PostingGrid grid)
+      : file_(std::move(file)), pool_(std::move(pool)), grid_(grid) {}
 
-  /// Bloom probe (safe-true when the filter is off or malformed).
-  bool MayContain(PostingKey key) const;
+  /// Grid cell holding `key`, or kNoCell when the key is absent.
+  uint64_t CellOf(PostingKey key) const {
+    const uint64_t segment = key >> 32;
+    const uint64_t slot = key & 0xffffffffu;
+    if (segment >= grid_.num_segments || slot >= grid_.slots) return kNoCell;
+    const uint64_t cell = segment * grid_.slots + slot;
+    if (((present_[cell >> 6] >> (cell & 63)) & 1) == 0) return kNoCell;
+    return cell;
+  }
+
+  /// Reads the serialized directory and fills starts_/present_.
+  Status LoadDirectory(uint64_t dir_offset, uint64_t entry_count,
+                       const std::string& path);
 
   std::unique_ptr<FileManager> file_;
   std::unique_ptr<BufferPool> pool_;
-  std::unordered_map<PostingKey, Extent> directory_;
-  std::string bloom_;  // doorkeeper over keys; empty = off
-  mutable std::atomic<uint64_t> bloom_negatives_{0};
-  uint64_t data_start_ = 0;  // byte offset of the data region (page 1)
+  PostingGrid grid_;
+  /// starts_[c] = data offset of cell c's blob; starts_[c + 1] - starts_[c]
+  /// is its length (0 for absent cells).
+  std::vector<uint64_t> starts_;
+  std::vector<uint64_t> present_;  // one bit per cell
+  uint64_t num_entries_ = 0;
 };
 
 }  // namespace strr

@@ -2,8 +2,7 @@
 // corruption handling, journal checkpoint/truncate/recover bit-identity
 // against a full-replay oracle, truncation-point sweeps, background
 // compaction vs a sequential-read oracle (including crash-window overlap
-// recovery), bounded-memory chunked replay, the TinyLFU block cache, and
-// the posting-store bloom doorkeeper.
+// recovery), bounded-memory chunked replay, and the TinyLFU block cache.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,7 +23,6 @@
 #include "storage/file_manager.h"
 #include "storage/fs_util.h"
 #include "storage/obs_table.h"
-#include "storage/posting_store.h"
 #include "tests/test_util.h"
 #include "tools/crash_stream.h"
 
@@ -723,46 +721,6 @@ TEST(TinyLfuBlockCacheTest, PerRoleMetricSeriesAccounting) {
 
   EXPECT_EQ(role_misses.Value() - misses0, 4u);
   EXPECT_EQ(role_hits.Value() - hits0, 4u);
-}
-
-// --- Posting bloom doorkeeper ------------------------------------------------
-
-TEST(PostingBloomTest, DoorkeeperShortCircuitsAbsentKeysNoFalseNegatives) {
-  std::string dir = FreshDir("posting_bloom");
-  std::string path = dir + "/postings.dat";
-  std::vector<PostingKey> present;
-  {
-    auto builder = PostingStoreBuilder::Create(path);
-    STRR_ASSERT_OK(builder.status());
-    for (uint32_t seg = 0; seg < 40; seg += 2) {
-      for (uint32_t slot = 0; slot < 4; ++slot) {
-        PostingKey key = MakePostingKey(seg, slot);
-        present.push_back(key);
-        STRR_ASSERT_OK((*builder)->Add(key, "payload"));
-      }
-    }
-    STRR_ASSERT_OK((*builder)->Finish());
-  }
-  PostingStoreOptions opt;
-  opt.cache_pages = 8;
-  opt.bloom_bits_per_key = 10;
-  auto store = PostingStore::Open(path, opt);
-  STRR_ASSERT_OK(store.status());
-
-  // No false negatives: every present key passes the doorkeeper.
-  for (PostingKey key : present) {
-    EXPECT_TRUE((*store)->Contains(key));
-    STRR_ASSERT_OK((*store)->Get(key).status());
-  }
-  EXPECT_EQ((*store)->BloomNegatives(), 0u);
-
-  // Absent probes mostly short-circuit before the directory.
-  for (uint32_t seg = 1000; seg < 1500; ++seg) {
-    auto result = (*store)->Get(MakePostingKey(seg, 0));
-    ASSERT_FALSE(result.ok());
-    EXPECT_TRUE(result.status().IsNotFound());
-  }
-  EXPECT_GE((*store)->BloomNegatives(), 400u);
 }
 
 }  // namespace

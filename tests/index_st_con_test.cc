@@ -180,6 +180,42 @@ TEST_F(StIndexTest, NoTrafficSlotsEmptyWithoutIo) {
   EXPECT_EQ(index_->storage_stats().TotalRequests(), 0u);
 }
 
+TEST_F(StIndexTest, MarkDaysIntersectingReportsAbsentListsDistinctly) {
+  // Every (segment, slot) of the grid: MarkDaysIntersecting answers
+  // kNoTimeList exactly where HasTraffic is false, and then costs no I/O.
+  const std::vector<std::vector<TrajectoryId>> start = {{0}, {}, {1}};
+  int present = 0;
+  for (SegmentId seg = 0; seg < net_.NumSegments(); ++seg) {
+    for (SlotId slot = 0; slot < index_->slots_per_day(); ++slot) {
+      std::vector<uint8_t> hit(3, 0);
+      index_->ResetStorageStats();
+      auto marked = index_->MarkDaysIntersecting(seg, slot, start, &hit);
+      ASSERT_TRUE(marked.ok()) << marked.status().ToString();
+      if (index_->HasTraffic(seg, slot)) {
+        EXPECT_GE(*marked, 0) << seg << "/" << slot;
+        ++present;
+      } else {
+        EXPECT_EQ(*marked, StIndex::kNoTimeList) << seg << "/" << slot;
+        EXPECT_EQ(index_->storage_stats().TotalRequests(), 0u);
+        EXPECT_EQ(hit, std::vector<uint8_t>(3, 0));
+      }
+    }
+  }
+  EXPECT_EQ(static_cast<uint64_t>(present), index_->NumPostings());
+
+  // A present list that shares no id with the start lists marks 0 days,
+  // which is not kNoTimeList.
+  const SlotId slot = index_->SlotForTime(HMS(8));
+  std::vector<uint8_t> hit(3, 0);
+  auto none = index_->MarkDaysIntersecting(0, slot, {{}, {}, {}}, &hit);
+  ASSERT_TRUE(none.ok());
+  EXPECT_EQ(*none, 0);
+  auto both = index_->MarkDaysIntersecting(0, slot, start, &hit);
+  ASSERT_TRUE(both.ok());
+  EXPECT_EQ(*both, 2);
+  EXPECT_EQ(hit, (std::vector<uint8_t>{1, 0, 1}));
+}
+
 TEST_F(StIndexTest, SegmentsInRange) {
   auto segs = index_->SegmentsInRange(Mbr(-10, -10, 310, 10));
   // Bottom edge of the grid: both directions of segment pair 0 at least.

@@ -198,7 +198,9 @@ TEST(EngineEdgeTest, CorruptPostingFileSurfacesAsError) {
   // the file, so corrupt AFTER and open via PostingStore directly).
   auto size = std::filesystem::file_size(opt.posting_path);
   std::filesystem::resize_file(opt.posting_path, (size / 4096 / 2) * 4096);
-  auto reopened = PostingStore::Open(opt.posting_path, 64);
+  const PostingGrid grid{static_cast<uint32_t>(net.NumSegments()),
+                         static_cast<uint32_t>(SlotsPerDay(opt.slot_seconds))};
+  auto reopened = PostingStore::Open(opt.posting_path, grid, 64);
   EXPECT_FALSE(reopened.ok());
 }
 

@@ -145,6 +145,32 @@ StatusOr<double> ReferenceProbability(
   return static_cast<double>(hits) / static_cast<double>(index.num_days());
 }
 
+/// The time lists Probability(r) reads, walked the long way: one per
+/// duration slot that HasTraffic reports, stopping once every day is hit.
+StatusOr<uint64_t> ReferenceListsRead(
+    const StIndex& index, const std::vector<std::vector<TrajectoryId>>& start,
+    SegmentId r, int64_t T, int64_t duration) {
+  bool start_active = false;
+  for (const auto& ids : start) start_active |= !ids.empty();
+  if (index.num_days() == 0 || !start_active) return 0;
+  std::vector<bool> hit(start.size(), false);
+  int hits = 0;
+  uint64_t reads = 0;
+  for (SlotId slot : index.SlotsCovering(T, T + duration)) {
+    if (!index.HasTraffic(r, slot)) continue;
+    ++reads;
+    STRR_ASSIGN_OR_RETURN(TimeList lists, index.ReadTimeList(r, slot));
+    for (size_t d = 0; d < start.size(); ++d) {
+      if (!hit[d] && SortedIntersects(start[d], lists[d])) {
+        hit[d] = true;
+        ++hits;
+      }
+    }
+    if (hits == index.num_days()) break;
+  }
+  return reads;
+}
+
 TEST(ProbabilityTest, StreamingCheckMatchesMaterialisedReference) {
   auto& stack = GetSharedStack();
   const RoadNetwork& net = stack.dataset.network;
@@ -176,6 +202,10 @@ TEST(ProbabilityTest, StreamingCheckMatchesMaterialisedReference) {
           auto oracle =
               ReachabilityProbability::Create(index, starts, T, delta_t, L);
           ASSERT_TRUE(oracle.ok());
+          // The start side reads every start slot of every start.
+          uint64_t want_reads =
+              starts.size() * index.SlotsCovering(T, T + delta_t).size();
+          EXPECT_EQ(oracle->time_lists_read(), want_reads);
           for (SegmentId r = 0; r < net.NumSegments(); ++r) {
             auto got = oracle->Probability(r);
             auto want = ReferenceProbability(index, *start_ids, r, T, L);
@@ -184,7 +214,11 @@ TEST(ProbabilityTest, StreamingCheckMatchesMaterialisedReference) {
             EXPECT_EQ(*got, *want) << "Δt " << delta_t << " T " << T << " L "
                                    << L << " r " << r;
             if (*got > 0) ++nonzero;
+            auto reads = ReferenceListsRead(index, *start_ids, r, T, L);
+            ASSERT_TRUE(reads.ok()) << reads.status().ToString();
+            want_reads += *reads;
           }
+          EXPECT_EQ(oracle->time_lists_read(), want_reads) << "L " << L;
         }
       }
     }

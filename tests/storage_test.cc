@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,6 +26,9 @@ using testing_util::MakeTempDir;
 std::string TempFile(const std::string& tag) {
   return MakeTempDir(tag) + "/file.bin";
 }
+
+/// Key space of the PostingStore tests: segments 0..7, slots 0..4095.
+constexpr PostingGrid kTestGrid{8, 4096};
 
 // --- FileManager -------------------------------------------------------------
 
@@ -380,7 +384,7 @@ TEST(PostingStoreTest, RoundTripSmall) {
   ASSERT_TRUE((*builder)->Add(MakePostingKey(3, 4), "beta").ok());
   ASSERT_TRUE((*builder)->Finish().ok());
 
-  auto store = PostingStore::Open(path, 16, 256);
+  auto store = PostingStore::Open(path, kTestGrid, 16, 256);
   ASSERT_TRUE(store.ok());
   EXPECT_EQ((*store)->NumEntries(), 2u);
   EXPECT_EQ((*store)->Get(MakePostingKey(1, 2)).value(), "alpha");
@@ -393,7 +397,7 @@ TEST(PostingStoreTest, MissingKeyIsNotFound) {
   ASSERT_TRUE(builder.ok());
   ASSERT_TRUE((*builder)->Add(7, "x").ok());
   ASSERT_TRUE((*builder)->Finish().ok());
-  auto store = PostingStore::Open(path, 16, 256);
+  auto store = PostingStore::Open(path, kTestGrid, 16, 256);
   ASSERT_TRUE(store.ok());
   EXPECT_TRUE((*store)->Get(8).status().IsNotFound());
   EXPECT_TRUE((*store)->Contains(7));
@@ -407,6 +411,17 @@ TEST(PostingStoreTest, DuplicateKeyRejected) {
   EXPECT_TRUE((*builder)->Add(1, "b").IsAlreadyExists());
 }
 
+TEST(PostingStoreTest, SmallerKeyRejected) {
+  auto builder = PostingStoreBuilder::Create(TempFile("ps3b"), 256);
+  ASSERT_TRUE(builder.ok());
+  ASSERT_TRUE((*builder)->Add(MakePostingKey(2, 5), "a").ok());
+  EXPECT_TRUE((*builder)->Add(MakePostingKey(2, 4), "b").IsInvalidArgument());
+  EXPECT_TRUE((*builder)->Add(MakePostingKey(1, 9), "c").IsInvalidArgument());
+  // The rejected keys left nothing behind: the next larger key still fits.
+  ASSERT_TRUE((*builder)->Add(MakePostingKey(2, 6), "d").ok());
+  EXPECT_EQ((*builder)->NumEntries(), 2u);
+}
+
 TEST(PostingStoreTest, BlobsSpanningPages) {
   std::string path = TempFile("ps4");
   auto builder = PostingStoreBuilder::Create(path, 128);
@@ -417,21 +432,51 @@ TEST(PostingStoreTest, BlobsSpanningPages) {
   ASSERT_TRUE((*builder)->Add(5, big).ok());
   ASSERT_TRUE((*builder)->Add(6, "tail").ok());
   ASSERT_TRUE((*builder)->Finish().ok());
-  auto store = PostingStore::Open(path, 16, 128);
+  auto store = PostingStore::Open(path, kTestGrid, 16, 128);
   ASSERT_TRUE(store.ok());
   EXPECT_EQ((*store)->Get(5).value(), big);
   EXPECT_EQ((*store)->Get(6).value(), "tail");
 }
 
 TEST(PostingStoreTest, EmptyBlobAllowed) {
+  const PostingGrid grid{2, 8};
+  std::map<PostingKey, std::string> blobs;
+  blobs[MakePostingKey(0, 1)] = "ab";
+  blobs[MakePostingKey(0, 2)] = "";
+  blobs[MakePostingKey(0, 4)] = "cd";
+  blobs[MakePostingKey(1, 7)] = "";  // the grid's last cell
   std::string path = TempFile("ps5");
   auto builder = PostingStoreBuilder::Create(path, 256);
   ASSERT_TRUE(builder.ok());
-  ASSERT_TRUE((*builder)->Add(9, "").ok());
+  for (const auto& [key, blob] : blobs) {
+    ASSERT_TRUE((*builder)->Add(key, blob).ok());
+  }
   ASSERT_TRUE((*builder)->Finish().ok());
-  auto store = PostingStore::Open(path, 16, 256);
-  ASSERT_TRUE(store.ok());
-  EXPECT_EQ((*store)->Get(9).value(), "");
+  auto store = PostingStore::Open(path, grid, 16, 256);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  EXPECT_EQ((*store)->NumEntries(), blobs.size());
+
+  // Every cell: empty blobs are found (and read back empty), absent cells
+  // are not.
+  for (uint32_t seg = 0; seg < grid.num_segments; ++seg) {
+    for (uint32_t slot = 0; slot < grid.slots; ++slot) {
+      const PostingKey key = MakePostingKey(seg, slot);
+      auto it = blobs.find(key);
+      const bool present = it != blobs.end();
+      EXPECT_EQ((*store)->Contains(key), present) << key;
+      std::string out = "stale";
+      auto found = (*store)->GetInto(key, &out);
+      ASSERT_TRUE(found.ok());
+      EXPECT_EQ(*found, present) << key;
+      EXPECT_EQ(out, present ? it->second : std::string()) << key;
+    }
+  }
+  // Keys outside the grid are absent too.
+  for (PostingKey key : {MakePostingKey(2, 0), MakePostingKey(0, 8)}) {
+    EXPECT_FALSE((*store)->Contains(key)) << key;
+    EXPECT_TRUE((*store)->Get(key).status().IsNotFound()) << key;
+  }
+  EXPECT_FALSE((*store)->Contains(~PostingKey{0}));
 }
 
 TEST(PostingStoreTest, ManyEntriesRandomized) {
@@ -447,7 +492,7 @@ TEST(PostingStoreTest, ManyEntriesRandomized) {
     ASSERT_TRUE((*builder)->Add(entries.back().first, blob).ok());
   }
   ASSERT_TRUE((*builder)->Finish().ok());
-  auto store = PostingStore::Open(path, 64, 512);
+  auto store = PostingStore::Open(path, kTestGrid, 64, 512);
   ASSERT_TRUE(store.ok());
   EXPECT_EQ((*store)->NumEntries(), 500u);
   for (const auto& [key, blob] : entries) {
@@ -477,7 +522,8 @@ TEST(PostingStoreTest, CorruptMagicRejected) {
     std::fputs("garbage!", f);
     std::fclose(f);
   }
-  EXPECT_TRUE(PostingStore::Open(path, 16, 256).status().IsCorruption());
+  EXPECT_TRUE(
+      PostingStore::Open(path, kTestGrid, 16, 256).status().IsCorruption());
 }
 
 TEST(PostingStoreTest, WrongPageSizeRejected) {
@@ -486,7 +532,7 @@ TEST(PostingStoreTest, WrongPageSizeRejected) {
   ASSERT_TRUE(builder.ok());
   ASSERT_TRUE((*builder)->Finish().ok());
   // 512 does not divide the file evenly or match the header.
-  auto opened = PostingStore::Open(path, 16, 512);
+  auto opened = PostingStore::Open(path, kTestGrid, 16, 512);
   EXPECT_FALSE(opened.ok());
 }
 
@@ -496,7 +542,7 @@ TEST(PostingStoreTest, StatsCountIo) {
   ASSERT_TRUE(builder.ok());
   ASSERT_TRUE((*builder)->Add(1, std::string(600, 'a')).ok());
   ASSERT_TRUE((*builder)->Finish().ok());
-  auto store = PostingStore::Open(path, 16, 256);
+  auto store = PostingStore::Open(path, kTestGrid, 16, 256);
   ASSERT_TRUE(store.ok());
   (*store)->ResetStats();
   ASSERT_TRUE((*store)->Get(1).ok());
@@ -509,6 +555,119 @@ TEST(PostingStoreTest, StatsCountIo) {
   ASSERT_TRUE((*store)->Get(1).ok());
   stats = (*store)->stats();
   EXPECT_EQ(stats.cache_misses, 6u);
+}
+
+/// Builds a three-entry store at `path` (page size 256) and returns the
+/// file offset of its serialized directory.
+uint64_t BuildThreeEntryStore(const std::string& path) {
+  auto builder = PostingStoreBuilder::Create(path, 256);
+  EXPECT_TRUE(builder.ok());
+  const std::string first(300, 'a'), last(40, 'c');
+  EXPECT_TRUE((*builder)->Add(MakePostingKey(1, 7), first).ok());
+  EXPECT_TRUE((*builder)->Add(MakePostingKey(2, 0), "bb").ok());
+  EXPECT_TRUE((*builder)->Add(MakePostingKey(2, 9), last).ok());
+  EXPECT_TRUE((*builder)->Finish().ok());
+  // Header: magic u64 | page_size u32 | dir_offset u64 | dir_size u64 | ...
+  uint64_t dir_offset = 0;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  EXPECT_NE(f, nullptr);
+  std::fseek(f, 12, SEEK_SET);
+  EXPECT_EQ(std::fread(&dir_offset, 8, 1, f), 1u);
+  std::fclose(f);
+  return 256 + dir_offset;  // the data region starts at page 1
+}
+
+/// Overwrites sizeof(T) bytes of the file at `path` at byte `at`.
+template <typename T>
+void Patch(const std::string& path, uint64_t at, T value) {
+  std::FILE* f = std::fopen(path.c_str(), "rb+");
+  ASSERT_NE(f, nullptr);
+  std::fseek(f, static_cast<long>(at), SEEK_SET);
+  ASSERT_EQ(std::fwrite(&value, sizeof(T), 1, f), 1u);
+  std::fclose(f);
+}
+
+// Directory entry i lies at 8 + 20 * i: u64 key, u64 offset, u32 length.
+uint64_t DirEntryAt(uint64_t dir, int i) { return dir + 8 + 20 * i; }
+
+TEST(PostingStoreTest, CorruptHeaderSizesAreCorruption) {
+  // Header fields at byte 12 (dir_offset), 20 (dir_size), 28 (entry_count),
+  // each blown up on its own: Open must answer Corruption, not allocate.
+  for (uint64_t at : {12u, 20u, 28u}) {
+    std::string path = TempFile("ps_hdr" + std::to_string(at));
+    BuildThreeEntryStore(path);
+    ASSERT_TRUE(PostingStore::Open(path, kTestGrid, 16, 256).ok());
+    Patch(path, at, uint64_t{1} << 50);
+    auto opened = PostingStore::Open(path, kTestGrid, 16, 256);
+    EXPECT_TRUE(opened.status().IsCorruption())
+        << "header byte " << at << ": " << opened.status().ToString();
+  }
+}
+
+TEST(PostingStoreTest, DirectoryKeyOutsideGridIsCorruption) {
+  for (PostingKey key : {MakePostingKey(8, 0), MakePostingKey(2, 4096)}) {
+    std::string path = TempFile("ps_grid");
+    const uint64_t dir = BuildThreeEntryStore(path);
+    Patch(path, DirEntryAt(dir, 2), key);
+    auto opened = PostingStore::Open(path, kTestGrid, 16, 256);
+    EXPECT_TRUE(opened.status().IsCorruption())
+        << key << ": " << opened.status().ToString();
+  }
+  // The same file opens against a grid just large enough for it.
+  std::string path = TempFile("ps_grid_fit");
+  BuildThreeEntryStore(path);
+  EXPECT_TRUE(PostingStore::Open(path, PostingGrid{3, 10}, 16, 256).ok());
+  auto fewer_segments = PostingStore::Open(path, PostingGrid{2, 10}, 16, 256);
+  EXPECT_TRUE(fewer_segments.status().IsCorruption());
+  auto fewer_slots = PostingStore::Open(path, PostingGrid{3, 9}, 16, 256);
+  EXPECT_TRUE(fewer_slots.status().IsCorruption());
+}
+
+TEST(PostingStoreTest, UnsortedDirectoryIsCorruption) {
+  {
+    // Keys swapped; the extents still tile.
+    std::string path = TempFile("ps_unsorted");
+    const uint64_t dir = BuildThreeEntryStore(path);
+    Patch(path, DirEntryAt(dir, 0), MakePostingKey(2, 0));
+    Patch(path, DirEntryAt(dir, 1), MakePostingKey(1, 7));
+    auto opened = PostingStore::Open(path, kTestGrid, 16, 256);
+    EXPECT_TRUE(opened.status().IsCorruption()) << opened.status().ToString();
+  }
+  {
+    // A repeated key.
+    std::string path = TempFile("ps_repeat");
+    const uint64_t dir = BuildThreeEntryStore(path);
+    Patch(path, DirEntryAt(dir, 2), MakePostingKey(2, 0));
+    auto opened = PostingStore::Open(path, kTestGrid, 16, 256);
+    EXPECT_TRUE(opened.status().IsCorruption()) << opened.status().ToString();
+  }
+}
+
+/// Opens a fresh three-entry store after overwriting one extent field of
+/// directory entry `entry`.
+Status OpenWithOffset(int entry, uint64_t offset) {
+  std::string path = TempFile("ps_extent");
+  Patch(path, DirEntryAt(BuildThreeEntryStore(path), entry) + 8, offset);
+  return PostingStore::Open(path, kTestGrid, 16, 256).status();
+}
+
+Status OpenWithLength(int entry, uint32_t length) {
+  std::string path = TempFile("ps_extent");
+  Patch(path, DirEntryAt(BuildThreeEntryStore(path), entry) + 16, length);
+  return PostingStore::Open(path, kTestGrid, 16, 256).status();
+}
+
+TEST(PostingStoreTest, ExtentGapOrOverlapIsCorruption) {
+  // The pristine extents: [0, 300), [300, 302), [302, 342).
+  EXPECT_TRUE(OpenWithOffset(1, 300).ok());
+  // Offsets: a gap, an overlap, a first extent not at 0.
+  EXPECT_TRUE(OpenWithOffset(1, 301).IsCorruption());
+  EXPECT_TRUE(OpenWithOffset(1, 299).IsCorruption());
+  EXPECT_TRUE(OpenWithOffset(0, 1).IsCorruption());
+  // Lengths: too short (gap), too long (overlap), past the directory.
+  EXPECT_TRUE(OpenWithLength(0, 299).IsCorruption());
+  EXPECT_TRUE(OpenWithLength(1, 3).IsCorruption());
+  EXPECT_TRUE(OpenWithLength(2, 1 << 20).IsCorruption());
 }
 
 TEST(PostingStoreTest, TruncatedFileFailsOpen) {
@@ -524,7 +683,7 @@ TEST(PostingStoreTest, TruncatedFileFailsOpen) {
   // Chop the file to half its pages (keeping page alignment).
   auto size = std::filesystem::file_size(path);
   std::filesystem::resize_file(path, (size / 2 / 256) * 256);
-  EXPECT_FALSE(PostingStore::Open(path, 16, 256).ok());
+  EXPECT_FALSE(PostingStore::Open(path, kTestGrid, 16, 256).ok());
 }
 
 }  // namespace
