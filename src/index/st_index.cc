@@ -1,6 +1,7 @@
 #include "index/st_index.h"
 
 #include <algorithm>
+#include <string_view>
 
 #include "util/serialize.h"
 
@@ -67,7 +68,7 @@ inline const char* DecodeVarint32(const uint8_t** p, const uint8_t* end,
 /// are all Corruption. Varints are read by a pointer loop with no Status
 /// per value; only a failure builds one.
 template <typename Visitor>
-Status DecodeTimeList(const std::string& blob, int32_t num_days,
+Status DecodeTimeList(std::string_view blob, int32_t num_days,
                       Visitor& visitor) {
   const auto* p = reinterpret_cast<const uint8_t*>(blob.data());
   const uint8_t* const end = p + blob.size();
@@ -153,8 +154,8 @@ struct IntersectDays {
   }
 };
 
-/// Per-thread posting buffer: the verification read path copies each blob
-/// here instead of allocating a fresh string per read.
+/// Per-thread posting buffer: the read paths copy posting bytes here
+/// instead of allocating a fresh string per read.
 std::string& PostingBuffer() {
   thread_local std::string buffer;
   return buffer;
@@ -288,9 +289,9 @@ SlotId StIndex::SlotForTime(int64_t time_of_day_sec) const {
 std::vector<SlotId> StIndex::SlotsCovering(int64_t begin_tod,
                                            int64_t end_tod) const {
   std::vector<SlotId> slots;
-  if (end_tod <= begin_tod) return slots;
   begin_tod = std::max<int64_t>(0, begin_tod);
   end_tod = std::min<int64_t>(kSecondsPerDay, end_tod);
+  if (end_tod <= begin_tod) return slots;
   SlotId first = SlotForTime(begin_tod);
   SlotId last = SlotForTime(end_tod - 1);
   for (SlotId s = first; s <= last; ++s) slots.push_back(s);
@@ -310,8 +311,8 @@ StatusOr<TimeList> StIndex::ReadTimeList(SegmentId seg, SlotId slot) const {
   return lists;
 }
 
-StatusOr<int> StIndex::MarkDaysIntersecting(
-    SegmentId seg, SlotId slot,
+StatusOr<StIndex::RowMarks> StIndex::MarkDaysIntersecting(
+    SegmentId seg, SlotId first_slot, SlotId last_slot,
     const std::vector<std::vector<TrajectoryId>>& start_ids,
     std::vector<uint8_t>* day_hit) const {
   const size_t days = static_cast<size_t>(num_days_);
@@ -319,15 +320,24 @@ StatusOr<int> StIndex::MarkDaysIntersecting(
     return Status::InvalidArgument(
         "MarkDaysIntersecting: start_ids/day_hit must have one entry per day");
   }
-  std::string& blob = PostingBuffer();
-  STRR_ASSIGN_OR_RETURN(
-      bool found,
-      postings_->GetInto(MakePostingKey(seg, static_cast<uint32_t>(slot)),
-                         &blob));
-  if (!found) return kNoTimeList;
-  IntersectDays intersect{&start_ids, day_hit};
-  STRR_RETURN_IF_ERROR(DecodeTimeList(blob, num_days_, intersect));
-  return intersect.marked;
+  RowMarks marks;
+  first_slot = std::max<SlotId>(first_slot, 0);  // the cursor clamps the end
+  if (last_slot < first_slot) return marks;
+  auto unmarked = std::count(day_hit->begin(), day_hit->end(), 0);
+  PostingStore::RowCursor row(*postings_, seg,
+                              static_cast<uint32_t>(first_slot),
+                              static_cast<uint32_t>(last_slot),
+                              &PostingBuffer());
+  while (unmarked > 0) {
+    STRR_ASSIGN_OR_RETURN(bool found, row.Next());
+    if (!found) break;
+    IntersectDays intersect{&start_ids, day_hit};
+    STRR_RETURN_IF_ERROR(DecodeTimeList(row.blob(), num_days_, intersect));
+    ++marks.lists_read;
+    marks.days_marked += intersect.marked;
+    unmarked -= intersect.marked;
+  }
+  return marks;
 }
 
 bool StIndex::HasTraffic(SegmentId seg, SlotId slot) const {

@@ -12,7 +12,9 @@
 //    access is measurable I/O. Build opens the store over the grid
 //    NumSegments() × slots_per_day(), the shape of its dense in-memory
 //    directory: whether a (segment, slot) has a time list is one bitmap
-//    test, with no filter in front of it.
+//    test, with no filter in front of it. Verification reads a segment's
+//    lists over the query's slot range as one row: the lists sit next to
+//    each other on disk, so one pass requests each distinct page once.
 #ifndef STRR_INDEX_ST_INDEX_H_
 #define STRR_INDEX_ST_INDEX_H_
 
@@ -59,7 +61,7 @@ using TimeList = std::vector<std::vector<TrajectoryId>>;
 
 /// Built index; immutable after Build and thread-safe for concurrent
 /// queries: the R-tree/B+-tree lookups are const over frozen structures,
-/// and the time-list reads go through PostingStore::GetInto, which copies
+/// and the time-list reads go through PostingStore row reads, which copy
 /// page bytes out under the page's BufferPool shard lock into a buffer
 /// owned by the calling thread. The StorageStats counters are shared
 /// across all concurrent queries (FileManager keeps them atomic); per-query
@@ -87,7 +89,8 @@ class StIndex {
   SlotId SlotForTime(int64_t time_of_day_sec) const;
 
   /// All slot ids whose windows intersect [begin_tod, end_tod) within one
-  /// day; clamps to the day.
+  /// day; clamps the range to [0, 86400) first, so a range outside the day
+  /// covers no slot.
   std::vector<SlotId> SlotsCovering(int64_t begin_tod, int64_t end_tod) const;
 
   int64_t slot_seconds() const { return options_.slot_seconds; }
@@ -100,22 +103,28 @@ class StIndex {
   /// traversals have empty lists. Costs buffer-pool I/O.
   StatusOr<TimeList> ReadTimeList(SegmentId seg, SlotId slot) const;
 
-  /// The verification step of Eq. 3.1 without materialising a TimeList:
-  /// for every day d with day_hit[d] == 0 and a non-empty start_ids[d],
-  /// sets day_hit[d] = 1 when (seg, slot)'s day-d list shares an id with
-  /// the sorted start_ids[d]. The posting is decoded straight from a
-  /// per-thread buffer and each day's ids are merge-tested as they are
-  /// delta-decoded. Same I/O and same corruption checks as ReadTimeList
-  /// (one decoder serves both). Returns the number of days newly marked,
-  /// or kNoTimeList when (seg, slot) has no traffic (no I/O then), so a
-  /// caller needs no separate HasTraffic probe.
-  StatusOr<int> MarkDaysIntersecting(
-      SegmentId seg, SlotId slot,
+  /// What one row verification did: days newly marked, and the present
+  /// time lists it decoded.
+  struct RowMarks {
+    int days_marked = 0;
+    uint32_t lists_read = 0;
+  };
+
+  /// The verification step of Eq. 3.1 for segment `seg` over the slots
+  /// [first_slot, last_slot] (clamped to the day), without materialising a
+  /// TimeList. Walks the present (seg, slot) lists in slot order with one
+  /// PostingStore row read and, for every day d with day_hit[d] == 0 and a
+  /// non-empty start_ids[d], sets day_hit[d] = 1 when the day-d list
+  /// shares an id with the sorted start_ids[d]; each day's ids are
+  /// merge-tested as they are delta-decoded. Stops as soon as every day is
+  /// marked, so the pages only later slots need are never requested.
+  /// Absent lists cost a bitmap test and no I/O; a row requests each
+  /// distinct page it reads once. Same corruption checks as ReadTimeList
+  /// (one decoder serves both).
+  StatusOr<RowMarks> MarkDaysIntersecting(
+      SegmentId seg, SlotId first_slot, SlotId last_slot,
       const std::vector<std::vector<TrajectoryId>>& start_ids,
       std::vector<uint8_t>* day_hit) const;
-
-  /// MarkDaysIntersecting's result for a (segment, slot) without traffic.
-  static constexpr int kNoTimeList = -1;
 
   /// True when some trajectory traversed (segment, slot) on any day —
   /// directory-only check, no I/O.

@@ -24,6 +24,9 @@ StatusOr<RegionResult> ExhaustiveSearch(const StIndex& st_index,
   if (!(query.prob > 0.0 && query.prob <= 1.0)) {  // NaN fails too
     return Status::InvalidArgument("ES: Prob must be in (0, 1]");
   }
+  if (query.start_tod < 0 || query.start_tod >= kSecondsPerDay) {
+    return Status::InvalidArgument("ES: start time must be in [0, 86400)");
+  }
   if (starts.empty()) {
     return Status::InvalidArgument("ES: no start segments");
   }

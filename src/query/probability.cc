@@ -28,9 +28,13 @@ StatusOr<ReachabilityProbability> ReachabilityProbability::Create(
   if (window_seconds <= 0 || duration_seconds <= 0) {
     return Status::InvalidArgument("probability: window/duration must be > 0");
   }
-  ReachabilityProbability p(st_index, start_tod, duration_seconds);
-  p.candidate_slots_ =
+  ReachabilityProbability p(st_index);
+  const std::vector<SlotId> duration_slots =
       st_index.SlotsCovering(start_tod, start_tod + duration_seconds);
+  if (!duration_slots.empty()) {
+    p.first_slot_ = duration_slots.front();
+    p.last_slot_ = duration_slots.back();
+  }
 
   // Union the start segments' trajectory ids per day over the start window.
   p.start_ids_.assign(static_cast<size_t>(st_index.num_days()), {});
@@ -66,17 +70,13 @@ StatusOr<double> ReachabilityProbability::Probability(SegmentId r) {
   // across queries.
   thread_local std::vector<uint8_t> day_hit;
   day_hit.assign(static_cast<size_t>(num_days), 0);
-  int hits = 0;
-  for (SlotId slot : candidate_slots_) {
-    STRR_ASSIGN_OR_RETURN(
-        int marked,
-        st_index_->MarkDaysIntersecting(r, slot, start_ids_, &day_hit));
-    if (marked == StIndex::kNoTimeList) continue;  // no traffic, no I/O
-    ++time_lists_read_;
-    hits += marked;
-    if (hits == num_days) break;  // cannot improve further
-  }
-  return static_cast<double>(hits) / static_cast<double>(num_days);
+  STRR_ASSIGN_OR_RETURN(
+      StIndex::RowMarks marks,
+      st_index_->MarkDaysIntersecting(r, first_slot_, last_slot_, start_ids_,
+                                      &day_hit));
+  time_lists_read_ += marks.lists_read;
+  return static_cast<double>(marks.days_marked) /
+         static_cast<double>(num_days);
 }
 
 }  // namespace strr

@@ -9,11 +9,13 @@
 // One instance is built per query execution: it reads and caches the start
 // segment's time lists once, then verifies candidates one by one, reading
 // their time lists from the ST-Index (this is the disk I/O the SQMB/TBS
-// machinery exists to minimize). Verification never materialises a
-// candidate's TimeList: StIndex::MarkDaysIntersecting merge-tests the
-// decoded ids against the start lists as it goes. Each duration slot costs
-// one directory probe: MarkDaysIntersecting itself reports a (segment,
-// slot) without traffic, so time_lists_read() counts present lists only.
+// machinery exists to minimize). Verifying a candidate is one row read:
+// StIndex::MarkDaysIntersecting walks its lists over the duration slots
+// [first, last] in slot order, merge-tests the decoded ids against the
+// start lists without materialising a TimeList, and stops once every day
+// is marked. Each page of the row is requested once per verification;
+// absent (segment, slot) cells cost a directory probe and no I/O, so
+// time_lists_read() counts present lists only.
 // Multi-location queries pass several start segments; their per-day ID
 // lists are unioned (reachable from ANY start).
 #ifndef STRR_QUERY_PROBABILITY_H_
@@ -50,16 +52,14 @@ class ReachabilityProbability {
   bool StartHasNoTraffic() const { return start_active_days_ == 0; }
 
  private:
-  ReachabilityProbability(const StIndex& st_index, int64_t start_tod,
-                          int64_t duration_seconds)
-      : st_index_(&st_index),
-        start_tod_(start_tod),
-        duration_(duration_seconds) {}
+  explicit ReachabilityProbability(const StIndex& st_index)
+      : st_index_(&st_index) {}
 
   const StIndex* st_index_;
-  int64_t start_tod_;
-  int64_t duration_;
-  std::vector<SlotId> candidate_slots_;  // slots covering [T, T+L]
+  /// The slots covering [T, T+L]: [first_slot_, last_slot_], empty when
+  /// last_slot_ < first_slot_.
+  SlotId first_slot_ = 0;
+  SlotId last_slot_ = -1;
   /// start_ids_[d] = sorted trajectory ids leaving the starts on day d.
   std::vector<std::vector<TrajectoryId>> start_ids_;
   int start_active_days_ = 0;

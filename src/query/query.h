@@ -23,7 +23,7 @@ inline constexpr TenantId kDefaultTenant = 0;
 /// Single-location ST reachability query q = (S, T, L, Prob).
 struct SQuery {
   XyPoint location;        ///< S: query location (projected)
-  int64_t start_tod = 0;   ///< T: start time of day, seconds
+  int64_t start_tod = 0;   ///< T: start time of day, seconds in [0, 86400)
   int64_t duration = 600;  ///< L: query duration, seconds
   double prob = 0.2;       ///< Prob in (0, 1]
 };

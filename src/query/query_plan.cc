@@ -41,6 +41,9 @@ StatusOr<QueryPlan> QueryPlanner::PlanSQuery(const SQuery& query,
   if (query.duration <= 0) {
     return Status::InvalidArgument("SQuery: duration must be positive");
   }
+  if (query.start_tod < 0 || query.start_tod >= kSecondsPerDay) {
+    return Status::InvalidArgument("SQuery: start time must be in [0, 86400)");
+  }
   if (strategy == QueryStrategy::kRepeatedS) {
     // A one-location RepeatedS degenerates to Indexed; normalize so the
     // executor has one code path per strategy.
@@ -67,6 +70,9 @@ StatusOr<QueryPlan> QueryPlanner::PlanMQuery(const MQuery& query,
   }
   if (query.duration <= 0) {
     return Status::InvalidArgument("MQuery: duration must be positive");
+  }
+  if (query.start_tod < 0 || query.start_tod >= kSecondsPerDay) {
+    return Status::InvalidArgument("MQuery: start time must be in [0, 86400)");
   }
   if (strategy == QueryStrategy::kExhaustive) {
     return Status::InvalidArgument(

@@ -280,25 +280,52 @@ StatusOr<std::string> PostingStore::Get(PostingKey key) const {
 }
 
 StatusOr<bool> PostingStore::GetInto(PostingKey key, std::string* out) const {
-  out->clear();
-  const uint64_t cell = CellOf(key);
-  if (cell == kNoCell) return false;
-  const uint64_t offset = starts_[cell];
-  const uint64_t length = starts_[cell + 1] - offset;
-  const uint32_t page_size = file_->page_size();
-  out->resize(length);
-  uint64_t copied = 0;
-  while (copied < length) {
-    uint64_t byte = offset + copied;
-    PageId pid = 1 + byte / page_size;
-    uint32_t in_page = static_cast<uint32_t>(byte % page_size);
-    uint32_t chunk = static_cast<uint32_t>(
-        std::min<uint64_t>(page_size - in_page, length - copied));
+  const auto segment = static_cast<uint32_t>(key >> 32);
+  const auto slot = static_cast<uint32_t>(key & 0xffffffffu);
+  RowCursor cell(*this, segment, slot, slot, out);
+  return cell.Next();
+}
+
+PostingStore::RowCursor::RowCursor(const PostingStore& store, uint32_t segment,
+                                   uint32_t first_slot, uint32_t last_slot,
+                                   std::string* buffer)
+    : store_(&store), buffer_(buffer) {
+  buffer_->clear();
+  const PostingGrid& grid = store.grid_;
+  if (segment >= grid.num_segments || first_slot >= grid.slots ||
+      first_slot > last_slot) {
+    return;  // an empty row
+  }
+  last_slot = std::min(last_slot, grid.slots - 1);
+  slot0_cell_ = uint64_t{segment} * grid.slots;
+  cell_ = slot0_cell_ + first_slot;
+  end_cell_ = slot0_cell_ + last_slot + 1;
+  row_begin_ = store.starts_[cell_];
+  row_end_ = store.starts_[end_cell_];
+  filled_ = row_begin_;
+}
+
+StatusOr<bool> PostingStore::RowCursor::Next() {
+  while (cell_ < end_cell_ && !store_->Present(cell_)) ++cell_;
+  if (cell_ == end_cell_) return false;
+  begin_ = store_->starts_[cell_];
+  end_ = store_->starts_[cell_ + 1];
+  slot_ = static_cast<uint32_t>(cell_ - slot0_cell_);
+  ++cell_;
+  const uint32_t page_size = store_->file_->page_size();
+  while (filled_ < end_) {
+    const PageId pid = 1 + filled_ / page_size;
+    const auto in_page = static_cast<uint32_t>(filled_ % page_size);
+    const uint64_t stop =
+        std::min<uint64_t>(filled_ - in_page + page_size, row_end_);
+    const size_t at = filled_ - row_begin_;
+    buffer_->resize(stop - row_begin_);
     // ReadInto copies under the page's shard lock: safe against concurrent
     // readers evicting the frame mid-copy (Fetch's raw pointer is not).
     STRR_RETURN_IF_ERROR(
-        pool_->ReadInto(pid, in_page, out->data() + copied, chunk));
-    copied += chunk;
+        store_->pool_->ReadInto(pid, in_page, buffer_->data() + at,
+                                static_cast<uint32_t>(stop - filled_)));
+    filled_ = stop;
   }
   return true;
 }

@@ -18,7 +18,14 @@
 //
 // Reads pull the covering pages through the BufferPool, so every posting
 // access shows up in StorageStats — exactly the I/O the paper's algorithms
-// compete on.
+// compete on. The read unit is a row: one segment's cells over a slot
+// range [first, last], whose blobs sit next to each other on disk because
+// keys are (segment << 32) | slot. A RowCursor walks the row's present
+// cells in slot order and copies bytes into one caller-owned buffer a page
+// at a time, only as far as the cell it stands on, so a walk requests each
+// distinct page it touches once and a walk stopped early never requests
+// the pages only later cells need. Absent cells cost a bitmap test. Get
+// and GetInto are the one-cell row.
 //
 // File layout (page 0 is the header):
 //   page 0:  magic | page_size | dir_offset | dir_size | entry_count
@@ -31,6 +38,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "storage/buffer_pool.h"
@@ -106,12 +114,46 @@ struct PostingStoreOptions {
   std::string role;
 };
 
-/// Read side. Thread-safe for concurrent Get calls: the immutable
-/// directory grid is shared read-only and page bytes are copied out under
-/// the page's BufferPool shard lock (ReadInto), so eviction races cannot
-/// tear a blob.
+/// Read side. Thread-safe for concurrent reads: the immutable directory
+/// grid is shared read-only and page bytes are copied out under the page's
+/// BufferPool shard lock (ReadInto), so eviction races cannot tear a blob.
 class PostingStore {
  public:
+  /// Walks the present cells of one segment's slots [first_slot,
+  /// last_slot] in slot order. Before stopping on a cell it copies the row's
+  /// bytes into `*buffer` through the end of the page holding the cell's
+  /// last byte (capped at the row's end), one BufferPool request per page,
+  /// continuing from where the previous cell left off. Cells outside the
+  /// grid are absent. Not thread-safe; the store and buffer must outlive it.
+  class RowCursor {
+   public:
+    RowCursor(const PostingStore& store, uint32_t segment, uint32_t first_slot,
+              uint32_t last_slot, std::string* buffer);
+
+    /// Moves to the next present cell; false once the row is exhausted.
+    StatusOr<bool> Next();
+
+    /// The current cell's slot and blob (valid until the next Next()).
+    uint32_t slot() const { return slot_; }
+    std::string_view blob() const {
+      return std::string_view(buffer_->data() + (begin_ - row_begin_),
+                              end_ - begin_);
+    }
+
+   private:
+    const PostingStore* store_;
+    std::string* buffer_;
+    uint64_t cell_ = 0;      // next cell to examine
+    uint64_t end_cell_ = 0;  // one past the row's last cell
+    uint64_t slot0_cell_ = 0;  // the segment's slot-0 cell
+    uint64_t row_begin_ = 0;  // data offsets of the row's extent
+    uint64_t row_end_ = 0;
+    uint64_t filled_ = 0;  // data offset the buffer holds bytes up to
+    uint64_t begin_ = 0;   // current cell's extent
+    uint64_t end_ = 0;
+    uint32_t slot_ = 0;
+  };
+
   /// Opens the store over the key space `grid`, loading the directory
   /// eagerly. The store owns its FileManager and BufferPool; `cache_pages`
   /// sizes the pool.
@@ -128,9 +170,9 @@ class PostingStore {
   /// Fetches the blob stored under `key`; NotFound when absent.
   StatusOr<std::string> Get(PostingKey key) const;
 
-  /// Copies the blob stored under `key` into `*out`, reusing its capacity
-  /// (the verification read path keeps one buffer per thread). Returns
-  /// false, with `*out` cleared, when the key is absent.
+  /// Copies the blob stored under `key` into `*out`, reusing its capacity:
+  /// a one-cell RowCursor. Returns false, with `*out` cleared, when the
+  /// key is absent.
   StatusOr<bool> GetInto(PostingKey key, std::string* out) const;
 
   /// True when `key` exists (one bitmap test; no I/O).
@@ -152,14 +194,17 @@ class PostingStore {
                std::unique_ptr<BufferPool> pool, PostingGrid grid)
       : file_(std::move(file)), pool_(std::move(pool)), grid_(grid) {}
 
+  bool Present(uint64_t cell) const {
+    return ((present_[cell >> 6] >> (cell & 63)) & 1) != 0;
+  }
+
   /// Grid cell holding `key`, or kNoCell when the key is absent.
   uint64_t CellOf(PostingKey key) const {
     const uint64_t segment = key >> 32;
     const uint64_t slot = key & 0xffffffffu;
     if (segment >= grid_.num_segments || slot >= grid_.slots) return kNoCell;
     const uint64_t cell = segment * grid_.slots + slot;
-    if (((present_[cell >> 6] >> (cell & 63)) & 1) == 0) return kNoCell;
-    return cell;
+    return Present(cell) ? cell : kNoCell;
   }
 
   /// Reads the serialized directory and fills starts_/present_.

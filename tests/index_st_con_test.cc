@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <set>
 
 #include "index/con_index.h"
@@ -144,9 +145,17 @@ TEST_F(StIndexTest, SlotsCoveringRanges) {
   slots = index_->SlotsCovering(HMS(8), HMS(8) + 1);
   EXPECT_EQ(slots, (std::vector<SlotId>{96}));
   EXPECT_TRUE(index_->SlotsCovering(100, 100).empty());
-  // Clamped to end of day.
+  // Clamped to the day.
   slots = index_->SlotsCovering(HMS(23, 55), HMS(23, 55) + 900);
   EXPECT_EQ(slots, (std::vector<SlotId>{287}));
+  slots = index_->SlotsCovering(-600, 300);
+  EXPECT_EQ(slots, (std::vector<SlotId>{0}));
+  // Ranges wholly outside the day cover nothing.
+  EXPECT_TRUE(index_->SlotsCovering(-HMS(1), -HMS(1) + 600).empty());
+  EXPECT_TRUE(index_->SlotsCovering(-600, 0).empty());
+  EXPECT_TRUE(
+      index_->SlotsCovering(kSecondsPerDay, kSecondsPerDay + 600).empty());
+  EXPECT_TRUE(index_->SlotsCovering(HMS(32), HMS(32) + 600).empty());
 }
 
 TEST_F(StIndexTest, LocateSegmentFindsNearest) {
@@ -181,21 +190,22 @@ TEST_F(StIndexTest, NoTrafficSlotsEmptyWithoutIo) {
 }
 
 TEST_F(StIndexTest, MarkDaysIntersectingReportsAbsentListsDistinctly) {
-  // Every (segment, slot) of the grid: MarkDaysIntersecting answers
-  // kNoTimeList exactly where HasTraffic is false, and then costs no I/O.
+  // Every (segment, slot) of the grid as a one-slot row: a list is read
+  // exactly where HasTraffic is true; an absent one costs no I/O.
   const std::vector<std::vector<TrajectoryId>> start = {{0}, {}, {1}};
   int present = 0;
   for (SegmentId seg = 0; seg < net_.NumSegments(); ++seg) {
     for (SlotId slot = 0; slot < index_->slots_per_day(); ++slot) {
       std::vector<uint8_t> hit(3, 0);
       index_->ResetStorageStats();
-      auto marked = index_->MarkDaysIntersecting(seg, slot, start, &hit);
-      ASSERT_TRUE(marked.ok()) << marked.status().ToString();
+      auto marks = index_->MarkDaysIntersecting(seg, slot, slot, start, &hit);
+      ASSERT_TRUE(marks.ok()) << marks.status().ToString();
       if (index_->HasTraffic(seg, slot)) {
-        EXPECT_GE(*marked, 0) << seg << "/" << slot;
+        EXPECT_EQ(marks->lists_read, 1u) << seg << "/" << slot;
         ++present;
       } else {
-        EXPECT_EQ(*marked, StIndex::kNoTimeList) << seg << "/" << slot;
+        EXPECT_EQ(marks->lists_read, 0u) << seg << "/" << slot;
+        EXPECT_EQ(marks->days_marked, 0);
         EXPECT_EQ(index_->storage_stats().TotalRequests(), 0u);
         EXPECT_EQ(hit, std::vector<uint8_t>(3, 0));
       }
@@ -203,17 +213,31 @@ TEST_F(StIndexTest, MarkDaysIntersectingReportsAbsentListsDistinctly) {
   }
   EXPECT_EQ(static_cast<uint64_t>(present), index_->NumPostings());
 
-  // A present list that shares no id with the start lists marks 0 days,
-  // which is not kNoTimeList.
+  // A present list that shares no id with the start lists is read and
+  // marks 0 days.
   const SlotId slot = index_->SlotForTime(HMS(8));
   std::vector<uint8_t> hit(3, 0);
-  auto none = index_->MarkDaysIntersecting(0, slot, {{}, {}, {}}, &hit);
+  auto none = index_->MarkDaysIntersecting(0, slot, slot, {{}, {}, {}}, &hit);
   ASSERT_TRUE(none.ok());
-  EXPECT_EQ(*none, 0);
-  auto both = index_->MarkDaysIntersecting(0, slot, start, &hit);
+  EXPECT_EQ(none->lists_read, 1u);
+  EXPECT_EQ(none->days_marked, 0);
+  auto both = index_->MarkDaysIntersecting(0, slot, slot, start, &hit);
   ASSERT_TRUE(both.ok());
-  EXPECT_EQ(*both, 2);
+  EXPECT_EQ(both->days_marked, 2);
   EXPECT_EQ(hit, (std::vector<uint8_t>{1, 0, 1}));
+
+  // A row reaching past either end of the day covers the slots inside it
+  // and finds the same list; an empty range reads nothing.
+  std::fill(hit.begin(), hit.end(), 0);
+  auto day = index_->MarkDaysIntersecting(0, -1, index_->slots_per_day(),
+                                          start, &hit);
+  ASSERT_TRUE(day.ok());
+  EXPECT_EQ(day->days_marked, 2);
+  EXPECT_EQ(day->lists_read, 1u);
+  std::fill(hit.begin(), hit.end(), 0);
+  auto empty = index_->MarkDaysIntersecting(0, slot + 1, slot, start, &hit);
+  ASSERT_TRUE(empty.ok());
+  EXPECT_EQ(empty->lists_read, 0u);
 }
 
 TEST_F(StIndexTest, SegmentsInRange) {
@@ -328,6 +352,45 @@ Status ReferenceDayHits(const StIndex& index, SegmentId seg, SlotId slot,
   return Status::OK();
 }
 
+/// A row verification the per-slot way: ReferenceDayHits on each present
+/// slot of [first, last] in order, stopping once every day is hit. Returns
+/// the lists read, or the error of the first corrupt list it reaches.
+StatusOr<uint32_t> ReferenceRowHits(
+    const StIndex& index, SegmentId seg, SlotId first, SlotId last,
+    const std::vector<std::vector<TrajectoryId>>& start,
+    std::vector<uint8_t>* hit) {
+  uint32_t read = 0;
+  for (SlotId slot = first; slot <= last; ++slot) {
+    if (std::count(hit->begin(), hit->end(), 0) == 0) break;
+    if (!index.HasTraffic(seg, slot)) continue;
+    STRR_RETURN_IF_ERROR(ReferenceDayHits(index, seg, slot, start, hit));
+    ++read;
+  }
+  return read;
+}
+
+/// Distinct pages holding the bytes of segment `seg`'s lists over
+/// [first, last]; `blobs` is in key order.
+std::set<uint64_t> RowPages(const std::vector<BlobExtent>& blobs,
+                            uint32_t page_size, SegmentId seg, SlotId first,
+                            SlotId last) {
+  std::set<uint64_t> pages;
+  auto it = std::lower_bound(
+      blobs.begin(), blobs.end(),
+      MakePostingKey(seg, static_cast<uint32_t>(first)),
+      [](const BlobExtent& b, PostingKey key) { return b.key < key; });
+  for (; it != blobs.end() &&
+         it->key <= MakePostingKey(seg, static_cast<uint32_t>(last));
+       ++it) {
+    if (it->length == 0) continue;
+    for (uint64_t page = it->file_offset / page_size;
+         page <= (it->file_offset + it->length - 1) / page_size; ++page) {
+      pages.insert(page);
+    }
+  }
+  return pages;
+}
+
 TEST(TimeListDecoderTest, MutationSweepStreamingAgreesWithReadTimeList) {
   auto& stack = GetSharedStack();
   StIndexOptions opt;
@@ -351,30 +414,53 @@ TEST(TimeListDecoderTest, MutationSweepStreamingAgreesWithReadTimeList) {
     for (TrajectoryId id = 0; id <= max_id; id += 3) ids.push_back(id);
   }
 
-  int clean = 0, corrupt = 0;
-  auto check = [&](const BlobExtent& b, const std::string& what) {
+  // Verifies the row of b's segment over [slot - before, slot + after],
+  // which puts b's list in the middle of a multi-slot row, against the
+  // per-slot reference. A row must fail exactly when the reference reaches
+  // a corrupt list, and must never request a page outside the row.
+  int clean = 0, corrupt = 0, sandwiched = 0;
+  auto check = [&](const BlobExtent& b, int before, int after,
+                   const std::string& what) {
     const auto seg = static_cast<SegmentId>(b.key >> 32);
     const auto slot = static_cast<SlotId>(b.key & 0xffffffffu);
+    const SlotId first = std::max<SlotId>(0, slot - before);
+    const SlotId last = std::min<SlotId>(index.slots_per_day() - 1,
+                                         slot + after);
+    if ((first < slot && index.HasTraffic(seg, first)) &&
+        (last > slot && index.HasTraffic(seg, last))) {
+      ++sandwiched;
+    }
     std::vector<uint8_t> want(start.size(), 0), got(start.size(), 0);
-    Status ref = ReferenceDayHits(index, seg, slot, start, &want);
-    auto marked = index.MarkDaysIntersecting(seg, slot, start, &got);
+    auto ref = ReferenceRowHits(index, seg, first, last, start, &want);
+    index.DropCache();
+    index.ResetStorageStats();
+    auto marks = index.MarkDaysIntersecting(seg, first, last, start, &got);
+    EXPECT_LE(index.storage_stats().TotalRequests(),
+              RowPages(blobs, opt.page_size, seg, first, last).size())
+        << what;
     if (ref.ok()) {
-      ASSERT_TRUE(marked.ok()) << what << ": " << marked.status().ToString();
+      ASSERT_TRUE(marks.ok()) << what << ": " << marks.status().ToString();
       EXPECT_EQ(got, want) << what;
-      EXPECT_EQ(*marked, std::count(want.begin(), want.end(), 1)) << what;
+      EXPECT_EQ(marks->days_marked, std::count(want.begin(), want.end(), 1))
+          << what;
+      EXPECT_EQ(marks->lists_read, *ref) << what;
       ++clean;
     } else {
-      EXPECT_TRUE(ref.IsCorruption()) << what << ": " << ref.ToString();
-      ASSERT_FALSE(marked.ok()) << what;
-      EXPECT_TRUE(marked.status().IsCorruption())
-          << what << ": " << marked.status().ToString();
+      EXPECT_TRUE(ref.status().IsCorruption())
+          << what << ": " << ref.status().ToString();
+      ASSERT_FALSE(marks.ok()) << what;
+      EXPECT_TRUE(marks.status().IsCorruption())
+          << what << ": " << marks.status().ToString();
       ++corrupt;
     }
   };
 
   Rng rng(41);
   for (int i = 0; i < 200; ++i) {
-    check(blobs[rng.UniformInt(0, blobs.size() - 1)], "pristine");
+    const BlobExtent& b = blobs[rng.UniformInt(0, blobs.size() - 1)];
+    const auto before = static_cast<int>(rng.UniformInt(0, 6));
+    const auto after = static_cast<int>(rng.UniformInt(0, 6));
+    check(b, before, after, "pristine");
   }
   ASSERT_EQ(corrupt, 0);
 
@@ -399,15 +485,152 @@ TEST(TimeListDecoderTest, MutationSweepStreamingAgreesWithReadTimeList) {
         kind = "inflate";
         break;
     }
+    const auto before = static_cast<int>(rng.UniformInt(1, 6));
+    const auto after = static_cast<int>(rng.UniformInt(1, 6));
     OverwriteFile(opt.posting_path, b.file_offset, bytes);
     index.DropCache();
-    check(b, kind + " at byte " + std::to_string(pos) + " of key " +
-                 std::to_string(b.key));
+    check(b, before, after,
+          kind + " at byte " + std::to_string(pos) + " of key " +
+              std::to_string(b.key));
     OverwriteFile(opt.posting_path, b.file_offset, original);
   }
   index.DropCache();
   EXPECT_GT(corrupt, 50);
   EXPECT_GT(clean, 250);
+  EXPECT_GT(sandwiched, 100);
+}
+
+// --- Row reads ---------------------------------------------------------------
+
+/// Hand-built index over a 3-segment chain, 4 days, 64-byte pages, so a
+/// few lists fill a page. Segment 0 has lists at slots 96-101 except 98,
+/// slot s carrying s - 94 ids per day: several lists share a page and some
+/// straddle a page boundary. Segment 1 has no traffic. Segment 2 has a list
+/// at slot 286 (day 1 only) and one at 287, the grid's last cell.
+class RowReadTest : public ::testing::Test {
+ protected:
+  static constexpr uint32_t kPageSize = 64;
+  static constexpr SegmentId kLast = 2;
+
+  void SetUp() override {
+    net_ = testing_util::MakeChainNetwork(3, 300.0);
+    ASSERT_EQ(net_.NumSegments(), kLast + 1);
+    TrajectoryStore store(4);
+    TrajectoryId id = 0;
+    auto add = [&](SegmentId seg, SlotId slot, int day) {
+      MatchedTrajectory t;
+      t.id = id++;
+      t.taxi = t.id;
+      t.day = day;
+      t.samples = {{seg, MakeTimestamp(day, slot * 300 + 10), 10.0f}};
+      ids_[{seg, slot}].resize(4);
+      ids_[{seg, slot}][day].push_back(t.id);
+      ASSERT_TRUE(store.Add(std::move(t)).ok());
+    };
+    for (SlotId slot : {96, 97, 99, 100, 101}) {
+      for (int day = 0; day < 4; ++day) {
+        for (int k = 0; k < slot - 94; ++k) add(0, slot, day);
+      }
+    }
+    add(kLast, 286, 1);
+    for (int day = 0; day < 4; ++day) add(kLast, 287, day);
+
+    StIndexOptions opt;
+    opt.posting_path = MakeTempDir("row_read") + "/postings.bin";
+    opt.page_size = kPageSize;
+    auto index = StIndex::Build(net_, store, opt);
+    ASSERT_TRUE(index.ok()) << index.status().ToString();
+    index_ = std::move(*index);
+    blobs_ = PostingExtents(ReadWholeFile(opt.posting_path), kPageSize);
+  }
+
+  /// Pages requested by one row verification on a dropped pool.
+  StorageStats Verify(SegmentId seg, SlotId first, SlotId last,
+                      const std::vector<std::vector<TrajectoryId>>& start,
+                      StIndex::RowMarks* marks) {
+    std::vector<uint8_t> hit(4, 0);
+    index_->DropCache();
+    index_->ResetStorageStats();
+    auto got = index_->MarkDaysIntersecting(seg, first, last, start, &hit);
+    EXPECT_TRUE(got.ok()) << got.status().ToString();
+    if (got.ok()) *marks = *got;
+    return index_->storage_stats();
+  }
+
+  size_t Pages(SegmentId seg, SlotId first, SlotId last) const {
+    return RowPages(blobs_, kPageSize, seg, first, last).size();
+  }
+
+  RoadNetwork net_;
+  std::unique_ptr<StIndex> index_;
+  std::vector<BlobExtent> blobs_;
+  std::map<std::pair<SegmentId, SlotId>, TimeList> ids_;
+};
+
+TEST_F(RowReadTest, OneRequestPerDistinctPageSameMissesAsPerSlotReads) {
+  // The layout this test is about: lists sharing a page, one straddling.
+  int straddling = 0;
+  for (SlotId slot = 96; slot <= 101; ++slot) {
+    if (Pages(0, slot, slot) > 1) ++straddling;
+  }
+  ASSERT_GT(straddling, 0);
+  const size_t row_pages = Pages(0, 96, 101);
+  ASSERT_LT(row_pages, static_cast<size_t>(5 + straddling));
+
+  // Per-slot reads on a dropped pool: each list requests its own pages.
+  index_->DropCache();
+  index_->ResetStorageStats();
+  for (SlotId slot = 96; slot <= 101; ++slot) {
+    ASSERT_TRUE(index_->ReadTimeList(0, slot).ok());
+  }
+  const StorageStats per_slot = index_->storage_stats();
+
+  // No start id matches, so the row is read to its end.
+  StIndex::RowMarks marks;
+  const StorageStats row = Verify(0, 96, 101, {{999999}, {999999}, {999999},
+                                               {999999}}, &marks);
+  EXPECT_EQ(marks.lists_read, 5u);
+  EXPECT_EQ(marks.days_marked, 0);
+  EXPECT_EQ(row.TotalRequests(), row_pages);
+  EXPECT_EQ(row.cache_hits, 0u);
+  EXPECT_EQ(row.cache_misses, per_slot.cache_misses);
+  EXPECT_EQ(row.disk_page_reads, per_slot.disk_page_reads);
+  EXPECT_EQ(row.evictions, per_slot.evictions);
+  EXPECT_GT(per_slot.TotalRequests(), row.TotalRequests());
+}
+
+TEST_F(RowReadTest, EarlyExitLeavesTrailingPagesUnrequested) {
+  // Slot 96's ids mark every day, so the walk stops after its list.
+  StIndex::RowMarks marks;
+  const StorageStats row = Verify(0, 96, 101, ids_[{0, 96}], &marks);
+  EXPECT_EQ(marks.days_marked, 4);
+  EXPECT_EQ(marks.lists_read, 1u);
+  EXPECT_EQ(row.TotalRequests(), Pages(0, 96, 96));
+  EXPECT_LT(row.TotalRequests(), Pages(0, 96, 101));
+}
+
+TEST_F(RowReadTest, AllAbsentRowMakesNoRequests) {
+  StIndex::RowMarks marks;
+  const StorageStats row =
+      Verify(1, 0, index_->slots_per_day() - 1, ids_[{0, 96}], &marks);
+  EXPECT_EQ(row.TotalRequests(), 0u);
+  EXPECT_EQ(marks.lists_read, 0u);
+  EXPECT_EQ(marks.days_marked, 0);
+}
+
+TEST_F(RowReadTest, GridsLastCellReadsCorrectly) {
+  // Its extent ends at the directory's sentinel offset.
+  ASSERT_EQ(blobs_.back().key, MakePostingKey(kLast, 287));
+  auto lists = index_->ReadTimeList(kLast, 287);
+  ASSERT_TRUE(lists.ok()) << lists.status().ToString();
+  EXPECT_EQ(*lists, (ids_[{kLast, 287}]));
+
+  StIndex::RowMarks marks;
+  const StorageStats row =
+      Verify(kLast, 280, 287, ids_[{kLast, 287}], &marks);
+  EXPECT_EQ(marks.lists_read, 2u);  // 286 marks nothing, 287 every day
+  EXPECT_EQ(marks.days_marked, 4);
+  EXPECT_EQ(row.TotalRequests(), Pages(kLast, 280, 287));
 }
 
 // --- ConIndex ----------------------------------------------------------------

@@ -11,6 +11,7 @@
 #include "index/con_index.h"
 #include "index/st_index.h"
 #include "query/bounding_region.h"
+#include "query/es_baseline.h"
 #include "query/probability.h"
 #include "query/trace_back.h"
 #include "tests/test_util.h"
@@ -175,6 +176,38 @@ TEST(EngineEdgeTest, QueryAtMidnightBoundary) {
   ASSERT_TRUE(region.ok()) << region.status().ToString();
   // The window clamps at midnight (trajectories are per-day); must not
   // crash and region is bounded by whatever traffic exists before 24:00.
+}
+
+TEST(EngineEdgeTest, StartTimeOutsideTheDayIsInvalid) {
+  // A start time of day lies in [0, 86400): the slots of [T, T+L] are
+  // taken within one day, so an out-of-day T would otherwise wrap its
+  // start slot but not its end and verify most of the day.
+  auto& stack = testing_util::GetSharedStack();
+  ReachabilityEngine& engine = *stack.engine;
+  const XyPoint at = stack.dataset.center;
+  auto run_all = [&](int64_t tod) {
+    const SQuery s{at, tod, 600, 0.2};
+    const MQuery m{{at, at}, tod, 600, 0.2};
+    return std::vector<Status>{
+        engine.SQueryIndexed(s).status(),
+        engine.SQueryExhaustive(s).status(),
+        ExhaustiveSearch(engine.st_index(), engine.speed_profile(), s,
+                         engine.delta_t_seconds())
+            .status(),
+        engine.MQueryIndexed(m).status(),
+        engine.MQueryRepeatedSQuery(m).status()};
+  };
+  for (int64_t tod : {int64_t{-1}, kSecondsPerDay, kSecondsPerDay + HMS(8)}) {
+    for (const Status& status : run_all(tod)) {
+      EXPECT_TRUE(status.IsInvalidArgument()) << tod << ": "
+                                              << status.ToString();
+    }
+  }
+  for (int64_t tod : {int64_t{0}, kSecondsPerDay - 1}) {
+    for (const Status& status : run_all(tod)) {
+      EXPECT_TRUE(status.ok()) << tod << ": " << status.ToString();
+    }
+  }
 }
 
 TEST(EngineEdgeTest, CorruptPostingFileSurfacesAsError) {

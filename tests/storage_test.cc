@@ -557,6 +557,74 @@ TEST(PostingStoreTest, StatsCountIo) {
   EXPECT_EQ(stats.cache_misses, 6u);
 }
 
+TEST(PostingStoreTest, RowCursorReadsEachPageOnceAndOnlyAsFarAsWalked) {
+  // 64-byte pages. Segment 1's row tiles data bytes [0, 140): slot 1 and
+  // the empty slot 2 sit on page 0, slot 3 straddles pages 0-1, slot 5
+  // shares page 1, slot 6 straddles pages 1-2. Segment 2's slot 7 is the
+  // grid's last cell, ending at the directory's sentinel offset.
+  const PostingGrid grid{3, 8};
+  const std::vector<std::pair<uint32_t, std::string>> row = {
+      {1, std::string(30, 'a')}, {2, ""},
+      {3, std::string(50, 'b')}, {5, std::string(20, 'c')},
+      {6, std::string(40, 'd')}};
+  const std::string last_cell(10, 'e');
+  std::string path = TempFile("ps_row");
+  auto builder = PostingStoreBuilder::Create(path, 64);
+  ASSERT_TRUE(builder.ok());
+  for (const auto& [slot, blob] : row) {
+    ASSERT_TRUE((*builder)->Add(MakePostingKey(1, slot), blob).ok());
+  }
+  ASSERT_TRUE((*builder)->Add(MakePostingKey(2, 7), last_cell).ok());
+  ASSERT_TRUE((*builder)->Finish().ok());
+  auto opened = PostingStore::Open(path, grid, 16, 64);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  PostingStore& store = **opened;
+  std::string buffer = "stale";
+
+  // Walks the row, stopping after `limit` present cells; returns the
+  // (slot, blob) pairs seen and checks the page requests made on a
+  // dropped pool.
+  auto walk = [&](uint32_t seg, uint32_t first, uint32_t last, size_t limit,
+                  uint64_t want_requests) {
+    store.DropCache();
+    store.ResetStats();
+    std::vector<std::pair<uint32_t, std::string>> seen;
+    PostingStore::RowCursor cursor(store, seg, first, last, &buffer);
+    while (seen.size() < limit) {
+      auto found = cursor.Next();
+      EXPECT_TRUE(found.ok()) << found.status().ToString();
+      if (!found.ok() || !*found) break;
+      seen.emplace_back(cursor.slot(), std::string(cursor.blob()));
+    }
+    const StorageStats stats = store.stats();
+    EXPECT_EQ(stats.TotalRequests(), want_requests)
+        << seg << " [" << first << ", " << last << "] limit " << limit;
+    EXPECT_EQ(stats.cache_hits, 0u);  // no page requested twice
+    return seen;
+  };
+
+  EXPECT_EQ(walk(1, 0, 7, 99, 3), row);
+  // Stopping early leaves the trailing pages unrequested.
+  EXPECT_EQ(walk(1, 0, 7, 1, 1), (decltype(row){row[0]}));
+  EXPECT_EQ(walk(1, 0, 7, 3, 2), (decltype(row){row[0], row[1], row[2]}));
+  // A row starting mid-page begins at its first cell's bytes.
+  EXPECT_EQ(walk(1, 5, 6, 99, 2), (decltype(row){row[3], row[4]}));
+  // Rows without a present cell, or outside the grid, request nothing.
+  EXPECT_TRUE(walk(0, 0, 7, 99, 0).empty());
+  EXPECT_TRUE(walk(1, 7, 7, 99, 0).empty());
+  EXPECT_TRUE(walk(3, 0, 7, 99, 0).empty());
+  EXPECT_TRUE(walk(1, 6, 5, 99, 0).empty());
+  EXPECT_TRUE(walk(1, 8, 9, 99, 0).empty());
+  // The last cell; a last slot past the grid is clamped to it.
+  EXPECT_EQ(walk(2, 0, 100, 99, 1),
+            (decltype(row){{7, last_cell}}));
+  std::string out;
+  auto found = store.GetInto(MakePostingKey(2, 7), &out);
+  ASSERT_TRUE(found.ok());
+  EXPECT_TRUE(*found);
+  EXPECT_EQ(out, last_cell);
+}
+
 /// Builds a three-entry store at `path` (page size 256) and returns the
 /// file offset of its serialized directory.
 uint64_t BuildThreeEntryStore(const std::string& path) {
