@@ -9,15 +9,16 @@ namespace strr {
 
 namespace {
 
-/// Build-time tuple; sorting groups (segment, slot) together, then days,
-/// then ids (so duplicates from multi-sample traversals collapse).
+/// Build-time tuple; sorting puts the (segment, slot) cells in the store's
+/// slot-major order and groups each cell's tuples by day, then id (so
+/// duplicates from multi-sample traversals collapse).
 struct BuildTuple {
   PostingKey key;  // (segment << 32) | slot
   uint32_t day;
   TrajectoryId traj;
 
   bool operator<(const BuildTuple& o) const {
-    if (key != o.key) return key < o.key;
+    if (key != o.key) return PostingSlotMajor(key) < PostingSlotMajor(o.key);
     if (day != o.day) return day < o.day;
     return traj < o.traj;
   }
@@ -154,7 +155,7 @@ struct IntersectDays {
   }
 };
 
-/// Per-thread posting buffer: the read paths copy posting bytes here
+/// Per-thread posting buffer: ReadTimeList copies posting bytes here
 /// instead of allocating a fresh string per read.
 std::string& PostingBuffer() {
   thread_local std::string buffer;
@@ -311,8 +312,16 @@ StatusOr<TimeList> StIndex::ReadTimeList(SegmentId seg, SlotId slot) const {
   return lists;
 }
 
-StatusOr<StIndex::RowMarks> StIndex::MarkDaysIntersecting(
-    SegmentId seg, SlotId first_slot, SlotId last_slot,
+PostingStore::Window StIndex::TimeListWindow(SlotId first_slot,
+                                             SlotId last_slot) const {
+  if (last_slot < 0) return PostingStore::Window(*postings_, 1, 0);  // empty
+  first_slot = std::max<SlotId>(first_slot, 0);
+  return PostingStore::Window(*postings_, static_cast<uint32_t>(first_slot),
+                              static_cast<uint32_t>(last_slot));
+}
+
+StatusOr<StIndex::SegmentMarks> StIndex::MarkDaysIntersecting(
+    SegmentId seg, PostingStore::Window* window,
     const std::vector<std::vector<TrajectoryId>>& start_ids,
     std::vector<uint8_t>* day_hit) const {
   const size_t days = static_cast<size_t>(num_days_);
@@ -320,19 +329,15 @@ StatusOr<StIndex::RowMarks> StIndex::MarkDaysIntersecting(
     return Status::InvalidArgument(
         "MarkDaysIntersecting: start_ids/day_hit must have one entry per day");
   }
-  RowMarks marks;
-  first_slot = std::max<SlotId>(first_slot, 0);  // the cursor clamps the end
-  if (last_slot < first_slot) return marks;
+  SegmentMarks marks;
   auto unmarked = std::count(day_hit->begin(), day_hit->end(), 0);
-  PostingStore::RowCursor row(*postings_, seg,
-                              static_cast<uint32_t>(first_slot),
-                              static_cast<uint32_t>(last_slot),
-                              &PostingBuffer());
-  while (unmarked > 0) {
-    STRR_ASSIGN_OR_RETURN(bool found, row.Next());
-    if (!found) break;
+  for (uint32_t slot = window->first_slot();
+       slot < window->end_slot() && unmarked > 0; ++slot) {
+    std::string_view blob;
+    STRR_ASSIGN_OR_RETURN(bool found, window->Read(seg, slot, &blob));
+    if (!found) continue;
     IntersectDays intersect{&start_ids, day_hit};
-    STRR_RETURN_IF_ERROR(DecodeTimeList(row.blob(), num_days_, intersect));
+    STRR_RETURN_IF_ERROR(DecodeTimeList(blob, num_days_, intersect));
     ++marks.lists_read;
     marks.days_marked += intersect.marked;
     unmarked -= intersect.marked;

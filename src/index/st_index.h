@@ -8,13 +8,14 @@
 //    makes the same observation).
 //  * Time lists — for each (segment, slot), the per-date lists of
 //    trajectory IDs that traversed the segment in that slot. These live on
-//    disk in a PostingStore and are read through a BufferPool, so every
-//    access is measurable I/O. Build opens the store over the grid
-//    NumSegments() × slots_per_day(), the shape of its dense in-memory
-//    directory: whether a (segment, slot) has a time list is one bitmap
-//    test, with no filter in front of it. Verification reads a segment's
-//    lists over the query's slot range as one row: the lists sit next to
-//    each other on disk, so one pass requests each distinct page once.
+//    disk in a PostingStore, slot-major as in the figure (one slot's lists
+//    for all segments lie together), and are read through a BufferPool,
+//    so every access is measurable I/O. Build opens the store over the
+//    grid NumSegments() × slots_per_day(), the shape of its dense
+//    in-memory directory: whether a (segment, slot) has a time list is one
+//    bitmap test, with no filter in front of it. A query verifies through
+//    one TimeListWindow over its slot range, which (up to its buffer cap)
+//    requests each distinct page once however many segments it verifies.
 #ifndef STRR_INDEX_ST_INDEX_H_
 #define STRR_INDEX_ST_INDEX_H_
 
@@ -61,11 +62,11 @@ using TimeList = std::vector<std::vector<TrajectoryId>>;
 
 /// Built index; immutable after Build and thread-safe for concurrent
 /// queries: the R-tree/B+-tree lookups are const over frozen structures,
-/// and the time-list reads go through PostingStore row reads, which copy
-/// page bytes out under the page's BufferPool shard lock into a buffer
-/// owned by the calling thread. The StorageStats counters are shared
-/// across all concurrent queries (FileManager keeps them atomic); per-query
-/// I/O deltas are only meaningful for sequential execution.
+/// and the time-list reads copy page bytes out under the page's BufferPool
+/// shard lock into a buffer owned by the calling thread or its query's
+/// window. The StorageStats counters are shared across all concurrent
+/// queries (FileManager keeps them atomic); per-query I/O deltas are only
+/// meaningful for sequential execution.
 class StIndex {
  public:
   /// Builds from the matched-trajectory database, writing the posting file
@@ -103,26 +104,30 @@ class StIndex {
   /// traversals have empty lists. Costs buffer-pool I/O.
   StatusOr<TimeList> ReadTimeList(SegmentId seg, SlotId slot) const;
 
-  /// What one row verification did: days newly marked, and the present
-  /// time lists it decoded.
-  struct RowMarks {
+  /// A read window over the time lists of slots [first_slot, last_slot],
+  /// clamped to the day (empty when nothing of the range is inside it).
+  /// One window serves one query's verifications, on one thread.
+  PostingStore::Window TimeListWindow(SlotId first_slot,
+                                      SlotId last_slot) const;
+
+  /// What one segment's verification did: days newly marked, and the
+  /// present time lists it decoded.
+  struct SegmentMarks {
     int days_marked = 0;
     uint32_t lists_read = 0;
   };
 
-  /// The verification step of Eq. 3.1 for segment `seg` over the slots
-  /// [first_slot, last_slot] (clamped to the day), without materialising a
-  /// TimeList. Walks the present (seg, slot) lists in slot order with one
-  /// PostingStore row read and, for every day d with day_hit[d] == 0 and a
-  /// non-empty start_ids[d], sets day_hit[d] = 1 when the day-d list
-  /// shares an id with the sorted start_ids[d]; each day's ids are
-  /// merge-tested as they are delta-decoded. Stops as soon as every day is
-  /// marked, so the pages only later slots need are never requested.
-  /// Absent lists cost a bitmap test and no I/O; a row requests each
-  /// distinct page it reads once. Same corruption checks as ReadTimeList
-  /// (one decoder serves both).
-  StatusOr<RowMarks> MarkDaysIntersecting(
-      SegmentId seg, SlotId first_slot, SlotId last_slot,
+  /// The verification step of Eq. 3.1 for segment `seg` over the window's
+  /// slots, without materialising a TimeList. Walks the present (seg,
+  /// slot) lists in slot order through `window` and, for every day d with
+  /// day_hit[d] == 0 and a non-empty start_ids[d], sets day_hit[d] = 1
+  /// when the day-d list shares an id with the sorted start_ids[d]; each
+  /// day's ids are merge-tested as they are delta-decoded. Stops as soon as
+  /// every day is marked, so the pages only later slots need are not
+  /// requested for this segment. Absent lists cost a bitmap test and no
+  /// I/O. Same corruption checks as ReadTimeList (one decoder serves both).
+  StatusOr<SegmentMarks> MarkDaysIntersecting(
+      SegmentId seg, PostingStore::Window* window,
       const std::vector<std::vector<TrajectoryId>>& start_ids,
       std::vector<uint8_t>* day_hit) const;
 

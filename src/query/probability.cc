@@ -28,13 +28,13 @@ StatusOr<ReachabilityProbability> ReachabilityProbability::Create(
   if (window_seconds <= 0 || duration_seconds <= 0) {
     return Status::InvalidArgument("probability: window/duration must be > 0");
   }
-  ReachabilityProbability p(st_index);
   const std::vector<SlotId> duration_slots =
       st_index.SlotsCovering(start_tod, start_tod + duration_seconds);
-  if (!duration_slots.empty()) {
-    p.first_slot_ = duration_slots.front();
-    p.last_slot_ = duration_slots.back();
-  }
+  ReachabilityProbability p(
+      st_index, duration_slots.empty()
+                    ? st_index.TimeListWindow(0, -1)
+                    : st_index.TimeListWindow(duration_slots.front(),
+                                              duration_slots.back()));
 
   // Union the start segments' trajectory ids per day over the start window.
   p.start_ids_.assign(static_cast<size_t>(st_index.num_days()), {});
@@ -71,9 +71,8 @@ StatusOr<double> ReachabilityProbability::Probability(SegmentId r) {
   thread_local std::vector<uint8_t> day_hit;
   day_hit.assign(static_cast<size_t>(num_days), 0);
   STRR_ASSIGN_OR_RETURN(
-      StIndex::RowMarks marks,
-      st_index_->MarkDaysIntersecting(r, first_slot_, last_slot_, start_ids_,
-                                      &day_hit));
+      StIndex::SegmentMarks marks,
+      st_index_->MarkDaysIntersecting(r, &window_, start_ids_, &day_hit));
   time_lists_read_ += marks.lists_read;
   return static_cast<double>(marks.days_marked) /
          static_cast<double>(num_days);

@@ -9,12 +9,14 @@
 // One instance is built per query execution: it reads and caches the start
 // segment's time lists once, then verifies candidates one by one, reading
 // their time lists from the ST-Index (this is the disk I/O the SQMB/TBS
-// machinery exists to minimize). Verifying a candidate is one row read:
-// StIndex::MarkDaysIntersecting walks its lists over the duration slots
-// [first, last] in slot order, merge-tests the decoded ids against the
-// start lists without materialising a TimeList, and stops once every day
-// is marked. Each page of the row is requested once per verification;
-// absent (segment, slot) cells cost a directory probe and no I/O, so
+// machinery exists to minimize). The instance owns one ST-Index window over
+// the duration slots [first, last], so the whole query's verifications
+// request each page of that slot range once (up to the window's buffer
+// cap). Verifying a candidate is one StIndex::MarkDaysIntersecting call:
+// it walks the candidate's lists over the duration slots in slot order
+// through the window, merge-tests the decoded ids against the start lists
+// without materialising a TimeList, and stops once every day is marked.
+// Absent (segment, slot) cells cost a directory probe and no I/O, so
 // time_lists_read() counts present lists only.
 // Multi-location queries pass several start segments; their per-day ID
 // lists are unioned (reachable from ANY start).
@@ -22,6 +24,7 @@
 #define STRR_QUERY_PROBABILITY_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "index/st_index.h"
@@ -39,7 +42,8 @@ class ReachabilityProbability {
       const StIndex& st_index, const std::vector<SegmentId>& starts,
       int64_t start_tod, int64_t window_seconds, int64_t duration_seconds);
 
-  /// probability(r, starts) in [0, 1]; reads r's time lists from disk.
+  /// probability(r, starts) in [0, 1]; reads r's time lists through the
+  /// query's window. Not thread-safe.
   StatusOr<double> Probability(SegmentId r);
 
   /// Number of candidate verifications performed so far.
@@ -52,14 +56,12 @@ class ReachabilityProbability {
   bool StartHasNoTraffic() const { return start_active_days_ == 0; }
 
  private:
-  explicit ReachabilityProbability(const StIndex& st_index)
-      : st_index_(&st_index) {}
+  ReachabilityProbability(const StIndex& st_index, PostingStore::Window window)
+      : st_index_(&st_index), window_(std::move(window)) {}
 
   const StIndex* st_index_;
-  /// The slots covering [T, T+L]: [first_slot_, last_slot_], empty when
-  /// last_slot_ < first_slot_.
-  SlotId first_slot_ = 0;
-  SlotId last_slot_ = -1;
+  /// The query's window over the slots covering [T, T+L].
+  PostingStore::Window window_;
   /// start_ids_[d] = sorted trajectory ids leaving the starts on day d.
   std::vector<std::vector<TrajectoryId>> start_ids_;
   int start_active_days_ = 0;

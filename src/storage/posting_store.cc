@@ -8,7 +8,9 @@
 namespace strr {
 
 namespace {
-constexpr uint64_t kMagic = 0x535452525053544fULL;  // "STRRPSTO"
+// "STRRPST2": slot-major cells. The segment-major layout's "STRRPSTO"
+// file no longer opens.
+constexpr uint64_t kMagic = 0x5354525250535432ULL;
 // Serialized directory: u64 count, then (u64 key, u64 offset, u32 length).
 constexpr uint64_t kDirCountBytes = 8;
 constexpr uint64_t kDirEntryBytes = 20;
@@ -61,13 +63,14 @@ Status PostingStoreBuilder::Add(PostingKey key, const std::string& blob) {
   if (finished_) {
     return Status::FailedPrecondition("PostingStoreBuilder already finished");
   }
-  if (!entries_.empty() && key <= entries_.back().key) {
+  if (!entries_.empty() &&
+      PostingSlotMajor(key) <= PostingSlotMajor(entries_.back().key)) {
     if (key == entries_.back().key) {
       return Status::AlreadyExists("duplicate posting key " +
                                    std::to_string(key));
     }
     return Status::InvalidArgument("posting key " + std::to_string(key) +
-                                   " added after a larger key");
+                                   " added out of slot-major order");
   }
   Entry entry{key, data_end_, static_cast<uint32_t>(blob.size())};
   STRR_RETURN_IF_ERROR(AppendBytes(blob.data(), blob.size()));
@@ -91,7 +94,7 @@ Status PostingStoreBuilder::Finish() {
     current_dirty_ = false;
   }
 
-  // Serialize the directory in key order.
+  // Serialize the directory in slot-major order.
   BinaryWriter dir;
   dir.PutU64(entries_.size());
   for (const Entry& e : entries_) {
@@ -237,7 +240,7 @@ Status PostingStore::LoadDirectory(uint64_t dir_offset, uint64_t entry_count,
   uint64_t count = 0;
   STRR_RETURN_IF_ERROR(read(&count, sizeof(count)));
   if (count != entry_count) return corrupt("directory entry count mismatch");
-  // Blobs were appended densely in key order, so each extent starts where
+  // Blobs were appended densely in cell order, so each extent starts where
   // the previous one ended. Absent cells get the running end as their
   // start: a zero-length extent, told apart from an empty blob by present_.
   uint64_t end = 0;        // end of the extents tiled so far
@@ -255,7 +258,7 @@ Status PostingStore::LoadDirectory(uint64_t dir_offset, uint64_t entry_count,
     if (segment >= grid_.num_segments || slot >= grid_.slots) {
       return corrupt("posting key outside the grid");
     }
-    const uint64_t cell = segment * grid_.slots + slot;
+    const uint64_t cell = slot * grid_.num_segments + segment;
     if (cell < next_cell) return corrupt("posting keys out of order");
     if (offset > end) return corrupt("posting extents leave a gap");
     if (offset < end) return corrupt("posting extents overlap");
@@ -280,54 +283,106 @@ StatusOr<std::string> PostingStore::Get(PostingKey key) const {
 }
 
 StatusOr<bool> PostingStore::GetInto(PostingKey key, std::string* out) const {
-  const auto segment = static_cast<uint32_t>(key >> 32);
-  const auto slot = static_cast<uint32_t>(key & 0xffffffffu);
-  RowCursor cell(*this, segment, slot, slot, out);
-  return cell.Next();
+  out->clear();
+  const uint64_t cell = CellOf(key);
+  if (cell == kNoCell) return false;
+  out->resize(starts_[cell + 1] - starts_[cell]);
+  STRR_RETURN_IF_ERROR(
+      CopyExtent(starts_[cell], starts_[cell + 1], out->data()));
+  return true;
 }
 
-PostingStore::RowCursor::RowCursor(const PostingStore& store, uint32_t segment,
-                                   uint32_t first_slot, uint32_t last_slot,
-                                   std::string* buffer)
-    : store_(&store), buffer_(buffer) {
-  buffer_->clear();
-  const PostingGrid& grid = store.grid_;
-  if (segment >= grid.num_segments || first_slot >= grid.slots ||
-      first_slot > last_slot) {
-    return;  // an empty row
-  }
-  last_slot = std::min(last_slot, grid.slots - 1);
-  slot0_cell_ = uint64_t{segment} * grid.slots;
-  cell_ = slot0_cell_ + first_slot;
-  end_cell_ = slot0_cell_ + last_slot + 1;
-  row_begin_ = store.starts_[cell_];
-  row_end_ = store.starts_[end_cell_];
-  filled_ = row_begin_;
-}
-
-StatusOr<bool> PostingStore::RowCursor::Next() {
-  while (cell_ < end_cell_ && !store_->Present(cell_)) ++cell_;
-  if (cell_ == end_cell_) return false;
-  begin_ = store_->starts_[cell_];
-  end_ = store_->starts_[cell_ + 1];
-  slot_ = static_cast<uint32_t>(cell_ - slot0_cell_);
-  ++cell_;
-  const uint32_t page_size = store_->file_->page_size();
-  while (filled_ < end_) {
-    const PageId pid = 1 + filled_ / page_size;
-    const auto in_page = static_cast<uint32_t>(filled_ % page_size);
-    const uint64_t stop =
-        std::min<uint64_t>(filled_ - in_page + page_size, row_end_);
-    const size_t at = filled_ - row_begin_;
-    buffer_->resize(stop - row_begin_);
+Status PostingStore::CopyExtent(uint64_t begin, uint64_t end, char* dst) const {
+  const uint32_t page_size = file_->page_size();
+  for (uint64_t at = begin; at < end;) {
+    const auto in_page = static_cast<uint32_t>(at % page_size);
+    const auto n = static_cast<uint32_t>(
+        std::min<uint64_t>(page_size - in_page, end - at));
     // ReadInto copies under the page's shard lock: safe against concurrent
     // readers evicting the frame mid-copy (Fetch's raw pointer is not).
-    STRR_RETURN_IF_ERROR(
-        store_->pool_->ReadInto(pid, in_page, buffer_->data() + at,
-                                static_cast<uint32_t>(stop - filled_)));
-    filled_ = stop;
+    STRR_RETURN_IF_ERROR(pool_->ReadInto(1 + at / page_size, in_page,
+                                         dst + (at - begin), n));
+    at += n;
   }
+  return Status::OK();
+}
+
+// --- PostingStore::Window ----------------------------------------------------
+
+PostingStore::Window::Window(const PostingStore& store, uint32_t first_slot,
+                             uint32_t last_slot)
+    : store_(&store) {
+  const PostingGrid& grid = store.grid_;
+  if (first_slot >= grid.slots || first_slot > last_slot) return;
+  first_slot_ = first_slot;
+  end_slot_ = std::min(last_slot, grid.slots - 1) + 1;
+  // Slot-major: the slots' cells, and so their bytes, are contiguous.
+  const uint64_t begin =
+      store.starts_[uint64_t{first_slot_} * grid.num_segments];
+  const uint64_t end = store.starts_[uint64_t{end_slot_} * grid.num_segments];
+  if (end == begin) return;
+  const uint32_t page_size = store.file_->page_size();
+  first_page_ = 1 + begin / page_size;
+  const PageId last_page = 1 + (end - 1) / page_size;
+  frame_of_.assign(last_page - first_page_ + 1, kNoFrame);
+}
+
+StatusOr<bool> PostingStore::Window::Read(uint32_t segment, uint32_t slot,
+                                          std::string_view* blob) {
+  if (slot < first_slot_ || slot >= end_slot_) return false;
+  const uint64_t cell = store_->CellOf(segment, slot);
+  if (cell == kNoCell) return false;
+  const uint64_t begin = store_->starts_[cell];
+  const uint64_t end = store_->starts_[cell + 1];
+  const uint32_t page_size = store_->file_->page_size();
+  char* assembled = nullptr;
+  for (uint64_t at = begin; at < end;) {
+    const PageId pid = 1 + at / page_size;
+    const auto in_page = static_cast<uint32_t>(at % page_size);
+    const auto n = static_cast<uint32_t>(
+        std::min<uint64_t>(page_size - in_page, end - at));
+    STRR_ASSIGN_OR_RETURN(const char* page, PageBytes(pid));
+    if (page != nullptr && n == end - begin) {
+      *blob = std::string_view(page + in_page, n);  // one buffered page
+      return true;
+    }
+    if (assembled == nullptr) {
+      side_.resize(end - begin);
+      assembled = side_.data();
+    }
+    if (page != nullptr) {
+      std::memcpy(assembled + (at - begin), page + in_page, n);
+    } else {
+      STRR_RETURN_IF_ERROR(store_->pool_->ReadInto(
+          pid, in_page, assembled + (at - begin), n));
+    }
+    at += n;
+  }
+  *blob = std::string_view(assembled, end - begin);
   return true;
+}
+
+StatusOr<const char*> PostingStore::Window::PageBytes(PageId pid) {
+  const size_t page_size = store_->file_->page_size();
+  uint32_t& frame = frame_of_[pid - first_page_];
+  if (frame != kNoFrame) return frames_.get() + frame * page_size;
+  if (frames_used_ == kMaxPages) return nullptr;
+  if (frames_used_ == frames_capacity_) {
+    // Grow the one buffer geometrically; a query's pages stay contiguous.
+    const size_t capacity =
+        std::min(kMaxPages, std::max<size_t>(16, 2 * frames_capacity_));
+    auto grown = std::make_unique_for_overwrite<char[]>(capacity * page_size);
+    if (frames_used_ > 0) {
+      std::memcpy(grown.get(), frames_.get(), frames_used_ * page_size);
+    }
+    frames_ = std::move(grown);
+    frames_capacity_ = capacity;
+  }
+  char* dst = frames_.get() + frames_used_ * page_size;
+  STRR_RETURN_IF_ERROR(store_->pool_->ReadInto(
+      pid, 0, dst, static_cast<uint32_t>(page_size)));
+  frame = static_cast<uint32_t>(frames_used_++);
+  return dst;
 }
 
 }  // namespace strr

@@ -2,36 +2,38 @@
 // disk-resident.
 //
 // The ST-Index stores, for every (road segment, time slot), a posting block
-// containing the per-day trajectory-ID lists. Blocks are appended densely
-// across data pages in strictly increasing key order (a block may span
-// pages), so their extents tile the data region. A directory of
-// (key, offset, length) triples is serialized at the tail of the file.
+// containing the per-day trajectory-ID lists. Blocks are laid out
+// slot-major, as the paper's Fig 3.2 puts time first: all of slot 0's
+// blocks in segment order, then slot 1's, and so on. Cell (segment, slot)
+// is slot × num_segments + segment. Blocks are appended densely across
+// data pages in that cell order (a block may span pages), so their extents
+// tile the data region and one slot range is one contiguous byte range. A
+// directory of (key, offset, length) triples is serialized at the tail of
+// the file.
 //
-// At open the directory becomes a dense in-memory grid over the key space
-// (num_segments × slots): one uint64 start offset per cell plus one past
-// the end, and a presence bitmap that keeps an empty blob distinct from an
-// absent key. A lookup is one bit test and two array reads. Open checks
-// the header sizes against the file before allocating anything, then
-// validates the directory in one pass while it fills the grid: a key
-// outside the grid, keys out of order, and an extent that leaves a gap,
-// overlaps its neighbour or runs past the directory are all Corruption.
+// At open the directory becomes a dense in-memory grid over the cells: one
+// uint64 start offset per cell plus one past the end, and a presence
+// bitmap that keeps an empty blob distinct from an absent key. A lookup is
+// one bit test and two array reads. Open checks the header sizes against
+// the file before allocating anything, then validates the directory in one
+// pass while it fills the grid: a key outside the grid, keys out of cell
+// order, and an extent that leaves a gap, overlaps its neighbour or runs
+// past the directory are all Corruption.
 //
 // Reads pull the covering pages through the BufferPool, so every posting
 // access shows up in StorageStats — exactly the I/O the paper's algorithms
-// compete on. The read unit is a row: one segment's cells over a slot
-// range [first, last], whose blobs sit next to each other on disk because
-// keys are (segment << 32) | slot. A RowCursor walks the row's present
-// cells in slot order and copies bytes into one caller-owned buffer a page
-// at a time, only as far as the cell it stands on, so a walk requests each
-// distinct page it touches once and a walk stopped early never requests
-// the pages only later cells need. Absent cells cost a bitmap test. Get
-// and GetInto are the one-cell row.
+// compete on. A query reads through a Window over its slot range: the
+// window copies each page it needs into one growing buffer the first time
+// any cell asks for it, so, up to the buffer's cap, a query's reads
+// request each distinct page at most once however many segments it
+// verifies. Absent cells cost a bitmap test. Get and GetInto read one
+// cell straight from the pool.
 //
 // File layout (page 0 is the header):
 //   page 0:  magic | page_size | dir_offset | dir_size | entry_count
 //   data:    concatenated blobs starting at byte offset page_size
 //   dir:     u64 count, then BinaryWriter-encoded (u64 key, u64 offset,
-//            u32 length) triples in key order
+//            u32 length) triples in cell order
 #ifndef STRR_STORAGE_POSTING_STORE_H_
 #define STRR_STORAGE_POSTING_STORE_H_
 
@@ -49,9 +51,15 @@ namespace strr {
 
 using PostingKey = uint64_t;
 
-/// Composes a posting key from a segment id and a slot id.
+/// Composes a posting key from a segment id and a slot id. The key names a
+/// cell; it is not the storage order (see PostingSlotMajor).
 inline PostingKey MakePostingKey(uint32_t segment, uint32_t slot) {
   return (static_cast<uint64_t>(segment) << 32) | slot;
+}
+
+/// The key's position in the store's slot-major order: (slot, segment).
+inline uint64_t PostingSlotMajor(PostingKey key) {
+  return (key << 32) | (key >> 32);
 }
 
 /// Shape of the key space: every stored key is MakePostingKey(segment,
@@ -63,8 +71,8 @@ struct PostingGrid {
   uint64_t cells() const { return uint64_t{num_segments} * slots; }
 };
 
-/// Append-only writer; call Add for every key in strictly increasing order,
-/// then Finish exactly once.
+/// Append-only writer; call Add for every key in strictly increasing
+/// slot-major order (by slot, then by segment), then Finish exactly once.
 class PostingStoreBuilder {
  public:
   /// Creates/truncates the store file at `path`.
@@ -72,7 +80,7 @@ class PostingStoreBuilder {
       const std::string& path, uint32_t page_size = kDefaultPageSize);
 
   /// Appends a blob under `key`. A key equal to the previous one is
-  /// AlreadyExists; a smaller one is InvalidArgument.
+  /// AlreadyExists; one earlier in slot-major order is InvalidArgument.
   Status Add(PostingKey key, const std::string& blob);
 
   /// Writes the directory + header and closes the builder. The builder is
@@ -96,7 +104,7 @@ class PostingStoreBuilder {
   Status AppendBytes(const char* data, size_t n);
 
   std::unique_ptr<FileManager> file_;
-  std::vector<Entry> entries_;  // in key order
+  std::vector<Entry> entries_;  // in slot-major order
   uint64_t data_end_ = 0;       // byte offset within the data region
   Page current_page_{kDefaultPageSize};
   bool current_dirty_ = false;
@@ -119,39 +127,51 @@ struct PostingStoreOptions {
 /// BufferPool shard lock (ReadInto), so eviction races cannot tear a blob.
 class PostingStore {
  public:
-  /// Walks the present cells of one segment's slots [first_slot,
-  /// last_slot] in slot order. Before stopping on a cell it copies the row's
-  /// bytes into `*buffer` through the end of the page holding the cell's
-  /// last byte (capped at the row's end), one BufferPool request per page,
-  /// continuing from where the previous cell left off. Cells outside the
-  /// grid are absent. Not thread-safe; the store and buffer must outlive it.
-  class RowCursor {
+  /// A per-query read window over the cells of slots [first_slot,
+  /// last_slot] (clamped to the grid). The first read that needs a page
+  /// copies it, whole, into the window's one page buffer (one BufferPool
+  /// request); later reads of any cell on that page, for any segment, are
+  /// served from the buffer. A blob that straddles a page boundary is
+  /// assembled in a side buffer. The buffer holds at most kMaxPages pages:
+  /// past that a page is read straight from the pool for the one cell that
+  /// needs it, uncached, as GetInto does. Not thread-safe; the store must
+  /// outlive it.
+  class Window {
    public:
-    RowCursor(const PostingStore& store, uint32_t segment, uint32_t first_slot,
-              uint32_t last_slot, std::string* buffer);
+    /// Cap on the pages one window buffers (2 MiB at 4 KiB pages).
+    static constexpr size_t kMaxPages = 512;
 
-    /// Moves to the next present cell; false once the row is exhausted.
-    StatusOr<bool> Next();
+    Window(const PostingStore& store, uint32_t first_slot, uint32_t last_slot);
 
-    /// The current cell's slot and blob (valid until the next Next()).
-    uint32_t slot() const { return slot_; }
-    std::string_view blob() const {
-      return std::string_view(buffer_->data() + (begin_ - row_begin_),
-                              end_ - begin_);
-    }
+    /// The window's slots: [first_slot(), end_slot()), empty when equal.
+    uint32_t first_slot() const { return first_slot_; }
+    uint32_t end_slot() const { return end_slot_; }
+
+    /// Points `*blob` at the blob of (segment, slot), valid until the next
+    /// Read. False when the cell is absent, outside the grid or outside
+    /// the window's slots; absent and empty cells cost no I/O.
+    StatusOr<bool> Read(uint32_t segment, uint32_t slot,
+                        std::string_view* blob);
+
+    /// Pages held in the buffer (at most kMaxPages).
+    size_t pages_buffered() const { return frames_used_; }
 
    private:
+    static constexpr uint32_t kNoFrame = ~uint32_t{0};
+
+    /// The buffered bytes of data page `pid`, loading it on first use;
+    /// nullptr when it is not buffered and the buffer is full.
+    StatusOr<const char*> PageBytes(PageId pid);
+
     const PostingStore* store_;
-    std::string* buffer_;
-    uint64_t cell_ = 0;      // next cell to examine
-    uint64_t end_cell_ = 0;  // one past the row's last cell
-    uint64_t slot0_cell_ = 0;  // the segment's slot-0 cell
-    uint64_t row_begin_ = 0;  // data offsets of the row's extent
-    uint64_t row_end_ = 0;
-    uint64_t filled_ = 0;  // data offset the buffer holds bytes up to
-    uint64_t begin_ = 0;   // current cell's extent
-    uint64_t end_ = 0;
-    uint32_t slot_ = 0;
+    uint32_t first_slot_ = 0;
+    uint32_t end_slot_ = 0;
+    PageId first_page_ = 0;  // the data page holding the slots' first byte
+    std::vector<uint32_t> frame_of_;  // page - first_page_ -> frame index
+    std::unique_ptr<char[]> frames_;  // frame i at i * page_size
+    size_t frames_capacity_ = 0;
+    size_t frames_used_ = 0;
+    std::string side_;  // straddling blobs and reads past the cap
   };
 
   /// Opens the store over the key space `grid`, loading the directory
@@ -170,9 +190,9 @@ class PostingStore {
   /// Fetches the blob stored under `key`; NotFound when absent.
   StatusOr<std::string> Get(PostingKey key) const;
 
-  /// Copies the blob stored under `key` into `*out`, reusing its capacity:
-  /// a one-cell RowCursor. Returns false, with `*out` cleared, when the
-  /// key is absent.
+  /// Copies the blob stored under `key` into `*out`, reusing its capacity,
+  /// with one BufferPool request per page it spans. Returns false, with
+  /// `*out` cleared, when the key is absent.
   StatusOr<bool> GetInto(PostingKey key, std::string* out) const;
 
   /// True when `key` exists (one bitmap test; no I/O).
@@ -198,14 +218,18 @@ class PostingStore {
     return ((present_[cell >> 6] >> (cell & 63)) & 1) != 0;
   }
 
-  /// Grid cell holding `key`, or kNoCell when the key is absent.
-  uint64_t CellOf(PostingKey key) const {
-    const uint64_t segment = key >> 32;
-    const uint64_t slot = key & 0xffffffffu;
+  /// Grid cell of (segment, slot), or kNoCell when it is absent.
+  uint64_t CellOf(uint64_t segment, uint64_t slot) const {
     if (segment >= grid_.num_segments || slot >= grid_.slots) return kNoCell;
-    const uint64_t cell = segment * grid_.slots + slot;
+    const uint64_t cell = slot * grid_.num_segments + segment;
     return Present(cell) ? cell : kNoCell;
   }
+  uint64_t CellOf(PostingKey key) const {
+    return CellOf(key >> 32, key & 0xffffffffu);
+  }
+
+  /// Copies data bytes [begin, end) to `dst`, one ReadInto per page.
+  Status CopyExtent(uint64_t begin, uint64_t end, char* dst) const;
 
   /// Reads the serialized directory and fills starts_/present_.
   Status LoadDirectory(uint64_t dir_offset, uint64_t entry_count,
@@ -214,8 +238,9 @@ class PostingStore {
   std::unique_ptr<FileManager> file_;
   std::unique_ptr<BufferPool> pool_;
   PostingGrid grid_;
-  /// starts_[c] = data offset of cell c's blob; starts_[c + 1] - starts_[c]
-  /// is its length (0 for absent cells).
+  /// starts_[c] = data offset of cell c's blob (c = slot × num_segments +
+  /// segment); starts_[c + 1] - starts_[c] is its length (0 for absent
+  /// cells).
   std::vector<uint64_t> starts_;
   std::vector<uint64_t> present_;  // one bit per cell
   uint64_t num_entries_ = 0;

@@ -190,15 +190,16 @@ TEST_F(StIndexTest, NoTrafficSlotsEmptyWithoutIo) {
 }
 
 TEST_F(StIndexTest, MarkDaysIntersectingReportsAbsentListsDistinctly) {
-  // Every (segment, slot) of the grid as a one-slot row: a list is read
-  // exactly where HasTraffic is true; an absent one costs no I/O.
+  // Every (segment, slot) of the grid through a one-slot window: a list is
+  // read exactly where HasTraffic is true; an absent one costs no I/O.
   const std::vector<std::vector<TrajectoryId>> start = {{0}, {}, {1}};
   int present = 0;
   for (SegmentId seg = 0; seg < net_.NumSegments(); ++seg) {
     for (SlotId slot = 0; slot < index_->slots_per_day(); ++slot) {
       std::vector<uint8_t> hit(3, 0);
       index_->ResetStorageStats();
-      auto marks = index_->MarkDaysIntersecting(seg, slot, slot, start, &hit);
+      PostingStore::Window window = index_->TimeListWindow(slot, slot);
+      auto marks = index_->MarkDaysIntersecting(seg, &window, start, &hit);
       ASSERT_TRUE(marks.ok()) << marks.status().ToString();
       if (index_->HasTraffic(seg, slot)) {
         EXPECT_EQ(marks->lists_read, 1u) << seg << "/" << slot;
@@ -216,28 +217,40 @@ TEST_F(StIndexTest, MarkDaysIntersectingReportsAbsentListsDistinctly) {
   // A present list that shares no id with the start lists is read and
   // marks 0 days.
   const SlotId slot = index_->SlotForTime(HMS(8));
+  PostingStore::Window window = index_->TimeListWindow(slot, slot);
   std::vector<uint8_t> hit(3, 0);
-  auto none = index_->MarkDaysIntersecting(0, slot, slot, {{}, {}, {}}, &hit);
+  auto none = index_->MarkDaysIntersecting(0, &window, {{}, {}, {}}, &hit);
   ASSERT_TRUE(none.ok());
   EXPECT_EQ(none->lists_read, 1u);
   EXPECT_EQ(none->days_marked, 0);
-  auto both = index_->MarkDaysIntersecting(0, slot, slot, start, &hit);
+  auto both = index_->MarkDaysIntersecting(0, &window, start, &hit);
   ASSERT_TRUE(both.ok());
   EXPECT_EQ(both->days_marked, 2);
   EXPECT_EQ(hit, (std::vector<uint8_t>{1, 0, 1}));
 
-  // A row reaching past either end of the day covers the slots inside it
-  // and finds the same list; an empty range reads nothing.
+  // A window reaching past either end of the day covers the slots inside
+  // it and finds the same list; an empty range reads nothing.
   std::fill(hit.begin(), hit.end(), 0);
-  auto day = index_->MarkDaysIntersecting(0, -1, index_->slots_per_day(),
-                                          start, &hit);
+  PostingStore::Window day_window =
+      index_->TimeListWindow(-1, index_->slots_per_day());
+  EXPECT_EQ(day_window.first_slot(), 0u);
+  EXPECT_EQ(day_window.end_slot(),
+            static_cast<uint32_t>(index_->slots_per_day()));
+  auto day = index_->MarkDaysIntersecting(0, &day_window, start, &hit);
   ASSERT_TRUE(day.ok());
   EXPECT_EQ(day->days_marked, 2);
   EXPECT_EQ(day->lists_read, 1u);
-  std::fill(hit.begin(), hit.end(), 0);
-  auto empty = index_->MarkDaysIntersecting(0, slot + 1, slot, start, &hit);
-  ASSERT_TRUE(empty.ok());
-  EXPECT_EQ(empty->lists_read, 0u);
+  for (auto [first, last] : {std::pair<SlotId, SlotId>{slot + 1, slot},
+                             {-5, -1},
+                             {index_->slots_per_day(),
+                              index_->slots_per_day() + 3}}) {
+    std::fill(hit.begin(), hit.end(), 0);
+    PostingStore::Window empty_window = index_->TimeListWindow(first, last);
+    EXPECT_EQ(empty_window.first_slot(), empty_window.end_slot());
+    auto empty = index_->MarkDaysIntersecting(0, &empty_window, start, &hit);
+    ASSERT_TRUE(empty.ok());
+    EXPECT_EQ(empty->lists_read, 0u);
+  }
 }
 
 TEST_F(StIndexTest, SegmentsInRange) {
@@ -352,7 +365,7 @@ Status ReferenceDayHits(const StIndex& index, SegmentId seg, SlotId slot,
   return Status::OK();
 }
 
-/// A row verification the per-slot way: ReferenceDayHits on each present
+/// A segment's verification the per-slot way: ReferenceDayHits on each present
 /// slot of [first, last] in order, stopping once every day is hit. Returns
 /// the lists read, or the error of the first corrupt list it reaches.
 StatusOr<uint32_t> ReferenceRowHits(
@@ -370,19 +383,18 @@ StatusOr<uint32_t> ReferenceRowHits(
 }
 
 /// Distinct pages holding the bytes of segment `seg`'s lists over
-/// [first, last]; `blobs` is in key order.
+/// [first, last]; `blobs` is in the file's slot-major order.
 std::set<uint64_t> RowPages(const std::vector<BlobExtent>& blobs,
                             uint32_t page_size, SegmentId seg, SlotId first,
                             SlotId last) {
   std::set<uint64_t> pages;
-  auto it = std::lower_bound(
-      blobs.begin(), blobs.end(),
-      MakePostingKey(seg, static_cast<uint32_t>(first)),
-      [](const BlobExtent& b, PostingKey key) { return b.key < key; });
-  for (; it != blobs.end() &&
-         it->key <= MakePostingKey(seg, static_cast<uint32_t>(last));
-       ++it) {
-    if (it->length == 0) continue;
+  for (SlotId slot = first; slot <= last; ++slot) {
+    const PostingKey key = MakePostingKey(seg, static_cast<uint32_t>(slot));
+    auto it = std::lower_bound(
+        blobs.begin(), blobs.end(), key, [](const BlobExtent& b, PostingKey k) {
+          return PostingSlotMajor(b.key) < PostingSlotMajor(k);
+        });
+    if (it == blobs.end() || it->key != key || it->length == 0) continue;
     for (uint64_t page = it->file_offset / page_size;
          page <= (it->file_offset + it->length - 1) / page_size; ++page) {
       pages.insert(page);
@@ -414,10 +426,11 @@ TEST(TimeListDecoderTest, MutationSweepStreamingAgreesWithReadTimeList) {
     for (TrajectoryId id = 0; id <= max_id; id += 3) ids.push_back(id);
   }
 
-  // Verifies the row of b's segment over [slot - before, slot + after],
-  // which puts b's list in the middle of a multi-slot row, against the
-  // per-slot reference. A row must fail exactly when the reference reaches
-  // a corrupt list, and must never request a page outside the row.
+  // Verifies b's segment through a window over [slot - before, slot +
+  // after], which puts b's list in the middle of the segment's walk,
+  // against the per-slot reference. The walk must fail exactly when the
+  // reference reaches a corrupt list, and must never request a page that
+  // holds none of the segment's lists over those slots.
   int clean = 0, corrupt = 0, sandwiched = 0;
   auto check = [&](const BlobExtent& b, int before, int after,
                    const std::string& what) {
@@ -434,7 +447,8 @@ TEST(TimeListDecoderTest, MutationSweepStreamingAgreesWithReadTimeList) {
     auto ref = ReferenceRowHits(index, seg, first, last, start, &want);
     index.DropCache();
     index.ResetStorageStats();
-    auto marks = index.MarkDaysIntersecting(seg, first, last, start, &got);
+    PostingStore::Window window = index.TimeListWindow(first, last);
+    auto marks = index.MarkDaysIntersecting(seg, &window, start, &got);
     EXPECT_LE(index.storage_stats().TotalRequests(),
               RowPages(blobs, opt.page_size, seg, first, last).size())
         << what;
@@ -500,14 +514,15 @@ TEST(TimeListDecoderTest, MutationSweepStreamingAgreesWithReadTimeList) {
   EXPECT_GT(sandwiched, 100);
 }
 
-// --- Row reads ---------------------------------------------------------------
+// --- Window reads ------------------------------------------------------------
 
 /// Hand-built index over a 3-segment chain, 4 days, 64-byte pages, so a
 /// few lists fill a page. Segment 0 has lists at slots 96-101 except 98,
 /// slot s carrying s - 94 ids per day: several lists share a page and some
 /// straddle a page boundary. Segment 1 has no traffic. Segment 2 has a list
-/// at slot 286 (day 1 only) and one at 287, the grid's last cell.
-class RowReadTest : public ::testing::Test {
+/// at slot 97 (day 0 only), which lies between segment 0's lists at slots
+/// 97 and 99, one at 286 (day 1 only) and one at 287, the grid's last cell.
+class WindowReadTest : public ::testing::Test {
  protected:
   static constexpr uint32_t kPageSize = 64;
   static constexpr SegmentId kLast = 2;
@@ -532,11 +547,12 @@ class RowReadTest : public ::testing::Test {
         for (int k = 0; k < slot - 94; ++k) add(0, slot, day);
       }
     }
+    add(kLast, 97, 0);
     add(kLast, 286, 1);
     for (int day = 0; day < 4; ++day) add(kLast, 287, day);
 
     StIndexOptions opt;
-    opt.posting_path = MakeTempDir("row_read") + "/postings.bin";
+    opt.posting_path = MakeTempDir("window_read") + "/postings.bin";
     opt.page_size = kPageSize;
     auto index = StIndex::Build(net_, store, opt);
     ASSERT_TRUE(index.ok()) << index.status().ToString();
@@ -544,16 +560,27 @@ class RowReadTest : public ::testing::Test {
     blobs_ = PostingExtents(ReadWholeFile(opt.posting_path), kPageSize);
   }
 
-  /// Pages requested by one row verification on a dropped pool.
-  StorageStats Verify(SegmentId seg, SlotId first, SlotId last,
-                      const std::vector<std::vector<TrajectoryId>>& start,
-                      StIndex::RowMarks* marks) {
+  /// Verifies `seg` through `window`; returns the page requests it made.
+  uint64_t Verify(PostingStore::Window* window, SegmentId seg,
+                  const std::vector<std::vector<TrajectoryId>>& start,
+                  StIndex::SegmentMarks* marks) {
     std::vector<uint8_t> hit(4, 0);
-    index_->DropCache();
-    index_->ResetStorageStats();
-    auto got = index_->MarkDaysIntersecting(seg, first, last, start, &hit);
+    const uint64_t before = index_->storage_stats().TotalRequests();
+    auto got = index_->MarkDaysIntersecting(seg, window, start, &hit);
     EXPECT_TRUE(got.ok()) << got.status().ToString();
     if (got.ok()) *marks = *got;
+    return index_->storage_stats().TotalRequests() - before;
+  }
+
+  /// Pages requested by one segment's verification through a fresh window
+  /// over [first, last] on a dropped pool.
+  StorageStats Verify(SegmentId seg, SlotId first, SlotId last,
+                      const std::vector<std::vector<TrajectoryId>>& start,
+                      StIndex::SegmentMarks* marks) {
+    index_->DropCache();
+    index_->ResetStorageStats();
+    PostingStore::Window window = index_->TimeListWindow(first, last);
+    Verify(&window, seg, start, marks);
     return index_->storage_stats();
   }
 
@@ -567,7 +594,11 @@ class RowReadTest : public ::testing::Test {
   std::map<std::pair<SegmentId, SlotId>, TimeList> ids_;
 };
 
-TEST_F(RowReadTest, OneRequestPerDistinctPageSameMissesAsPerSlotReads) {
+/// Start ids that match no list, so a verification reads to its end.
+const std::vector<std::vector<TrajectoryId>> kNoMatch = {
+    {999999}, {999999}, {999999}, {999999}};
+
+TEST_F(WindowReadTest, OneRequestPerDistinctPageSameMissesAsPerSlotReads) {
   // The layout this test is about: lists sharing a page, one straddling.
   int straddling = 0;
   for (SlotId slot = 96; slot <= 101; ++slot) {
@@ -585,10 +616,8 @@ TEST_F(RowReadTest, OneRequestPerDistinctPageSameMissesAsPerSlotReads) {
   }
   const StorageStats per_slot = index_->storage_stats();
 
-  // No start id matches, so the row is read to its end.
-  StIndex::RowMarks marks;
-  const StorageStats row = Verify(0, 96, 101, {{999999}, {999999}, {999999},
-                                               {999999}}, &marks);
+  StIndex::SegmentMarks marks;
+  const StorageStats row = Verify(0, 96, 101, kNoMatch, &marks);
   EXPECT_EQ(marks.lists_read, 5u);
   EXPECT_EQ(marks.days_marked, 0);
   EXPECT_EQ(row.TotalRequests(), row_pages);
@@ -599,9 +628,34 @@ TEST_F(RowReadTest, OneRequestPerDistinctPageSameMissesAsPerSlotReads) {
   EXPECT_GT(per_slot.TotalRequests(), row.TotalRequests());
 }
 
-TEST_F(RowReadTest, EarlyExitLeavesTrailingPagesUnrequested) {
+TEST_F(WindowReadTest, OneWindowSharesPagesAcrossSegmentsAndVerifications) {
+  // Segment 2's list at slot 97 sits on pages segment 0's lists also use.
+  std::set<uint64_t> pages = RowPages(blobs_, kPageSize, 0, 96, 101);
+  const std::set<uint64_t> seg2 = RowPages(blobs_, kPageSize, kLast, 96, 101);
+  ASSERT_EQ(seg2.size(), 1u);
+  pages.insert(seg2.begin(), seg2.end());
+  ASSERT_EQ(pages.size(), Pages(0, 96, 101));
+
+  index_->DropCache();
+  index_->ResetStorageStats();
+  PostingStore::Window window = index_->TimeListWindow(96, 101);
+  StIndex::SegmentMarks marks;
+  EXPECT_EQ(Verify(&window, 0, kNoMatch, &marks), pages.size());
+  EXPECT_EQ(marks.lists_read, 5u);
+  // Segment 2 and a second verification of segment 0 cost no request.
+  EXPECT_EQ(Verify(&window, kLast, ids_[{kLast, 97}], &marks), 0u);
+  EXPECT_EQ(marks.lists_read, 1u);
+  EXPECT_EQ(marks.days_marked, 1);
+  EXPECT_EQ(Verify(&window, 0, ids_[{0, 101}], &marks), 0u);
+  EXPECT_EQ(marks.lists_read, 5u);
+  EXPECT_EQ(marks.days_marked, 4);
+  EXPECT_EQ(index_->storage_stats().cache_hits, 0u);
+  EXPECT_EQ(window.pages_buffered(), pages.size());
+}
+
+TEST_F(WindowReadTest, EarlyExitLeavesTrailingPagesUnrequested) {
   // Slot 96's ids mark every day, so the walk stops after its list.
-  StIndex::RowMarks marks;
+  StIndex::SegmentMarks marks;
   const StorageStats row = Verify(0, 96, 101, ids_[{0, 96}], &marks);
   EXPECT_EQ(marks.days_marked, 4);
   EXPECT_EQ(marks.lists_read, 1u);
@@ -609,8 +663,8 @@ TEST_F(RowReadTest, EarlyExitLeavesTrailingPagesUnrequested) {
   EXPECT_LT(row.TotalRequests(), Pages(0, 96, 101));
 }
 
-TEST_F(RowReadTest, AllAbsentRowMakesNoRequests) {
-  StIndex::RowMarks marks;
+TEST_F(WindowReadTest, AllAbsentSegmentMakesNoRequests) {
+  StIndex::SegmentMarks marks;
   const StorageStats row =
       Verify(1, 0, index_->slots_per_day() - 1, ids_[{0, 96}], &marks);
   EXPECT_EQ(row.TotalRequests(), 0u);
@@ -618,19 +672,64 @@ TEST_F(RowReadTest, AllAbsentRowMakesNoRequests) {
   EXPECT_EQ(marks.days_marked, 0);
 }
 
-TEST_F(RowReadTest, GridsLastCellReadsCorrectly) {
+TEST_F(WindowReadTest, GridsLastCellReadsCorrectly) {
   // Its extent ends at the directory's sentinel offset.
   ASSERT_EQ(blobs_.back().key, MakePostingKey(kLast, 287));
   auto lists = index_->ReadTimeList(kLast, 287);
   ASSERT_TRUE(lists.ok()) << lists.status().ToString();
   EXPECT_EQ(*lists, (ids_[{kLast, 287}]));
 
-  StIndex::RowMarks marks;
+  StIndex::SegmentMarks marks;
   const StorageStats row =
       Verify(kLast, 280, 287, ids_[{kLast, 287}], &marks);
   EXPECT_EQ(marks.lists_read, 2u);  // 286 marks nothing, 287 every day
   EXPECT_EQ(marks.days_marked, 4);
   EXPECT_EQ(row.TotalRequests(), Pages(kLast, 280, 287));
+}
+
+TEST(WindowCapTest, CappedWindowMarksAsUncappedReads) {
+  // 256-byte pages make the shared dataset's posting file span far more
+  // pages than one window buffers, so a whole-day window fills its buffer
+  // and reads the rest uncached.
+  auto& stack = GetSharedStack();
+  StIndexOptions opt;
+  opt.posting_path = MakeTempDir("st_cap") + "/postings.bin";
+  opt.page_size = 256;
+  opt.cache_pages = 64;
+  auto built =
+      StIndex::Build(stack.dataset.network, *stack.dataset.store, opt);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const StIndex& index = **built;
+  const std::vector<BlobExtent> blobs =
+      PostingExtents(ReadWholeFile(opt.posting_path), opt.page_size);
+  ASSERT_GT(blobs.back().file_offset / opt.page_size,
+            2 * PostingStore::Window::kMaxPages);
+
+  // Each day's start ids: every fifth trajectory id.
+  TrajectoryId max_id = 0;
+  stack.dataset.store->ForEach(
+      [&](const MatchedTrajectory& t) { max_id = std::max(max_id, t.id); });
+  std::vector<std::vector<TrajectoryId>> start(index.num_days());
+  for (auto& ids : start) {
+    for (TrajectoryId id = 0; id <= max_id; id += 5) ids.push_back(id);
+  }
+  const SlotId last = index.slots_per_day() - 1;
+  PostingStore::Window window = index.TimeListWindow(0, last);
+  uint64_t lists = 0;
+  for (SegmentId seg = 0; seg < stack.dataset.network.NumSegments();
+       seg += 7) {
+    std::vector<uint8_t> want(start.size(), 0), got(start.size(), 0);
+    auto ref = ReferenceRowHits(index, seg, 0, last, start, &want);
+    ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+    auto marks = index.MarkDaysIntersecting(seg, &window, start, &got);
+    ASSERT_TRUE(marks.ok()) << marks.status().ToString();
+    EXPECT_EQ(got, want) << seg;
+    EXPECT_EQ(marks->lists_read, *ref) << seg;
+    ASSERT_LE(window.pages_buffered(), PostingStore::Window::kMaxPages);
+    lists += marks->lists_read;
+  }
+  EXPECT_EQ(window.pages_buffered(), PostingStore::Window::kMaxPages);
+  EXPECT_GT(lists, 1000u);
 }
 
 // --- ConIndex ----------------------------------------------------------------

@@ -415,11 +415,24 @@ TEST(PostingStoreTest, SmallerKeyRejected) {
   auto builder = PostingStoreBuilder::Create(TempFile("ps3b"), 256);
   ASSERT_TRUE(builder.ok());
   ASSERT_TRUE((*builder)->Add(MakePostingKey(2, 5), "a").ok());
-  EXPECT_TRUE((*builder)->Add(MakePostingKey(2, 4), "b").IsInvalidArgument());
-  EXPECT_TRUE((*builder)->Add(MakePostingKey(1, 9), "c").IsInvalidArgument());
+  EXPECT_TRUE((*builder)->Add(MakePostingKey(1, 5), "b").IsInvalidArgument());
+  EXPECT_TRUE((*builder)->Add(MakePostingKey(9, 1), "c").IsInvalidArgument());
   // The rejected keys left nothing behind: the next larger key still fits.
-  ASSERT_TRUE((*builder)->Add(MakePostingKey(2, 6), "d").ok());
+  ASSERT_TRUE((*builder)->Add(MakePostingKey(3, 5), "d").ok());
   EXPECT_EQ((*builder)->NumEntries(), 2u);
+}
+
+TEST(PostingStoreTest, SegmentMajorOrderRejected) {
+  // Slot-major order is by slot first: a segment's later slot may not come
+  // before another segment's earlier one.
+  auto builder = PostingStoreBuilder::Create(TempFile("ps3c"), 256);
+  ASSERT_TRUE(builder.ok());
+  ASSERT_TRUE((*builder)->Add(MakePostingKey(0, 1), "a").ok());
+  ASSERT_TRUE((*builder)->Add(MakePostingKey(0, 2), "b").ok());
+  EXPECT_TRUE((*builder)->Add(MakePostingKey(1, 1), "c").IsInvalidArgument());
+  EXPECT_TRUE((*builder)->Add(MakePostingKey(1, 2), "d").ok());
+  EXPECT_TRUE((*builder)->Add(MakePostingKey(0, 3), "e").ok());
+  EXPECT_EQ((*builder)->NumEntries(), 4u);
 }
 
 TEST(PostingStoreTest, BlobsSpanningPages) {
@@ -557,72 +570,177 @@ TEST(PostingStoreTest, StatsCountIo) {
   EXPECT_EQ(stats.cache_misses, 6u);
 }
 
-TEST(PostingStoreTest, RowCursorReadsEachPageOnceAndOnlyAsFarAsWalked) {
-  // 64-byte pages. Segment 1's row tiles data bytes [0, 140): slot 1 and
-  // the empty slot 2 sit on page 0, slot 3 straddles pages 0-1, slot 5
-  // shares page 1, slot 6 straddles pages 1-2. Segment 2's slot 7 is the
-  // grid's last cell, ending at the directory's sentinel offset.
-  const PostingGrid grid{3, 8};
-  const std::vector<std::pair<uint32_t, std::string>> row = {
-      {1, std::string(30, 'a')}, {2, ""},
-      {3, std::string(50, 'b')}, {5, std::string(20, 'c')},
-      {6, std::string(40, 'd')}};
-  const std::string last_cell(10, 'e');
-  std::string path = TempFile("ps_row");
-  auto builder = PostingStoreBuilder::Create(path, 64);
-  ASSERT_TRUE(builder.ok());
-  for (const auto& [slot, blob] : row) {
-    ASSERT_TRUE((*builder)->Add(MakePostingKey(1, slot), blob).ok());
-  }
-  ASSERT_TRUE((*builder)->Add(MakePostingKey(2, 7), last_cell).ok());
-  ASSERT_TRUE((*builder)->Finish().ok());
-  auto opened = PostingStore::Open(path, grid, 16, 64);
-  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-  PostingStore& store = **opened;
-  std::string buffer = "stale";
-
-  // Walks the row, stopping after `limit` present cells; returns the
-  // (slot, blob) pairs seen and checks the page requests made on a
-  // dropped pool.
-  auto walk = [&](uint32_t seg, uint32_t first, uint32_t last, size_t limit,
-                  uint64_t want_requests) {
-    store.DropCache();
-    store.ResetStats();
-    std::vector<std::pair<uint32_t, std::string>> seen;
-    PostingStore::RowCursor cursor(store, seg, first, last, &buffer);
-    while (seen.size() < limit) {
-      auto found = cursor.Next();
-      EXPECT_TRUE(found.ok()) << found.status().ToString();
-      if (!found.ok() || !*found) break;
-      seen.emplace_back(cursor.slot(), std::string(cursor.blob()));
+/// A slot-major store with 64-byte pages over grid {3, 8}. Data bytes:
+///   slot 1: seg 0 [0, 30), seg 1 empty at 30, seg 2 [30, 80) straddles
+///           pages 0-1;
+///   slot 2: seg 0 [80, 100) on page 1;
+///   slot 3: seg 1 [100, 140) straddles pages 1-2;
+///   slot 7: seg 2 [140, 150), the grid's last cell, ending at the
+///           directory's sentinel offset.
+class PostingWindowTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    cells_ = {{MakePostingKey(0, 1), std::string(30, 'a')},
+              {MakePostingKey(1, 1), ""},
+              {MakePostingKey(2, 1), std::string(50, 'b')},
+              {MakePostingKey(0, 2), std::string(20, 'c')},
+              {MakePostingKey(1, 3), std::string(40, 'd')},
+              {MakePostingKey(2, 7), std::string(10, 'e')}};
+    const std::string path = TempFile("ps_window");
+    auto builder = PostingStoreBuilder::Create(path, 64);
+    ASSERT_TRUE(builder.ok());
+    for (const auto& [key, blob] : cells_) {
+      ASSERT_TRUE((*builder)->Add(key, blob).ok());
     }
-    const StorageStats stats = store.stats();
-    EXPECT_EQ(stats.TotalRequests(), want_requests)
-        << seg << " [" << first << ", " << last << "] limit " << limit;
-    EXPECT_EQ(stats.cache_hits, 0u);  // no page requested twice
-    return seen;
-  };
+    ASSERT_TRUE((*builder)->Finish().ok());
+    auto opened = PostingStore::Open(path, PostingGrid{3, 8}, 16, 64);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    store_ = std::move(*opened);
+  }
 
-  EXPECT_EQ(walk(1, 0, 7, 99, 3), row);
-  // Stopping early leaves the trailing pages unrequested.
-  EXPECT_EQ(walk(1, 0, 7, 1, 1), (decltype(row){row[0]}));
-  EXPECT_EQ(walk(1, 0, 7, 3, 2), (decltype(row){row[0], row[1], row[2]}));
-  // A row starting mid-page begins at its first cell's bytes.
-  EXPECT_EQ(walk(1, 5, 6, 99, 2), (decltype(row){row[3], row[4]}));
-  // Rows without a present cell, or outside the grid, request nothing.
-  EXPECT_TRUE(walk(0, 0, 7, 99, 0).empty());
-  EXPECT_TRUE(walk(1, 7, 7, 99, 0).empty());
-  EXPECT_TRUE(walk(3, 0, 7, 99, 0).empty());
-  EXPECT_TRUE(walk(1, 6, 5, 99, 0).empty());
-  EXPECT_TRUE(walk(1, 8, 9, 99, 0).empty());
-  // The last cell; a last slot past the grid is clamped to it.
-  EXPECT_EQ(walk(2, 0, 100, 99, 1),
-            (decltype(row){{7, last_cell}}));
+  /// Reads (segment, slot) through `window`; "<absent>" when not found.
+  std::string Read(PostingStore::Window& window, uint32_t segment,
+                   uint32_t slot) {
+    std::string_view blob = "stale";
+    auto found = window.Read(segment, slot, &blob);
+    EXPECT_TRUE(found.ok()) << found.status().ToString();
+    if (!found.ok() || !*found) return "<absent>";
+    return std::string(blob);
+  }
+
+  /// Page requests since the last DropAndReset.
+  uint64_t Requests() const { return store_->stats().TotalRequests(); }
+
+  void DropAndReset() {
+    store_->DropCache();
+    store_->ResetStats();
+  }
+
+  std::vector<std::pair<PostingKey, std::string>> cells_;
+  std::unique_ptr<PostingStore> store_;
+};
+
+TEST_F(PostingWindowTest, OneRequestPerDistinctPageSharedAcrossSegments) {
+  DropAndReset();
+  PostingStore::Window window(*store_, 0, 7);
+  // Every cell once, in slot order: pages 0, 1 and 2, each requested once.
+  for (const auto& [key, blob] : cells_) {
+    EXPECT_EQ(Read(window, key >> 32, key & 0xffffffffu), blob) << key;
+  }
+  EXPECT_EQ(Requests(), 3u);
+  EXPECT_EQ(store_->stats().cache_hits, 0u);
+  EXPECT_EQ(window.pages_buffered(), 3u);
+  // Again, in reverse: every page is already in the window.
+  for (auto it = cells_.rbegin(); it != cells_.rend(); ++it) {
+    EXPECT_EQ(Read(window, it->first >> 32, it->first & 0xffffffffu),
+              it->second);
+  }
+  EXPECT_EQ(Requests(), 3u);
+  // A second window is a second query: it requests its pages again.
+  PostingStore::Window other(*store_, 2, 2);
+  EXPECT_EQ(Read(other, 0, 2), cells_[3].second);
+  EXPECT_EQ(Requests(), 4u);
+}
+
+TEST_F(PostingWindowTest, StraddlingBlobsAreAssembled) {
+  DropAndReset();
+  PostingStore::Window window(*store_, 1, 3);
+  EXPECT_EQ(Read(window, 2, 1), cells_[2].second);  // pages 0-1
+  EXPECT_EQ(Requests(), 2u);
+  EXPECT_EQ(Read(window, 1, 3), cells_[4].second);  // pages 1-2
+  EXPECT_EQ(Requests(), 3u);
+  // The one-page blobs around them read back intact from the same frames.
+  EXPECT_EQ(Read(window, 0, 1), cells_[0].second);
+  EXPECT_EQ(Read(window, 0, 2), cells_[3].second);
+  EXPECT_EQ(Requests(), 3u);
+}
+
+TEST_F(PostingWindowTest, EarlyStopLeavesLaterPagesUnrequested) {
+  DropAndReset();
+  PostingStore::Window window(*store_, 0, 7);
+  EXPECT_EQ(Read(window, 0, 1), cells_[0].second);
+  EXPECT_EQ(Requests(), 1u);  // page 0 only; slots 2-7 are never asked for
+  EXPECT_EQ(Read(window, 0, 2), cells_[3].second);
+  EXPECT_EQ(Requests(), 2u);
+}
+
+TEST_F(PostingWindowTest, AbsentAndEmptyCellsCostNoIo) {
+  DropAndReset();
+  PostingStore::Window window(*store_, 0, 7);
+  EXPECT_EQ(Read(window, 1, 1), "");  // present and empty
+  EXPECT_EQ(Read(window, 0, 0), "<absent>");
+  EXPECT_EQ(Read(window, 0, 3), "<absent>");
+  EXPECT_EQ(Read(window, 3, 1), "<absent>");  // segment outside the grid
+  EXPECT_EQ(Requests(), 0u);
+  // Cells outside the window's slots are absent to it, as are all cells of
+  // an empty or out-of-grid window.
+  PostingStore::Window band(*store_, 2, 2);
+  EXPECT_EQ(Read(band, 0, 1), "<absent>");
+  EXPECT_EQ(Read(band, 1, 3), "<absent>");
+  PostingStore::Window reversed(*store_, 3, 2);
+  EXPECT_EQ(reversed.first_slot(), reversed.end_slot());
+  EXPECT_EQ(Read(reversed, 0, 2), "<absent>");
+  PostingStore::Window past(*store_, 8, 9);
+  EXPECT_EQ(Read(past, 2, 7), "<absent>");
+  EXPECT_EQ(Requests(), 0u);
+  EXPECT_EQ(window.pages_buffered(), 0u);
+}
+
+TEST_F(PostingWindowTest, GridsLastCellAtTheSentinelOffset) {
+  DropAndReset();
+  // A last slot past the grid is clamped to it.
+  PostingStore::Window window(*store_, 7, 100);
+  EXPECT_EQ(window.end_slot(), 8u);
+  EXPECT_EQ(Read(window, 2, 7), cells_[5].second);
+  EXPECT_EQ(Requests(), 1u);
   std::string out;
-  auto found = store.GetInto(MakePostingKey(2, 7), &out);
+  auto found = store_->GetInto(MakePostingKey(2, 7), &out);
   ASSERT_TRUE(found.ok());
   EXPECT_TRUE(*found);
-  EXPECT_EQ(out, last_cell);
+  EXPECT_EQ(out, cells_[5].second);
+}
+
+TEST(PostingStoreTest, WindowPastItsCapReadsUncachedWithTheSameBytes) {
+  // 64-byte pages and 40-byte blobs: 4 segments × 400 slots span 1 000
+  // pages, about twice the cap.
+  const PostingGrid grid{4, 400};
+  const std::string path = TempFile("ps_cap");
+  auto builder = PostingStoreBuilder::Create(path, 64);
+  ASSERT_TRUE(builder.ok());
+  Rng rng(7);
+  std::vector<std::pair<PostingKey, std::string>> cells;
+  for (uint32_t slot = 0; slot < grid.slots; ++slot) {
+    for (uint32_t seg = 0; seg < grid.num_segments; ++seg) {
+      std::string blob(40, 0);
+      for (auto& c : blob) c = static_cast<char>(rng.UniformInt(0, 255));
+      cells.emplace_back(MakePostingKey(seg, slot), blob);
+      ASSERT_TRUE((*builder)->Add(cells.back().first, blob).ok());
+    }
+  }
+  ASSERT_GT((*builder)->DataBytes() / 64, PostingStore::Window::kMaxPages);
+  ASSERT_TRUE((*builder)->Finish().ok());
+  auto opened = PostingStore::Open(path, grid, 64, 64);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  PostingStore& store = **opened;
+
+  // Two passes over every cell through one window: each blob equals the
+  // pool's, and the buffer stops at the cap.
+  store.ResetStats();
+  PostingStore::Window window(store, 0, grid.slots - 1);
+  std::string direct;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const auto& [key, blob] : cells) {
+      std::string_view got;
+      auto found = window.Read(key >> 32, key & 0xffffffffu, &got);
+      ASSERT_TRUE(found.ok()) << found.status().ToString();
+      ASSERT_TRUE(*found) << key;
+      ASSERT_EQ(got, blob) << key;
+      ASSERT_LE(window.pages_buffered(), PostingStore::Window::kMaxPages);
+      ASSERT_TRUE(store.GetInto(key, &direct).ok());
+      ASSERT_EQ(direct, blob) << key;
+    }
+  }
+  EXPECT_EQ(window.pages_buffered(), PostingStore::Window::kMaxPages);
 }
 
 /// Builds a three-entry store at `path` (page size 256) and returns the
@@ -631,8 +749,8 @@ uint64_t BuildThreeEntryStore(const std::string& path) {
   auto builder = PostingStoreBuilder::Create(path, 256);
   EXPECT_TRUE(builder.ok());
   const std::string first(300, 'a'), last(40, 'c');
-  EXPECT_TRUE((*builder)->Add(MakePostingKey(1, 7), first).ok());
-  EXPECT_TRUE((*builder)->Add(MakePostingKey(2, 0), "bb").ok());
+  EXPECT_TRUE((*builder)->Add(MakePostingKey(2, 0), first).ok());
+  EXPECT_TRUE((*builder)->Add(MakePostingKey(1, 7), "bb").ok());
   EXPECT_TRUE((*builder)->Add(MakePostingKey(2, 9), last).ok());
   EXPECT_TRUE((*builder)->Finish().ok());
   // Header: magic u64 | page_size u32 | dir_offset u64 | dir_size u64 | ...
@@ -693,11 +811,12 @@ TEST(PostingStoreTest, DirectoryKeyOutsideGridIsCorruption) {
 
 TEST(PostingStoreTest, UnsortedDirectoryIsCorruption) {
   {
-    // Keys swapped; the extents still tile.
+    // Keys swapped, which leaves them ascending in segment-major order but
+    // not in slot-major; the extents still tile.
     std::string path = TempFile("ps_unsorted");
     const uint64_t dir = BuildThreeEntryStore(path);
-    Patch(path, DirEntryAt(dir, 0), MakePostingKey(2, 0));
-    Patch(path, DirEntryAt(dir, 1), MakePostingKey(1, 7));
+    Patch(path, DirEntryAt(dir, 0), MakePostingKey(1, 7));
+    Patch(path, DirEntryAt(dir, 1), MakePostingKey(2, 0));
     auto opened = PostingStore::Open(path, kTestGrid, 16, 256);
     EXPECT_TRUE(opened.status().IsCorruption()) << opened.status().ToString();
   }
@@ -705,7 +824,7 @@ TEST(PostingStoreTest, UnsortedDirectoryIsCorruption) {
     // A repeated key.
     std::string path = TempFile("ps_repeat");
     const uint64_t dir = BuildThreeEntryStore(path);
-    Patch(path, DirEntryAt(dir, 2), MakePostingKey(2, 0));
+    Patch(path, DirEntryAt(dir, 2), MakePostingKey(1, 7));
     auto opened = PostingStore::Open(path, kTestGrid, 16, 256);
     EXPECT_TRUE(opened.status().IsCorruption()) << opened.status().ToString();
   }
@@ -736,6 +855,17 @@ TEST(PostingStoreTest, ExtentGapOrOverlapIsCorruption) {
   EXPECT_TRUE(OpenWithLength(0, 299).IsCorruption());
   EXPECT_TRUE(OpenWithLength(1, 3).IsCorruption());
   EXPECT_TRUE(OpenWithLength(2, 1 << 20).IsCorruption());
+}
+
+TEST(PostingStoreTest, SegmentMajorMagicIsCorruption) {
+  // A file from the segment-major layout ("STRRPSTO") is not misread as
+  // slot-major cells.
+  std::string path = TempFile("ps_old_magic");
+  BuildThreeEntryStore(path);
+  ASSERT_TRUE(PostingStore::Open(path, kTestGrid, 16, 256).ok());
+  Patch(path, 0, uint64_t{0x535452525053544f});
+  auto opened = PostingStore::Open(path, kTestGrid, 16, 256);
+  EXPECT_TRUE(opened.status().IsCorruption()) << opened.status().ToString();
 }
 
 TEST(PostingStoreTest, TruncatedFileFailsOpen) {
