@@ -34,9 +34,8 @@
 // same acked observation stream is journaled twice — once bare, once
 // with profile checkpointing — and cold restart (Recover + Replay into a
 // fresh LiveProfileManager) is timed for both; a compaction config
-// reports sealed-table count before/after background merges; and the
-// block cache is driven through a scan-polluted hot-set workload under
-// LRU vs TinyLFU. check_regression.py gates the checkpointed restart
+// reports sealed-table count before/after background merges.
+// check_regression.py gates the checkpointed restart
 // against the full-replay wall with a speedup floor.
 // STRR_STORAGE_DISABLE_CHECKPOINT=1 skips committing the checkpoint (the
 // gate's negative test: the speedup collapses to ~1x and the floor must
@@ -65,8 +64,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "query/query_plan.h"
-#include "storage/buffer_pool.h"
-#include "storage/file_manager.h"
 #include "tools/crash_stream.h"
 #include "traj/fleet_simulator.h"
 #include "util/rng.h"
@@ -119,9 +116,12 @@ struct RowResult {
   double hit_rate = 0.0;
   double shed_rate = 0.0;
   bool identical = true;
-  /// "obs" rows: median over interleaved batch pairs of the
-  /// observability-on qps divided by the observability-off qps.
+  /// "obs" rows: median over interleaved rounds of the observability-on
+  /// qps divided by the observability-off qps.
   double obs_ratio = 0.0;
+  /// Median over interleaved rounds of this row's qps divided by the
+  /// (1, "none") reference's; 1 for the reference row itself.
+  double ref_ratio = 0.0;
 };
 
 struct TenantRow {
@@ -151,16 +151,12 @@ struct LiveRow {
 
 struct StorageRow {
   /// "replay" / "checkpoint" — cold-restart configs over the same acked
-  /// stream; "compaction" — table-count shrink; "block_cache_lru" /
-  /// "block_cache_tinylfu" — page-cache policies under a scan-polluted
-  /// hot-set workload.
+  /// stream; "compaction" — table-count shrink.
   std::string config;
   double restart_ms = -1.0;  ///< best-of-3 Recover+Replay wall (-1 = n/a)
   uint64_t replayed_batches = 0;  ///< batches folded beyond the checkpoint
   int64_t tables_before = -1;     ///< compaction: sealed tables flushed
   int64_t tables_after = -1;      ///< compaction: live tables after merges
-  double hit_rate = -1.0;         ///< block-cache rows (-1 = n/a)
-  uint64_t admission_rejects = 0;  ///< TinyLFU pages denied a frame
 };
 
 }  // namespace
@@ -209,19 +205,26 @@ int main() {
       obs::MetricsRegistry::Global().ResetValues();
     }
   };
-  // Runs one config: best-of-N timed batches (N adapts so the timed
-  // window covers >= ~1.2 s; the minimum is robust because scheduling
-  // noise only ever adds time), hit/shed rates from the executor's
-  // front-door counters over the timed window. "obs" mode instead times
-  // interleaved pairs of batches on one executor, one with observability
-  // off and one with it on, in alternating order, and records the median
-  // of the per-pair on/off qps ratios: host noise moves both batches of a
-  // pair alike, where two best-of-N rows taken seconds apart flaked the
-  // 5% obs-overhead gate. The identical check proves every batch, knobs
-  // on or off, bit-identical; check_regression.py gates the median ratio.
+  // Runs one config in rounds until the row's own batches cover >= ~1.2 s;
+  // batch_ms is its fastest batch (scheduling noise
+  // only ever adds time). Every row but the (1, "none") reference times
+  // each round's batch next to one reference batch (reference_exec: one
+  // worker, no knobs) and records the median over rounds of the row/
+  // reference qps ratio. "obs" rows add a batch with observability off on
+  // the same executor and record the median on/off qps ratio. A round's
+  // batches run in rotating order, so host noise moves the batches of one
+  // round alike; ratios of two best-of-N rows taken seconds apart flaked
+  // both gates. The identical check proves every batch bit-identical;
+  // check_regression.py gates both medians.
+  auto median = [](std::vector<double> v) {
+    if (v.empty()) return 0.0;
+    std::sort(v.begin(), v.end());
+    const size_t mid = v.size() / 2;
+    return v.size() % 2 == 1 ? v[mid] : (v[mid - 1] + v[mid]) / 2.0;
+  };
   auto run_config = [&](int workers, const std::string& mode,
-                        const QueryExecutorOptions& opt,
-                        bool allow_shed) -> RowResult {
+                        const QueryExecutorOptions& opt, bool allow_shed,
+                        bool is_reference) -> RowResult {
     auto executor = stack.engine->MakeExecutor(opt);
     if (mode == "cache") {
       // Cold fill outside the timing: the hot-spot scenario is a steady
@@ -232,74 +235,85 @@ int main() {
     QueryExecutor::FrontDoorStats before = executor->front_door_stats();
     bool identical = true;
     size_t shed = 0, served = 0;
-    auto timed_batch = [&](bool obs_on) {
+    struct Batch {
+      double ms = 0.0;
+      size_t served = 0;
+    };
+    auto timed_batch = [&](QueryExecutor& exec, bool obs_on) {
       Stopwatch watch;
-      auto results = executor->ExecuteBatch(plans);
+      auto results = exec.ExecuteBatch(plans);
       if (obs_on) {
         std::string scrape;
         obs::MetricsRegistry::Global().DumpPrometheus(&scrape);
         if (scrape.empty()) identical = false;  // scrape must produce text
       }
-      const double ms = watch.ElapsedMillis();
+      Batch batch{watch.ElapsedMillis(), 0};
       for (size_t i = 0; i < results.size(); ++i) {
         if (!results[i].ok()) {
           if (allow_shed && results[i].status().IsResourceExhausted()) {
-            ++shed;
+            if (&exec == executor.get()) ++shed;
             continue;
           }
           identical = false;
           continue;
         }
-        ++served;
+        ++batch.served;
         if (results[i]->segments != reference[i]->segments) identical = false;
       }
-      return ms;
+      if (&exec == executor.get()) served += batch.served;
+      return batch;
     };
-    std::vector<double> times;  // this row's batches
-    std::vector<double> ratios;  // obs mode: on/off qps ratio per pair
-    // Obs pairs fill the same >= 1.2 s window as the other rows (at least
-    // 9 pairs): a 4-worker batch takes ~6 ms at small scale, and a median
-    // over 15 pairs (~0.2 s) still crossed the 5% bound in 3 of 16 runs.
-    const size_t min_batches = mode == "obs" ? 9 : 3;
-    const size_t max_batches = mode == "obs" ? 101 : 15;
-    double total_ms = 0.0;
-    while ((times.size() < min_batches || total_ms < 1200.0) &&
-           times.size() < max_batches) {
-      if (mode != "obs") {
-        times.push_back(timed_batch(false));
-        total_ms += times.back();
-        continue;
+    enum Arm { kRow, kObsOff, kRef };
+    std::vector<Arm> arms = {kRow};
+    if (mode == "obs") arms.push_back(kObsOff);
+    if (!is_reference) arms.push_back(kRef);
+    std::vector<double> times;       // the row's own batches
+    std::vector<double> obs_ratios;  // obs mode: on/off qps per round
+    std::vector<double> ref_ratios;  // row/reference qps per round
+    // Rows that record a median take at least 9 rounds, and obs rows fill
+    // the >= 1.2 s window with up to 101: a 4-worker batch takes ~6 ms at
+    // small scale, and a median over 15 pairs (~0.2 s) still crossed the
+    // 5% bound in 3 of 16 runs.
+    const size_t min_rounds = mode == "obs" || !is_reference ? 9 : 3;
+    const size_t max_rounds = mode == "obs" ? 101 : 41;
+    double own_ms = 0.0;
+    for (size_t round = 0;
+         (round < min_rounds || own_ms < 1200.0) && round < max_rounds;
+         ++round) {
+      Batch batch[3];
+      for (size_t k = 0; k < arms.size(); ++k) {
+        const Arm arm = arms[(round + k) % arms.size()];
+        const bool obs_on = mode == "obs" && arm == kRow;
+        if (mode == "obs") set_obs(obs_on);
+        batch[arm] = timed_batch(arm == kRef ? *reference_exec : *executor,
+                                 obs_on);
+        if (arm != kRef) own_ms += batch[arm].ms;
       }
-      double off_ms = 0.0, on_ms = 0.0;
-      const bool on_first = ratios.size() % 2 == 1;
-      for (bool on : {on_first, !on_first}) {
-        set_obs(on);
-        (on ? on_ms : off_ms) = timed_batch(on);
+      if (mode == "obs") set_obs(false);
+      times.push_back(batch[kRow].ms);
+      if (mode == "obs") {
+        obs_ratios.push_back(batch[kObsOff].ms / batch[kRow].ms);
       }
-      set_obs(false);
-      times.push_back(on_ms);
-      total_ms += on_ms + off_ms;
-      ratios.push_back(off_ms / on_ms);
+      if (!is_reference) {
+        ref_ratios.push_back(
+            (static_cast<double>(batch[kRow].served) / batch[kRow].ms) /
+            (static_cast<double>(batch[kRef].served) / batch[kRef].ms));
+      }
     }
     QueryExecutor::FrontDoorStats after = executor->front_door_stats();
-    std::sort(times.begin(), times.end());
     RowResult row;
     row.workers = workers;
     row.mode = mode;
-    row.batch_ms = times.front();
+    row.batch_ms = *std::min_element(times.begin(), times.end());
     // qps counts only *served* queries: shed plans return in microseconds
     // and would otherwise inflate the admit-mode throughput ~8x. An obs
     // row's qps is its observability-on batches'.
-    double served_per_run = static_cast<double>(served) /
-                            static_cast<double>(times.size() + ratios.size());
+    double served_per_run =
+        static_cast<double>(served) /
+        static_cast<double>(times.size() + obs_ratios.size());
     row.qps = served_per_run / (row.batch_ms / 1000.0);
-    if (!ratios.empty()) {
-      std::sort(ratios.begin(), ratios.end());
-      const size_t mid = ratios.size() / 2;
-      row.obs_ratio = ratios.size() % 2 == 1
-                          ? ratios[mid]
-                          : (ratios[mid - 1] + ratios[mid]) / 2.0;
-    }
+    row.obs_ratio = median(obs_ratios);
+    row.ref_ratio = is_reference ? 1.0 : median(ref_ratios);
     uint64_t hits = after.cache_hits - before.cache_hits;
     uint64_t misses = after.cache_misses - before.cache_misses;
     row.hit_rate = (hits + misses) > 0
@@ -326,7 +340,9 @@ int main() {
       QueryExecutorOptions opt;
       opt.num_threads = workers;
       if (std::string(mode) == "cache") opt.result_cache_entries = 4096;
-      RowResult row = run_config(workers, mode, opt, /*allow_shed=*/false);
+      RowResult row = run_config(workers, mode, opt, /*allow_shed=*/false,
+                                 /*is_reference=*/workers == 1 &&
+                                     std::string(mode) == "none");
       if (workers == 1 && row.mode == "none") qps1 = row.qps;
       if (workers == 4 && row.mode == "none") qps4 = row.qps;
       if (workers == 4 && row.mode == "cache") qps4_cache = row.qps;
@@ -335,10 +351,13 @@ int main() {
                 Cell(row.hit_rate, 2), Cell(row.shed_rate, 2),
                 row.identical ? "yes" : "NO"});
       if (row.mode == "obs") {
-        std::printf("  obs on/off qps ratio, median of interleaved pairs: "
+        std::printf("  obs on/off qps ratio, median of interleaved rounds: "
                     "%.3f\n",
                     row.obs_ratio);
       }
+      std::printf("  qps / (1, none) reference qps, median of interleaved "
+                  "rounds: %.3f\n",
+                  row.ref_ratio);
       if (!row.identical) {
         std::fprintf(stderr,
                      "FATAL: results diverged at %d workers (mode %s)\n",
@@ -354,7 +373,8 @@ int main() {
     opt.num_threads = 4;
     opt.max_inflight = 8;
     opt.batch_share = 1.0;
-    RowResult row = run_config(4, "admit", opt, /*allow_shed=*/true);
+    RowResult row = run_config(4, "admit", opt, /*allow_shed=*/true,
+                               /*is_reference=*/false);
     PrintRow({std::to_string(row.workers), row.mode, Cell(row.batch_ms, 1),
               Cell(row.qps, 1), Cell(qps1 > 0 ? row.qps / qps1 : 0.0, 2),
               Cell(row.hit_rate, 2), Cell(row.shed_rate, 2),
@@ -676,7 +696,7 @@ int main() {
   // LiveProfileManager) over the same deterministic acked stream, once
   // bare and once checkpointed; best-of-3 because recovery is
   // single-threaded and scheduling noise only ever adds time. The
-  // compaction and block-cache rows are scale-free counts/rates.
+  // compaction row is a scale-free count.
   std::vector<StorageRow> storage_rows;
   {
     namespace fs = std::filesystem;
@@ -751,70 +771,21 @@ int main() {
       return Status::OK();
     };
 
-    auto run_cache = [&](CachePolicy policy, StorageRow& row) -> Status {
-      std::string dir = fresh_dir(policy == CachePolicy::kTinyLfu
-                                      ? "cache_tinylfu"
-                                      : "cache_lru");
-      constexpr PageId kPages = 128;
-      constexpr PageId kHotPages = 8;
-      STRR_ASSIGN_OR_RETURN(auto file,
-                            FileManager::Create(dir + "/pages.dat", 4096));
-      for (PageId i = 0; i < kPages; ++i) {
-        STRR_ASSIGN_OR_RETURN(PageId id, file->AllocatePage());
-        Page page(4096);
-        char tag = static_cast<char>('A' + (id % 26));
-        page.Write(0, &tag, 1);
-        STRR_RETURN_IF_ERROR(file->WritePage(id, page));
-      }
-      BufferPoolOptions popt;
-      popt.capacity_pages = 16;
-      popt.policy = policy;
-      popt.protected_share = 0.5;
-      popt.role = "bench_storage";
-      BufferPool pool(file.get(), popt);
-      // Scan-polluted hot set: the recurring pages earn frequency, then
-      // every round drags a one-shot scan through the pool. TinyLFU's
-      // admission contest keeps the hot set resident; LRU surrenders it
-      // to the scan each round.
-      for (int round = 0; round < 4; ++round) {
-        for (int rep = 0; rep < 4; ++rep) {
-          for (PageId id = 0; id < kHotPages; ++id) {
-            char byte = 0;
-            STRR_RETURN_IF_ERROR(pool.ReadInto(id, 0, &byte, 1));
-          }
-        }
-        for (PageId id = kHotPages; id < kPages; ++id) {
-          char byte = 0;
-          STRR_RETURN_IF_ERROR(pool.ReadInto(id, 0, &byte, 1));
-        }
-      }
-      StorageStats stats = pool.stats();
-      uint64_t lookups = stats.cache_hits + stats.cache_misses;
-      row.hit_rate = lookups == 0
-                         ? 0.0
-                         : static_cast<double>(stats.cache_hits) /
-                               static_cast<double>(lookups);
-      row.admission_rejects = pool.detail().admission_rejects;
-      return Status::OK();
-    };
-
     auto storage_fatal = [](const std::string& what, const Status& status) {
       std::fprintf(stderr, "FATAL: storage sweep %s: %s\n", what.c_str(),
                    status.ToString().c_str());
     };
 
-    std::printf("\nStorage engine: cold restart, compaction, block cache "
+    std::printf("\nStorage engine: cold restart, compaction "
                 "(%llu-batch journal)\n",
                 static_cast<unsigned long long>(kStorageBatches));
-    PrintRow({"config", "restart_ms", "replayed", "tbl_before", "tbl_after",
-              "hit_rate", "adm_rejects"});
+    PrintRow({"config", "restart_ms", "replayed", "tbl_before",
+              "tbl_after"});
     auto print_storage_row = [&](const StorageRow& r) {
       PrintRow({r.config, r.restart_ms < 0 ? "-" : Cell(r.restart_ms, 2),
                 std::to_string(r.replayed_batches),
                 r.tables_before < 0 ? "-" : std::to_string(r.tables_before),
-                r.tables_after < 0 ? "-" : std::to_string(r.tables_after),
-                r.hit_rate < 0 ? "-" : Cell(r.hit_rate, 3),
-                std::to_string(r.admission_rejects)});
+                r.tables_after < 0 ? "-" : std::to_string(r.tables_after)});
     };
 
     {
@@ -873,18 +844,6 @@ int main() {
       storage_rows.push_back(row);
       fs::remove_all(dir);
     }
-    for (CachePolicy policy : {CachePolicy::kLru, CachePolicy::kTinyLfu}) {
-      StorageRow row;
-      row.config = policy == CachePolicy::kTinyLfu ? "block_cache_tinylfu"
-                                                   : "block_cache_lru";
-      if (Status s = run_cache(policy, row); !s.ok()) {
-        storage_fatal(row.config, s);
-        return 1;
-      }
-      print_storage_row(row);
-      storage_rows.push_back(row);
-    }
-
     const StorageRow& replay_row = storage_rows[0];
     const StorageRow& ckpt_row = storage_rows[1];
     const StorageRow& compact_row = storage_rows[2];
@@ -906,16 +865,6 @@ int main() {
                std::to_string(compact_row.tables_before) +
                    " sealed tables merged down to " +
                    std::to_string(compact_row.tables_after));
-    const StorageRow& lru_row = storage_rows[3];
-    const StorageRow& tinylfu_row = storage_rows[4];
-    ShapeCheck("tinylfu_beats_lru_under_scan",
-               tinylfu_row.hit_rate > lru_row.hit_rate &&
-                   tinylfu_row.admission_rejects > 0,
-               "scan-polluted hit rate " + Cell(tinylfu_row.hit_rate, 3) +
-                   " (TinyLFU, " +
-                   std::to_string(tinylfu_row.admission_rejects) +
-                   " admission rejects) vs " + Cell(lru_row.hit_rate, 3) +
-                   " (LRU)");
   }
 
   bool scale_ok = qps4 >= 2.0 * qps1;
@@ -966,8 +915,8 @@ int main() {
     std::fprintf(f, "  \"rows\": [\n");
     for (size_t i = 0; i < rows.size(); ++i) {
       const RowResult& r = rows[i];
-      std::string ratio;
-      if (r.mode == "obs") ratio = ", \"obs_ratio\": " + Cell(r.obs_ratio, 4);
+      std::string ratio = ", \"ref_ratio\": " + Cell(r.ref_ratio, 4);
+      if (r.mode == "obs") ratio += ", \"obs_ratio\": " + Cell(r.obs_ratio, 4);
       std::fprintf(f,
                    "    {\"workers\": %d, \"mode\": \"%s\", \"batch_ms\": "
                    "%.2f, \"qps\": %.1f, \"hit_rate\": %.3f, \"shed_rate\": "
@@ -1007,13 +956,11 @@ int main() {
       std::fprintf(f,
                    "    {\"config\": \"%s\", \"restart_ms\": %.3f, "
                    "\"replayed_batches\": %llu, \"tables_before\": %lld, "
-                   "\"tables_after\": %lld, \"hit_rate\": %.3f, "
-                   "\"admission_rejects\": %llu}%s\n",
+                   "\"tables_after\": %lld}%s\n",
                    r.config.c_str(), r.restart_ms,
                    static_cast<unsigned long long>(r.replayed_batches),
                    static_cast<long long>(r.tables_before),
-                   static_cast<long long>(r.tables_after), r.hit_rate,
-                   static_cast<unsigned long long>(r.admission_rejects),
+                   static_cast<long long>(r.tables_after),
                    i + 1 < storage_rows.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");

@@ -121,13 +121,6 @@ QueryExecutor::QueryExecutor(const RoadNetwork& network,
     ResultCacheOptions cache_opt;
     cache_opt.capacity = options_.result_cache_entries;
     cache_opt.shards = options_.result_cache_shards;
-    if (options_.result_cache_doorkeeper) {
-      // ~8 sketch counters per cached entry keeps the false-positive
-      // inflation of 4-bit counting-Bloom estimates negligible.
-      cache_opt.doorkeeper_counters = options_.result_cache_entries * 8;
-    }
-    cache_opt.protected_share = options_.result_cache_protected_share;
-    cache_opt.tenant_capacity_share = options_.result_cache_tenant_share;
     cache_ = std::make_unique<ResultCache>(delta_t_seconds_, cache_opt);
     // Every cached executor gets the manager's Δt-slot eviction fan-out —
     // including MakeExecutor-created ones the engine does not know about.
@@ -158,7 +151,7 @@ StatusOr<RegionResult> QueryExecutor::ExecuteFrontDoor(const QueryPlan& plan,
   Stopwatch wall_watch;
   std::optional<PlanKey> key;
   if (cache_ != nullptr) {
-    key = MakePlanKey(plan, /*tenant_scoped=*/!options_.tenant_shared_cache);
+    key = MakePlanKey(plan);
     std::optional<RegionResult> hit;
     {
       obs::TraceSpan span("cache_lookup");
@@ -193,7 +186,7 @@ StatusOr<RegionResult> QueryExecutor::ExecuteFrontDoor(const QueryPlan& plan,
                   /*cost_us=*/exec_watch.ElapsedMillis() * 1000.0);
   }
   if (result.ok()) tenants_->RecordCompletion(plan.tenant, result->stats.io);
-  if (key && result.ok()) MaybeCacheInsert(*key, *result, plan.tenant);
+  if (key && result.ok()) MaybeCacheInsert(*key, *result);
   RecordQueryMetrics(wall_watch, result);
   return result;
 }
@@ -240,7 +233,7 @@ StatusOr<RegionResult> QueryExecutor::RunAdmitted(const QueryPlan& plan,
   }
   if (result.ok()) tenants_->RecordCompletion(plan.tenant, result->stats.io);
   if (key != nullptr && result.ok()) {
-    MaybeCacheInsert(*key, *result, plan.tenant);
+    MaybeCacheInsert(*key, *result);
   }
   RecordQueryMetrics(exec_watch, result);
   return result;
@@ -258,8 +251,7 @@ StatusOr<RegionResult> QueryExecutor::ExecutePinned(const QueryPlan& plan) {
 }
 
 void QueryExecutor::MaybeCacheInsert(const PlanKey& key,
-                                     const RegionResult& result,
-                                     TenantId tenant) {
+                                     const RegionResult& result) {
   if (cache_ == nullptr) return;
   obs::TraceSpan span("cache_insert");
   // Never let an insert computed on a superseded snapshot outlive that
@@ -271,7 +263,7 @@ void QueryExecutor::MaybeCacheInsert(const PlanKey& key,
   // eviction that could cover this entry happens after the insert and
   // removes it normally.)
   if (result.stats.snapshot_version != live_->version()) return;
-  cache_->Insert(key, result, tenant);
+  cache_->Insert(key, result);
   if (result.stats.snapshot_version != live_->version()) cache_->Erase(key);
 }
 
@@ -300,7 +292,7 @@ std::vector<StatusOr<RegionResult>> QueryExecutor::ExecuteBatch(
     std::optional<PlanKey> key;
     if (cache_ != nullptr) {
       Stopwatch hit_watch;
-      key = MakePlanKey(plan, /*tenant_scoped=*/!options_.tenant_shared_cache);
+      key = MakePlanKey(plan);
       if (std::optional<RegionResult> hit = cache_->Lookup(*key)) {
         tenants_->RecordCacheHit(plan.tenant);
         immediate[i].emplace(*std::move(hit));
@@ -370,7 +362,6 @@ QueryExecutor::FrontDoorStats QueryExecutor::front_door_stats() const {
     out.cache_insertions = c.insertions;
     out.cache_evictions = c.evictions;
     out.cache_invalidated = c.invalidated;
-    out.cache_doorkeeper_rejects = c.doorkeeper_rejected;
   }
   {
     ExpansionContextPool::Stats p = ExpansionContextPool::Global().stats();

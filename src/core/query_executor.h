@@ -11,9 +11,10 @@
 //
 // Front door (caching and admission opt-in via options, off by default so
 // the facade reproduces the paper's measurements exactly):
-//  * ResultCache — plans are keyed canonically (MakePlanKey) and identical
-//    plans are served from cache bit-identically, with Δt-slot
-//    invalidation fired by the live manager's publishes;
+//  * ResultCache — one LRU per shard; plans are keyed canonically
+//    (MakePlanKey, tenant-scoped) and identical plans are served from
+//    cache bit-identically, with Δt-slot invalidation fired by the live
+//    manager's publishes;
 //  * WfqAdmissionController (max_inflight > 0) — bounded outstanding work
 //    with typed ResourceExhausted shedding, per-tenant quotas and
 //    deficit-round-robin weighted fair dispatch over plan.tenant
@@ -24,10 +25,9 @@
 //    nested batches) is never re-admitted: the enclosing query was
 //    admitted as one unit;
 //  * TenantRegistry — per-tenant configs plus hit/shed/in-flight/io
-//    counters, carried in front_door_stats(). Cache entries are
-//    tenant-scoped (or shared via tenant_shared_cache). Tenancy never
-//    changes a computed region — only who waits, who sheds, and how
-//    counters are attributed.
+//    counters, carried in front_door_stats(). Tenancy never changes a
+//    computed region — only who waits, who sheds, and how counters are
+//    attributed.
 //
 // Concurrency contract: every index read path underneath (ST-Index
 // time-list reads through the BufferPool, lazy Con-Index materialization,
@@ -85,17 +85,6 @@ struct QueryExecutorOptions {
   size_t result_cache_entries = 0;
   /// Result-cache shard count (locks); only meaningful when caching is on.
   size_t result_cache_shards = 8;
-  /// TinyLFU-style doorkeeper for the result cache: a counting-Bloom
-  /// frequency sketch gates evictions so one-shot cold-location scans
-  /// cannot churn hot entries out (see ResultCacheOptions). Off by
-  /// default.
-  bool result_cache_doorkeeper = false;
-  /// Segmented-LRU (full TinyLFU) protected share of each cache shard, in
-  /// [0, 1); 0 keeps plain LRU. See ResultCacheOptions::protected_share.
-  double result_cache_protected_share = 0.0;
-  /// Per-tenant cache capacity envelope, in (0, 1]; 0 = off. See
-  /// ResultCacheOptions::tenant_capacity_share.
-  double result_cache_tenant_share = 0.0;
   /// Max admitted-and-outstanding queries across all tenants; 0 disables
   /// admission control (see core/wfq_admission.h).
   size_t max_inflight = 0;
@@ -105,11 +94,6 @@ struct QueryExecutorOptions {
   /// query cost in microseconds instead of one count, so fairness holds in
   /// CPU time (see WfqOptions::cost_based). Requires max_inflight > 0.
   bool wfq_cost_based = false;
-  /// Serve cache entries across tenants from one shared key space instead
-  /// of tenant-scoped entries. Results are bit-identical across tenants by
-  /// construction, so sharing only changes isolation (cross-tenant timing
-  /// visibility), never answers.
-  bool tenant_shared_cache = false;
   /// Defaults for tenants never Configure()d in the registry (weight,
   /// quota, queue bound). Only used when the executor creates its own
   /// registry (an engine-provided registry carries its own defaults).
@@ -187,8 +171,6 @@ class QueryExecutor {
     /// is the steady-state "no allocation per search" hit rate).
     uint64_t ctx_pool_acquires = 0;
     uint64_t ctx_pool_reuses = 0;
-    /// Entries the result-cache doorkeeper refused to admit (0 when off).
-    uint64_t cache_doorkeeper_rejects = 0;
     /// Per-tenant breakdown, snapshotted from the TenantRegistry this
     /// executor attributes to (tenants never seen are absent). With a
     /// private registry (standalone executor) the per-tenant
@@ -241,8 +223,7 @@ class QueryExecutor {
   /// Inserts `result` under `key` unless a newer snapshot was published
   /// while it executed (a stale insert could serve a superseded version
   /// after its Δt-slots were already invalidated).
-  void MaybeCacheInsert(const PlanKey& key, const RegionResult& result,
-                        TenantId tenant);
+  void MaybeCacheInsert(const PlanKey& key, const RegionResult& result);
 
   /// Executes `plans` against one shared snapshot with no admission or
   /// caching — the raw fan-out for m-query legs (admitted, and

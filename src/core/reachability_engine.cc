@@ -1,6 +1,5 @@
 #include "core/reachability_engine.h"
 
-#include <cstring>
 #include <filesystem>
 
 #include "live/recovery_manager.h"
@@ -67,9 +66,6 @@ StatusOr<std::unique_ptr<ReachabilityEngine>> ReachabilityEngine::Build(
   st_opt.cache_pages = options.cache_pages;
   st_opt.page_size = options.page_size;
   st_opt.max_locate_distance_m = options.max_locate_distance_m;
-  st_opt.cache_policy = options.block_cache_tinylfu ? CachePolicy::kTinyLfu
-                                                    : CachePolicy::kLru;
-  st_opt.cache_protected_share = options.block_cache_protected_share;
   STRR_ASSIGN_OR_RETURN(engine->st_index_,
                         StIndex::Build(network, store, st_opt));
 
@@ -95,13 +91,6 @@ StatusOr<std::unique_ptr<ReachabilityEngine>> ReachabilityEngine::Build(
   engine->live_manager_ = std::make_unique<LiveProfileManager>(
       *engine->epochs_, *engine->profile_, *engine->con_index_, live_opt);
 
-  if (options.negative_cache_entries > 0) {
-    NegativeCacheOptions neg_opt;
-    neg_opt.capacity = options.negative_cache_entries;
-    neg_opt.ttl_ms = options.negative_cache_ttl_ms;
-    engine->negative_cache_ = std::make_unique<NegativeCache>(neg_opt);
-  }
-
   // One registry for the whole engine: the default executor and every
   // MakeExecutor-created one share tenant configs, quotas and counters.
   engine->tenants_ = std::make_unique<TenantRegistry>(options.tenant_defaults);
@@ -113,13 +102,9 @@ StatusOr<std::unique_ptr<ReachabilityEngine>> ReachabilityEngine::Build(
   exec_opt.parallel_mquery_legs = options.parallel_mquery_legs;
   exec_opt.result_cache_entries = options.result_cache_entries;
   exec_opt.result_cache_shards = options.result_cache_shards;
-  exec_opt.result_cache_doorkeeper = options.result_cache_doorkeeper;
-  exec_opt.result_cache_protected_share = options.result_cache_protected_share;
-  exec_opt.result_cache_tenant_share = options.result_cache_tenant_share;
   exec_opt.max_inflight = options.max_inflight_queries;
   exec_opt.batch_share = options.batch_share;
   exec_opt.wfq_cost_based = options.wfq_cost_based;
-  exec_opt.tenant_shared_cache = options.tenant_shared_cache;
   engine->executor_ = engine->MakeExecutor(exec_opt);
 
   if (options.live_ingestion) {
@@ -197,71 +182,44 @@ std::unique_ptr<QueryExecutor> ReachabilityEngine::MakeExecutor(
                                          tenants_.get());
 }
 
-std::string ReachabilityEngine::NegativeKey(const XyPoint* locations,
-                                            size_t n) {
-  std::string key;
-  key.resize(n * 2 * sizeof(double));
-  char* out = key.data();
-  for (size_t i = 0; i < n; ++i) {
-    std::memcpy(out, &locations[i].x, sizeof(double));
-    out += sizeof(double);
-    std::memcpy(out, &locations[i].y, sizeof(double));
-    out += sizeof(double);
-  }
-  return key;
-}
-
 template <typename PlanFn>
 StatusOr<RegionResult> ReachabilityEngine::PlanAndExecute(
-    const XyPoint* locations, size_t n, PlanFn&& plan_fn) {
+    size_t num_locations, PlanFn&& plan_fn) {
   // Root the span tree at the facade so planning is part of the query's
   // trace; the executor's own root below degrades to a child span.
   obs::QueryTrace trace("request");
-  std::string neg_key;
-  if (negative_cache_ != nullptr) {
-    neg_key = NegativeKey(locations, n);
-    if (std::optional<Status> cached = negative_cache_->Lookup(neg_key)) {
-      return *std::move(cached);
-    }
-  }
   StatusOr<QueryPlan> plan = [&] {
-    obs::TraceSpan span("plan", n);
+    obs::TraceSpan span("plan", num_locations);
     return plan_fn();
   }();
-  if (!plan.ok()) {
-    // Only NotFound is cacheable: it depends on the locations alone.
-    // InvalidArgument (bad Prob/duration) is parameter-specific and cheap
-    // to recompute, and transient errors must not be pinned for a TTL.
-    if (negative_cache_ != nullptr && plan.status().IsNotFound()) {
-      negative_cache_->Insert(neg_key, plan.status());
-    }
-    return plan.status();
-  }
+  // A junk location fails here with NotFound (StIndex::Locate's
+  // max_locate_distance_m cap), before any posting page is read.
+  if (!plan.ok()) return plan.status();
   return executor_->Execute(*plan);
 }
 
 StatusOr<RegionResult> ReachabilityEngine::SQueryIndexed(const SQuery& query) {
-  return PlanAndExecute(&query.location, 1, [&] {
+  return PlanAndExecute(1, [&] {
     return planner_->PlanSQuery(query, QueryStrategy::kIndexed);
   });
 }
 
 StatusOr<RegionResult> ReachabilityEngine::SQueryExhaustive(
     const SQuery& query) {
-  return PlanAndExecute(&query.location, 1, [&] {
+  return PlanAndExecute(1, [&] {
     return planner_->PlanSQuery(query, QueryStrategy::kExhaustive);
   });
 }
 
 StatusOr<RegionResult> ReachabilityEngine::MQueryIndexed(const MQuery& query) {
-  return PlanAndExecute(query.locations.data(), query.locations.size(), [&] {
+  return PlanAndExecute(query.locations.size(), [&] {
     return planner_->PlanMQuery(query, QueryStrategy::kIndexed);
   });
 }
 
 StatusOr<RegionResult> ReachabilityEngine::MQueryRepeatedSQuery(
     const MQuery& query) {
-  return PlanAndExecute(query.locations.data(), query.locations.size(), [&] {
+  return PlanAndExecute(query.locations.size(), [&] {
     return planner_->PlanMQuery(query, QueryStrategy::kRepeatedS);
   });
 }

@@ -28,7 +28,6 @@
 #include <memory>
 #include <string>
 
-#include "core/negative_cache.h"
 #include "core/query_executor.h"
 #include "index/con_index.h"
 #include "index/speed_profile.h"
@@ -72,13 +71,6 @@ struct EngineOptions {
   /// Result-cache capacity in entries; 0 disables caching.
   size_t result_cache_entries = 0;
   size_t result_cache_shards = 8;
-  /// TinyLFU doorkeeper on the result cache (see
-  /// ResultCacheOptions::doorkeeper_counters). Off by default.
-  bool result_cache_doorkeeper = false;
-  /// Segmented-LRU protected share / per-tenant capacity envelope for the
-  /// result cache (see ResultCacheOptions). Both off by default.
-  double result_cache_protected_share = 0.0;
-  double result_cache_tenant_share = 0.0;
   /// Max admitted-and-outstanding queries across all tenants; 0 disables
   /// admission control. Admission is weighted fair queueing over
   /// QueryPlan::tenant with per-tenant quotas and waiting bounds from the
@@ -90,9 +82,6 @@ struct EngineOptions {
   /// Cost-based DRR dispatch: WFQ charges grants in measured microseconds
   /// instead of counts (see WfqOptions::cost_based).
   bool wfq_cost_based = false;
-  /// Share result-cache entries across tenants instead of scoping them
-  /// per tenant (see QueryExecutorOptions::tenant_shared_cache).
-  bool tenant_shared_cache = false;
   /// Registry defaults for tenants never configured explicitly; its
   /// max_queued is the single-query waiting bound per tenant.
   TenantConfig tenant_defaults;
@@ -137,8 +126,8 @@ struct EngineOptions {
   /// fdatasync the WAL per batch (ack = stable storage). Off trades power-
   /// loss durability for throughput; process crashes still lose nothing.
   bool live_wal_sync_each_batch = true;
-  // --- Storage engine (checkpoint / compaction / block cache; all off by
-  // default — seed behavior is untouched with the knobs off). -----------
+  // --- Storage engine (checkpoint / compaction; both off by default —
+  // seed behavior is untouched with the knobs off). ----------------------
   /// Commit a live-profile checkpoint (then truncate the tables and WAL
   /// it covers) every N acked batches, so restart replays O(delta)
   /// instead of the whole stream. 0 disables. Requires live_durability.
@@ -154,10 +143,6 @@ struct EngineOptions {
   /// Observations per snapshot publish during recovery replay (bounds
   /// replay memory; correctness is chunk-size independent).
   size_t live_replay_chunk = 4096;
-  /// TinyLFU segmented block cache for the ST-Index buffer pool instead
-  /// of plain LRU (scan-resistant; per-role metric labels).
-  bool block_cache_tinylfu = false;
-  double block_cache_protected_share = 0.8;
   /// Location match radius for planning (see
   /// StIndexOptions::max_locate_distance_m); <= 0 restores unconditional
   /// snap-to-nearest.
@@ -181,13 +166,6 @@ struct EngineOptions {
   /// util/logging (one structured sink) and are force-recorded into the
   /// flight recorder; 0 disables the slow-query log.
   double slow_query_ms = 0.0;
-  // --- Negative caching (off by default) -------------------------------------
-  /// Entries in the facade's NotFound cache; 0 disables it. Junk query
-  /// locations (no matchable segment) then fail from memory instead of
-  /// re-running location resolution on every attempt.
-  size_t negative_cache_entries = 0;
-  /// Lifetime of a cached NotFound.
-  int64_t negative_cache_ttl_ms = 1000;
 };
 
 /// Facade over the whole query stack. Thread-safe for concurrent queries:
@@ -271,9 +249,6 @@ class ReachabilityEngine {
   };
   const LiveRecoveryInfo& live_recovery() const { return live_recovery_; }
 
-  /// The facade's NotFound cache, or nullptr when disabled.
-  NegativeCache* negative_cache() { return negative_cache_.get(); }
-
   // --- Observability ---------------------------------------------------------
 
   /// Writes the flight recorder as Chrome trace-event JSON (loadable in
@@ -293,14 +268,10 @@ class ReachabilityEngine {
   ReachabilityEngine(const RoadNetwork& network, EngineOptions options)
       : network_(&network), options_(std::move(options)) {}
 
-  /// Negative-cache key for a location set (NotFound depends only on the
-  /// locations, never on T/L/Prob).
-  static std::string NegativeKey(const XyPoint* locations, size_t n);
-
-  /// Facade tail shared by the query methods: negative-cache lookup,
-  /// plan, negative-cache insert on NotFound, execute.
+  /// Facade tail shared by the query methods: plan (a span over the
+  /// query's `num_locations`), then execute.
   template <typename PlanFn>
-  StatusOr<RegionResult> PlanAndExecute(const XyPoint* locations, size_t n,
+  StatusOr<RegionResult> PlanAndExecute(size_t num_locations,
                                         PlanFn&& plan_fn);
 
   const RoadNetwork* network_;
@@ -319,7 +290,6 @@ class ReachabilityEngine {
   std::unique_ptr<ObservationJournal> journal_;
   LiveRecoveryInfo live_recovery_;
   std::unique_ptr<ObservationIngestor> ingestor_;
-  std::unique_ptr<NegativeCache> negative_cache_;  // null when disabled
   /// Per-tenant config/stats shared across executors.
   std::unique_ptr<TenantRegistry> tenants_;
   // Constructed after (and destroyed before) the indexes they reference.

@@ -40,11 +40,6 @@ obs::Counter& InvalidatedCounter() {
       "strr_cache_invalidated_total");
   return c;
 }
-obs::Counter& DoorkeeperRejectsCounter() {
-  static obs::Counter& c = obs::MetricsRegistry::Global().GetCounter(
-      "strr_cache_doorkeeper_rejects_total");
-  return c;
-}
 
 /// Δt slot of the first second a query window [start_tod, start_tod + L)
 /// touches. Windows are within-day by construction (queries take a
@@ -61,11 +56,10 @@ SlotId LastSlot(int64_t start_tod, int64_t duration, int64_t delta_t) {
 
 }  // namespace
 
-PlanKey MakePlanKey(const QueryPlan& plan, bool tenant_scoped) {
-  TenantId tenant = tenant_scoped ? plan.tenant : kDefaultTenant;
+PlanKey MakePlanKey(const QueryPlan& plan) {
   BinaryWriter w;
   w.PutU8(static_cast<uint8_t>(plan.strategy));
-  w.PutVarint32(tenant);
+  w.PutVarint32(plan.tenant);
   w.PutI64(plan.start_tod);
   w.PutI64(plan.duration);
   // Bit pattern, not value: -0.0 vs 0.0 or NaN payloads must not collide
@@ -95,77 +89,9 @@ ResultCache::ResultCache(int64_t delta_t_seconds,
     : delta_t_seconds_(delta_t_seconds > 0 ? delta_t_seconds : 1) {
   size_t shards = std::max<size_t>(options.shards, 1);
   shard_capacity_ = std::max<size_t>(options.capacity / shards, 1);
-  if (options.protected_share > 0.0 && shard_capacity_ > 1) {
-    // Keep at least one probation slot so new entries always have a
-    // landing spot (protected is reachable only by promotion).
-    protected_capacity_ = std::min(
-        static_cast<size_t>(static_cast<double>(shard_capacity_) *
-                            std::min(options.protected_share, 1.0)),
-        shard_capacity_ - 1);
-  }
-  if (options.tenant_capacity_share > 0.0) {
-    tenant_envelope_ = std::max<size_t>(
-        static_cast<size_t>(static_cast<double>(shard_capacity_) *
-                            std::min(options.tenant_capacity_share, 1.0)),
-        1);
-  }
   shards_.reserve(shards);
   for (size_t i = 0; i < shards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
-    if (options.doorkeeper_counters > 0) {
-      shards_.back()->sketch = std::make_unique<FrequencySketch>(
-          std::max<size_t>(options.doorkeeper_counters / shards, 64));
-    }
-  }
-}
-
-void ResultCache::PromoteLocked(Shard& shard,
-                                std::list<Entry>::iterator it) {
-  // Splice keeps `it` (and the index entry pointing at it) valid; it now
-  // lives in the protected list.
-  shard.hot.splice(shard.hot.begin(), shard.lru, it);
-  it->in_protected = true;
-  ++shard.stats.promotions;
-  while (shard.hot.size() > protected_capacity_) {
-    auto tail = std::prev(shard.hot.end());
-    tail->in_protected = false;
-    shard.lru.splice(shard.lru.begin(), shard.hot, tail);
-    ++shard.stats.demotions;
-  }
-}
-
-void ResultCache::CountInsertLocked(Shard& shard, TenantId tenant) {
-  if (tenant_envelope_ == 0) return;
-  ++shard.tenant_count[tenant];
-}
-
-void ResultCache::CountEraseLocked(Shard& shard, TenantId tenant) {
-  if (tenant_envelope_ == 0) return;
-  auto it = shard.tenant_count.find(tenant);
-  if (it == shard.tenant_count.end()) return;
-  if (--it->second == 0) shard.tenant_count.erase(it);
-}
-
-void ResultCache::EvictOneLocked(Shard& shard) {
-  std::list<Entry>& seg = shard.lru.empty() ? shard.hot : shard.lru;
-  Entry& victim = seg.back();
-  CountEraseLocked(shard, victim.tenant);
-  shard.index.erase(victim.canonical);
-  seg.pop_back();
-  ++shard.stats.evictions;
-  EvictionsCounter().Add();
-}
-
-void ResultCache::EvictTenantOneLocked(Shard& shard, TenantId tenant) {
-  for (std::list<Entry>* seg : {&shard.lru, &shard.hot}) {
-    for (auto it = seg->rbegin(); it != seg->rend(); ++it) {
-      if (it->tenant != tenant) continue;
-      CountEraseLocked(shard, tenant);
-      shard.index.erase(it->canonical);
-      seg->erase(std::prev(it.base()));
-      ++shard.stats.tenant_evictions;
-      return;
-    }
   }
 }
 
@@ -174,9 +100,6 @@ std::optional<RegionResult> ResultCache::Lookup(const PlanKey& key) {
   std::shared_ptr<const RegionResult> stored;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
-    // Every access (hit or miss) feeds the doorkeeper's frequency window,
-    // so both cached hot keys and repeat-missing keys accrue heat.
-    if (shard.sketch != nullptr) shard.sketch->Increment(key.hash);
     auto it = shard.index.find(key.canonical);
     if (it == shard.index.end()) {
       ++shard.stats.misses;
@@ -185,14 +108,7 @@ std::optional<RegionResult> ResultCache::Lookup(const PlanKey& key) {
     }
     ++shard.stats.hits;
     HitsCounter().Add();
-    if (it->second->in_protected) {
-      shard.hot.splice(shard.hot.begin(), shard.hot, it->second);
-    } else if (protected_capacity_ > 0) {
-      // Second access observed: graduate from probation to protected.
-      PromoteLocked(shard, it->second);
-    } else {
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    }
+    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     stored = it->second->result;  // O(1) pointer copy under the lock
   }
   // The stored object is immutable; copying it out here (outside the
@@ -202,8 +118,7 @@ std::optional<RegionResult> ResultCache::Lookup(const PlanKey& key) {
   return out;
 }
 
-void ResultCache::Insert(const PlanKey& key, const RegionResult& result,
-                         TenantId tenant) {
+void ResultCache::Insert(const PlanKey& key, const RegionResult& result) {
   // Copy the (potentially large) result outside the shard lock.
   auto stored = std::make_shared<RegionResult>(result);
   stored->stats.cache_hit = false;
@@ -212,43 +127,13 @@ void ResultCache::Insert(const PlanKey& key, const RegionResult& result,
   auto it = shard.index.find(key.canonical);
   if (it != shard.index.end()) {
     // Deterministic execution makes re-inserts value-identical; just
-    // refresh the stored pointer and the LRU position. A refresh is a
-    // repeat access, so under segmentation it promotes like a hit.
+    // refresh the stored pointer and the LRU position.
     it->second->result = std::move(stored);
-    if (it->second->in_protected) {
-      shard.hot.splice(shard.hot.begin(), shard.hot, it->second);
-    } else if (protected_capacity_ > 0) {
-      PromoteLocked(shard, it->second);
-    } else {
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    }
+    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     return;
-  }
-  // Doorkeeper admission: when inserting would evict, the candidate must
-  // be hotter than the victim it displaces. Under-capacity inserts
-  // always go through (an empty slot costs nothing to fill).
-  if (shard.sketch != nullptr && shard.index.size() >= shard_capacity_ &&
-      shard.index.size() > 0) {
-    uint32_t candidate_freq = shard.sketch->Estimate(key.hash);
-    uint32_t victim_freq = shard.sketch->Estimate(VictimLocked(shard).hash);
-    if (candidate_freq <= victim_freq) {
-      ++shard.stats.doorkeeper_rejected;
-      DoorkeeperRejectsCounter().Add();
-      return;
-    }
-  }
-  // Tenant envelope: a tenant at its share replaces its own LRU entry —
-  // even in a non-full shard — so other tenants' entries are untouched.
-  if (tenant_envelope_ > 0) {
-    auto cnt = shard.tenant_count.find(tenant);
-    if (cnt != shard.tenant_count.end() && cnt->second >= tenant_envelope_) {
-      EvictTenantOneLocked(shard, tenant);
-    }
   }
   Entry entry;
   entry.canonical = key.canonical;
-  entry.hash = key.hash;
-  entry.tenant = tenant;
   entry.first_slot = FirstSlot(key.start_tod, delta_t_seconds_);
   entry.last_slot = LastSlot(key.start_tod, key.duration, delta_t_seconds_);
   // The execution paths normalize time-of-day modulo one day, so a window
@@ -263,10 +148,14 @@ void ResultCache::Insert(const PlanKey& key, const RegionResult& result,
   entry.result = std::move(stored);
   shard.lru.push_front(std::move(entry));
   shard.index[key.canonical] = shard.lru.begin();
-  CountInsertLocked(shard, tenant);
   ++shard.stats.insertions;
   InsertionsCounter().Add();
-  while (shard.index.size() > shard_capacity_) EvictOneLocked(shard);
+  while (shard.index.size() > shard_capacity_) {
+    shard.index.erase(shard.lru.back().canonical);
+    shard.lru.pop_back();
+    ++shard.stats.evictions;
+    EvictionsCounter().Add();
+  }
 }
 
 void ResultCache::InvalidateTimeRange(int64_t begin_tod, int64_t end_tod) {
@@ -280,18 +169,15 @@ void ResultCache::InvalidateSlotRange(SlotId begin, SlotId end) {
   for (auto& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
     std::lock_guard<std::mutex> lock(shard.mu);
-    for (std::list<Entry>* seg : {&shard.lru, &shard.hot}) {
-      for (auto it = seg->begin(); it != seg->end();) {
-        bool overlaps = it->first_slot <= end && begin <= it->last_slot;
-        if (overlaps) {
-          CountEraseLocked(shard, it->tenant);
-          shard.index.erase(it->canonical);
-          it = seg->erase(it);
-          ++shard.stats.invalidated;
-          InvalidatedCounter().Add();
-        } else {
-          ++it;
-        }
+    for (auto it = shard.lru.begin(); it != shard.lru.end();) {
+      bool overlaps = it->first_slot <= end && begin <= it->last_slot;
+      if (overlaps) {
+        shard.index.erase(it->canonical);
+        it = shard.lru.erase(it);
+        ++shard.stats.invalidated;
+        InvalidatedCounter().Add();
+      } else {
+        ++it;
       }
     }
   }
@@ -302,8 +188,7 @@ void ResultCache::Erase(const PlanKey& key) {
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.index.find(key.canonical);
   if (it == shard.index.end()) return;
-  CountEraseLocked(shard, it->second->tenant);
-  (it->second->in_protected ? shard.hot : shard.lru).erase(it->second);
+  shard.lru.erase(it->second);
   shard.index.erase(it);
   ++shard.stats.invalidated;
   InvalidatedCounter().Add();
@@ -316,9 +201,7 @@ void ResultCache::InvalidateAll() {
     shard.stats.invalidated += shard.index.size();
     InvalidatedCounter().Add(shard.index.size());
     shard.lru.clear();
-    shard.hot.clear();
     shard.index.clear();
-    shard.tenant_count.clear();
   }
 }
 
@@ -331,22 +214,8 @@ ResultCache::Stats ResultCache::stats() const {
     total.insertions += shard_ptr->stats.insertions;
     total.evictions += shard_ptr->stats.evictions;
     total.invalidated += shard_ptr->stats.invalidated;
-    total.doorkeeper_rejected += shard_ptr->stats.doorkeeper_rejected;
-    total.promotions += shard_ptr->stats.promotions;
-    total.demotions += shard_ptr->stats.demotions;
-    total.tenant_evictions += shard_ptr->stats.tenant_evictions;
   }
   return total;
-}
-
-size_t ResultCache::TenantSize(TenantId tenant) const {
-  size_t n = 0;
-  for (const auto& shard_ptr : shards_) {
-    std::lock_guard<std::mutex> lock(shard_ptr->mu);
-    auto it = shard_ptr->tenant_count.find(tenant);
-    if (it != shard_ptr->tenant_count.end()) n += it->second;
-  }
-  return n;
 }
 
 size_t ResultCache::size() const {

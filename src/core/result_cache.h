@@ -17,6 +17,10 @@
 // time range evicts exactly the entries whose windows intersect it and
 // leaves the rest serving.
 //
+// Replacement is plain LRU per shard, with no policy option. Keys are
+// always tenant-scoped (see MakePlanKey), so no tenant's entry ever serves
+// another tenant.
+//
 // Thread-safe: the table is sharded by key hash; each shard's LRU list
 // and map are guarded by the shard mutex, and Lookup copies the result
 // out under that mutex, so readers can never observe a torn RegionResult
@@ -33,7 +37,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/frequency_sketch.h"
 #include "query/query.h"
 #include "query/query_plan.h"
 #include "util/time_util.h"
@@ -56,14 +59,10 @@ struct PlanKey {
 
 /// Derives the canonical key for `plan`. Cheap (one small buffer); safe on
 /// unvalidated plans (a malformed plan gets a key that simply never hits).
-/// With `tenant_scoped` (the default) the plan's tenant is part of the
-/// identity, so two tenants issuing the same query get separate entries —
-/// cached bytes never leak across tenants. Passing false collapses the
-/// tenant to kDefaultTenant, deriving the shared key the executor's
-/// tenant_shared_cache knob opts into (results are bit-identical across
-/// tenants by construction, so sharing is safe when the deployment allows
-/// cross-tenant timing visibility).
-PlanKey MakePlanKey(const QueryPlan& plan, bool tenant_scoped = true);
+/// The plan's tenant is part of the identity, so two tenants issuing the
+/// same query get separate entries — cached bytes never leak across
+/// tenants.
+PlanKey MakePlanKey(const QueryPlan& plan);
 
 /// Cache construction knobs.
 struct ResultCacheOptions {
@@ -71,26 +70,6 @@ struct ResultCacheOptions {
   size_t capacity = 4096;
   /// Shard count (locks). More shards = less contention, coarser LRU.
   size_t shards = 8;
-  /// TinyLFU doorkeeper: total counting-Bloom counters across shards
-  /// (0 = off). When on, every Lookup bumps the key's frequency sketch,
-  /// and an insert that would evict only goes through when the candidate's
-  /// estimated frequency exceeds the LRU victim's — a one-shot scan of
-  /// cold locations (each key seen once) can no longer churn hot entries
-  /// out. Inserts into non-full shards are always admitted, so the
-  /// doorkeeper changes nothing until the cache is under pressure.
-  size_t doorkeeper_counters = 0;
-  /// Segmented LRU (full TinyLFU): fraction of each shard reserved for a
-  /// protected segment, in [0, 1); 0 = off (plain LRU). New entries land
-  /// in probation; a probation hit promotes to protected (demoting the
-  /// protected tail when full); eviction always takes the probation tail
-  /// first. A scan burst larger than the doorkeeper's reach then churns
-  /// only probation — entries with a second access survive in protected.
-  double protected_share = 0.0;
-  /// Per-tenant capacity envelope: the max fraction of each shard one
-  /// tenant's entries may occupy, in (0, 1]; 0 = off. A tenant at its
-  /// envelope evicts its own LRU entry on insert — even into a non-full
-  /// shard — so a hot tenant's flood can never push out a cold tenant.
-  double tenant_capacity_share = 0.0;
 };
 
 /// Sharded LRU cache of query results. See file comment for contracts.
@@ -107,10 +86,8 @@ class ResultCache {
 
   /// Inserts (or refreshes) `result` under `key`, evicting the shard's LRU
   /// tail when over capacity. The stored copy has stats.cache_hit false;
-  /// Lookup flips it on the way out. `tenant` attributes the entry for the
-  /// per-tenant capacity envelope (ignored when the envelope is off).
-  void Insert(const PlanKey& key, const RegionResult& result,
-              TenantId tenant = kDefaultTenant);
+  /// Lookup flips it on the way out.
+  void Insert(const PlanKey& key, const RegionResult& result);
 
   /// Evicts every entry whose Δt-slot window intersects the Δt slots
   /// covering [begin_tod, end_tod) — the hook congestion / speed-profile
@@ -136,22 +113,11 @@ class ResultCache {
     uint64_t insertions = 0;
     uint64_t evictions = 0;    ///< LRU capacity evictions
     uint64_t invalidated = 0;  ///< entries dropped by invalidation
-    /// Inserts the doorkeeper refused (candidate not hotter than the
-    /// victim it would have evicted). 0 when the doorkeeper is off.
-    uint64_t doorkeeper_rejected = 0;
-    /// Protected-segment promotions / tail demotions (segmented LRU only).
-    uint64_t promotions = 0;
-    uint64_t demotions = 0;
-    /// Evictions forced by a tenant hitting its capacity envelope.
-    uint64_t tenant_evictions = 0;
   };
   Stats stats() const;
 
   /// Live entries across all shards.
   size_t size() const;
-
-  /// Live entries attributed to `tenant` (0 unless the envelope is on).
-  size_t TenantSize(TenantId tenant) const;
 
   size_t capacity() const { return shard_capacity_ * shards_.size(); }
   int64_t delta_t_seconds() const { return delta_t_seconds_; }
@@ -159,11 +125,8 @@ class ResultCache {
  private:
   struct Entry {
     std::string canonical;
-    uint64_t hash = 0;  ///< PlanKey hash (victim sketch probes)
-    TenantId tenant = kDefaultTenant;
     SlotId first_slot = 0;
     SlotId last_slot = 0;
-    bool in_protected = false;  ///< which segment's list holds the entry
     /// Immutable once stored (refreshes swap the pointer), so Lookup can
     /// copy the pointed-to result outside the shard lock — hot-spot hits
     /// hold the mutex for O(1) pointer work, not a vector copy.
@@ -171,17 +134,8 @@ class ResultCache {
   };
   struct Shard {
     mutable std::mutex mu;
-    /// Probation segment (the whole cache when segmentation is off);
-    /// front = most recently used.
-    std::list<Entry> lru;
-    /// Protected segment (empty when protected_capacity_ == 0). Entries
-    /// move between the lists by splice, so index iterators stay valid.
-    std::list<Entry> hot;
+    std::list<Entry> lru;  ///< front = most recently used
     std::unordered_map<std::string, std::list<Entry>::iterator> index;
-    /// Live entries per tenant (maintained only when the envelope is on).
-    std::unordered_map<TenantId, size_t> tenant_count;
-    /// Doorkeeper frequency sketch (null when off); guarded by mu.
-    std::unique_ptr<FrequencySketch> sketch;
     Stats stats;
   };
 
@@ -189,30 +143,8 @@ class ResultCache {
     return *shards_[key.hash % shards_.size()];
   }
 
-  /// The entry next in line for eviction: probation tail, else protected
-  /// tail. Caller holds the shard mutex; shard must be non-empty.
-  static Entry& VictimLocked(Shard& shard) {
-    return shard.lru.empty() ? shard.hot.back() : shard.lru.back();
-  }
-
-  /// Promotes a probation hit into protected, demoting the protected tail
-  /// when the segment is full. Caller holds the shard mutex.
-  void PromoteLocked(Shard& shard, std::list<Entry>::iterator it);
-
-  /// Removes the current victim (see VictimLocked). Caller holds mu.
-  void EvictOneLocked(Shard& shard);
-
-  /// Drops `tenant`'s LRU entry (probation tail first, then protected).
-  /// Caller holds mu; no-op when the tenant holds nothing.
-  void EvictTenantOneLocked(Shard& shard, TenantId tenant);
-
-  void CountInsertLocked(Shard& shard, TenantId tenant);
-  void CountEraseLocked(Shard& shard, TenantId tenant);
-
   int64_t delta_t_seconds_;
   size_t shard_capacity_;
-  size_t protected_capacity_ = 0;  ///< per shard; 0 = segmentation off
-  size_t tenant_envelope_ = 0;     ///< per shard per tenant; 0 = off
   std::vector<std::unique_ptr<Shard>> shards_;
 };
 

@@ -192,7 +192,7 @@ bool BPlusTree::CheckInvariants() const {
   struct Checker {
     size_t order;
     bool ok = true;
-    void Visit(const Node* node, bool is_root) {
+    void Visit(const Node* node) {
       if (!ok) return;
       if (!std::is_sorted(node->keys.begin(), node->keys.end())) {
         ok = false;
@@ -210,10 +210,10 @@ bool BPlusTree::CheckInvariants() const {
         ok = false;
         return;
       }
-      for (const auto& c : node->children) Visit(c.get(), false);
+      for (const auto& c : node->children) Visit(c.get());
     }
   } checker{order_};
-  checker.Visit(root_.get(), true);
+  checker.Visit(root_.get());
   if (!checker.ok) return false;
 
   // Leaf chain is globally sorted and covers exactly `size_` entries.

@@ -328,20 +328,17 @@ std::vector<uint32_t> RTree::Nearest(const XyPoint& p, size_t k) const {
 // --- Invariants --------------------------------------------------------------
 
 namespace {
-bool CheckNode(const RTree::Node* node, bool is_root, size_t max_entries) {
-  using Node = RTree::Node;
+// No minimum fill is checked: bulk-loaded rightmost nodes may be underfull.
+bool CheckNode(const RTree::Node* node, size_t max_entries) {
   size_t count = node->leaf ? node->entries.size() : node->children.size();
   if (count > max_entries) return false;
-  if (!is_root && count < max_entries / 2 && count > 0) {
-    // Bulk-loaded rightmost nodes may be underfull; tolerate >= 1.
-  }
   Mbr recomputed;
   if (node->leaf) {
     for (const auto& e : node->entries) recomputed.Extend(e.box);
   } else {
     for (const auto& c : node->children) {
       recomputed.Extend(c->box);
-      if (!CheckNode(c.get(), false, max_entries)) return false;
+      if (!CheckNode(c.get(), max_entries)) return false;
     }
   }
   if (count > 0 && !(recomputed == node->box)) return false;
@@ -358,7 +355,7 @@ int NodeHeight(const RTree::Node* node) {
 
 bool RTree::CheckInvariants() const {
   if (size_ == 0) return true;
-  return CheckNode(root_.get(), true, max_entries_);
+  return CheckNode(root_.get(), max_entries_);
 }
 
 int RTree::Height() const { return size_ == 0 ? 0 : NodeHeight(root_.get()); }

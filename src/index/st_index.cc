@@ -242,8 +242,6 @@ StatusOr<std::unique_ptr<StIndex>> StIndex::Build(
   PostingStoreOptions store_options;
   store_options.cache_pages = options.cache_pages;
   store_options.page_size = options.page_size;
-  store_options.cache_policy = options.cache_policy;
-  store_options.cache_protected_share = options.cache_protected_share;
   store_options.role = "posting";
   const PostingGrid grid{static_cast<uint32_t>(network.NumSegments()),
                          static_cast<uint32_t>(index->slots_per_day_)};

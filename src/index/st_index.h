@@ -50,10 +50,6 @@ struct StIndexOptions {
   /// not behavior to preserve; city-scale workloads (the paper's) never
   /// hit the cap. EngineOptions::max_locate_distance_m plumbs it through.
   double max_locate_distance_m = 25000.0;
-  /// Block-cache policy for the posting BufferPool (kTinyLfu = segmented
-  /// scan-resistant cache; the metric series are labeled role="posting").
-  CachePolicy cache_policy = CachePolicy::kLru;
-  double cache_protected_share = 0.8;
 };
 
 /// Per-day trajectory-ID lists for one (segment, slot): time_lists[d] is

@@ -29,7 +29,7 @@ constexpr int kFirstOctave = 5;  // 2^5 == Histogram::kLinearMax
 /// Debug-only guard: names are exported verbatim, so they must already be
 /// valid Prometheus metric names, optionally carrying one canonical
 /// `{k="v",...}` label suffix (see MetricsRegistry::CanonicalLabels).
-bool ValidMetricName(const std::string& name) {
+[[maybe_unused]] bool ValidMetricName(const std::string& name) {
   if (name.empty()) return false;
   size_t base_end = name.find('{');
   if (base_end == std::string::npos) base_end = name.size();

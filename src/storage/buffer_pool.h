@@ -5,24 +5,18 @@
 // study the index algorithms under different memory pressure — the
 // ablation bench sweeps this knob.
 //
-// Two replacement policies:
-//
-//  - kLru (default): plain LRU, the seed behavior.
-//  - kTinyLfu: a segmented block cache (W-TinyLFU style). Pages enter a
-//    probation segment and are promoted to a protected segment on re-use;
-//    on eviction contests a frequency sketch (core/frequency_sketch.h,
-//    the same admission idiom the ResultCache uses) decides whether the
-//    incoming page is worth more than the probation victim — one-shot
-//    scans cannot flush the hot working set. A rejected page is served
-//    through the scratch frame without being cached.
+// Replacement is plain LRU, with no policy option: on the serving
+// workload whose pool evicts, a scan-resistant (W-TinyLFU) policy raised
+// the hit rate without moving throughput, because a miss is a ~4 us pread
+// from the OS page cache.
 //
 // Concurrency: the pool is hash-partitioned into shards keyed by a mixed
-// page id. Each shard has its own mutex, frame map, probation/protected
-// lists, sketch and stats, so readers of different pages rarely meet on a
-// lock. The shard count follows capacity (one shard per kFramesPerShard
-// frames, at most kMaxShards); pools under 2 * kFramesPerShard frames keep
-// one shard and hence the exact pool-wide LRU/TinyLFU order. Replacement
-// is per shard: a shard evicts its own least-recent frame.
+// page id. Each shard has its own mutex, frame map, LRU list and stats, so
+// readers of different pages rarely meet on a lock. The shard count
+// follows capacity (one shard per kFramesPerShard frames, at most
+// kMaxShards); pools under 2 * kFramesPerShard frames keep one shard and
+// hence the exact pool-wide LRU order. Replacement is per shard: a shard
+// evicts its own least-recent frame.
 //
 // `BufferPoolOptions::role` labels this pool's metric series (e.g.
 // role="posting"), giving per-file-role hit/miss/eviction accounting
@@ -37,7 +31,6 @@
 #include <string>
 #include <unordered_map>
 
-#include "core/frequency_sketch.h"
 #include "obs/metrics.h"
 #include "storage/file_manager.h"
 #include "storage/page.h"
@@ -45,19 +38,10 @@
 
 namespace strr {
 
-enum class CachePolicy {
-  kLru,      ///< plain LRU (seed behavior)
-  kTinyLfu,  ///< segmented probation/protected with sketch admission
-};
-
 struct BufferPoolOptions {
   /// 0 means "cache nothing" (every request is a miss), which is how the
   /// benches emulate a cold disk.
   size_t capacity_pages = 0;
-  CachePolicy policy = CachePolicy::kLru;
-  /// TinyLFU only: fraction of capacity reserved for the protected
-  /// segment (clamped so probation keeps at least one frame).
-  double protected_share = 0.8;
   /// Metric label for this pool's series ("" = the unlabeled series).
   std::string role;
 };
@@ -76,7 +60,8 @@ class BufferPool {
   static constexpr size_t kMaxShards = 16;
 
   BufferPool(FileManager* file, size_t capacity_pages)
-      : BufferPool(file, BufferPoolOptions{.capacity_pages = capacity_pages}) {}
+      : BufferPool(file, BufferPoolOptions{.capacity_pages = capacity_pages,
+                                           .role = {}}) {}
 
   BufferPool(FileManager* file, const BufferPoolOptions& options);
 
@@ -86,10 +71,9 @@ class BufferPool {
   /// Fetches page `id`, reading it from disk on a miss. The returned
   /// pointer is owned by the pool and remains valid only until the next
   /// Fetch/ReadInto from ANY thread (which may evict the frame, or reuse
-  /// the scratch frame of a capacity-0 pool or a TinyLFU admission
-  /// reject). Single-threaded callers (tests, benches) only; concurrent
-  /// readers must use ReadInto, which copies while the frame is pinned
-  /// under its shard's lock.
+  /// the scratch frame of a capacity-0 pool). Single-threaded callers
+  /// (tests, benches) only; concurrent readers must use ReadInto, which
+  /// copies while the frame is pinned under its shard's lock.
   StatusOr<const Page*> Fetch(PageId id);
 
   /// Copies `n` bytes at `offset` within page `id` into `dst`, going
@@ -113,16 +97,7 @@ class BufferPool {
   /// Zeroes both pool and file counters.
   void ResetStats();
 
-  /// Policy-level detail beyond StorageStats.
-  struct Detail {
-    uint64_t admission_rejects = 0;  ///< TinyLFU: pages denied a frame
-    size_t probation_pages = 0;
-    size_t protected_pages = 0;  ///< 0 under kLru (single segment)
-  };
-  Detail detail() const;
-
   size_t capacity() const { return options_.capacity_pages; }
-  CachePolicy policy() const { return options_.policy; }
   const std::string& role() const { return options_.role; }
   size_t num_shards() const { return num_shards_; }
   size_t CachedPages() const;
@@ -132,25 +107,20 @@ class BufferPool {
   struct Frame {
     Page page;
     std::list<PageId>::iterator lru_it;
-    bool in_protected = false;
     explicit Frame(uint32_t page_size) : page(page_size) {}
   };
   using FrameMap = std::unordered_map<PageId, std::unique_ptr<Frame>>;
 
-  /// One hash partition: a self-contained LRU/TinyLFU cache over the pages
+  /// One hash partition: a self-contained LRU cache over the pages
   /// that map to it. Cache-line aligned so neighbouring shard locks do not
   /// share a line.
   struct alignas(64) Shard {
     std::mutex mu;
     size_t capacity = 0;
-    size_t protected_cap = 0;  // TinyLFU protected-segment frame budget
     FrameMap frames;
-    std::list<PageId> probation;  // front = most recent; kLru uses only this
-    std::list<PageId> protected_pages;  // TinyLFU re-use segment
-    std::unique_ptr<FrequencySketch> sketch;  // TinyLFU admission
+    std::list<PageId> lru;  // front = most recent
     std::unique_ptr<Page> scratch;
     StorageStats stats;  // hits, misses and evictions only
-    uint64_t admission_rejects = 0;
   };
 
   Shard& ShardFor(PageId id) const;
@@ -163,18 +133,9 @@ class BufferPool {
   /// is valid only while the lock is held.
   StatusOr<const Page*> FetchLocked(Shard& shard, PageId id);
 
-  /// Reads `id` into the shard's scratch frame (capacity-0 pools and
-  /// TinyLFU admission rejects). Caller holds shard.mu.
-  StatusOr<const Page*> ReadScratchLocked(Shard& shard, PageId id);
-
-  /// Moves a resident frame to the front of its segment, promoting
-  /// probation frames under TinyLFU. Caller holds shard.mu.
-  void TouchLocked(Shard& shard, Frame* frame);
-
-  /// Evicts the back of probation (else protected) and returns its map
-  /// node re-keyed to `id`, with its list node moved to the front of
-  /// probation: a miss reuses the victim's frame instead of allocating.
-  /// Caller holds shard.mu.
+  /// Evicts the least-recent frame and returns its map node re-keyed to
+  /// `id`, with its list node moved to the front: a miss reuses the
+  /// victim's frame instead of allocating. Caller holds shard.mu.
   FrameMap::node_type EvictForLocked(Shard& shard, PageId id);
 
   FileManager* file_;
@@ -185,7 +146,6 @@ class BufferPool {
   obs::Counter& hits_counter_;
   obs::Counter& misses_counter_;
   obs::Counter& evictions_counter_;
-  obs::Counter& admission_rejects_counter_;
   obs::Counter& lock_contended_counter_;
 };
 

@@ -159,8 +159,6 @@ StatusOr<std::unique_ptr<PostingStore>> PostingStore::Open(
   }
   BufferPoolOptions pool_options;
   pool_options.capacity_pages = options.cache_pages;
-  pool_options.policy = options.cache_policy;
-  pool_options.protected_share = options.cache_protected_share;
   pool_options.role = options.role;
   auto pool = std::make_unique<BufferPool>(file.get(), pool_options);
 

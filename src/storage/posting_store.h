@@ -115,9 +115,6 @@ class PostingStoreBuilder {
 struct PostingStoreOptions {
   size_t cache_pages = 0;
   uint32_t page_size = kDefaultPageSize;
-  /// Replacement policy for the store's BufferPool.
-  CachePolicy cache_policy = CachePolicy::kLru;
-  double cache_protected_share = 0.8;
   /// Metric-label role for the pool's series ("" = unlabeled).
   std::string role;
 };

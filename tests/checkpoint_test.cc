@@ -2,7 +2,7 @@
 // corruption handling, journal checkpoint/truncate/recover bit-identity
 // against a full-replay oracle, truncation-point sweeps, background
 // compaction vs a sequential-read oracle (including crash-window overlap
-// recovery), bounded-memory chunked replay, and the TinyLFU block cache.
+// recovery), bounded-memory chunked replay, and the LRU block cache.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -590,7 +590,7 @@ TEST(ReplayChunkTest, ForcedSmallChunksMatchUnchunkedReplay) {
   }
 }
 
-// --- TinyLFU block cache -----------------------------------------------------
+// --- LRU block cache ---------------------------------------------------------
 
 /// Writes `num_pages` pages whose first byte identifies the page.
 std::unique_ptr<FileManager> MakePageFile(const std::string& path,
@@ -608,76 +608,15 @@ std::unique_ptr<FileManager> MakePageFile(const std::string& path,
   return std::move(*file);
 }
 
-TEST(TinyLfuBlockCacheTest, ScanDoesNotFlushHotSet) {
-  std::string dir = FreshDir("tinylfu_scan");
-  auto file = MakePageFile(dir + "/pages.dat", 64);
-
-  BufferPoolOptions opt;
-  opt.capacity_pages = 8;
-  opt.policy = CachePolicy::kTinyLfu;
-  opt.protected_share = 0.5;
-  BufferPool pool(file.get(), opt);
-
-  // Earn the hot set frequency and protected-segment residency.
-  for (int round = 0; round < 4; ++round) {
-    for (PageId id = 0; id < 4; ++id) {
-      char byte = 0;
-      STRR_ASSERT_OK(pool.ReadInto(id, 0, &byte, 1));
-    }
-  }
-  // One-shot scan over everything else.
-  for (PageId id = 8; id < 64; ++id) {
-    char byte = 0;
-    STRR_ASSERT_OK(pool.ReadInto(id, 0, &byte, 1));
-  }
-  BufferPool::Detail detail = pool.detail();
-  EXPECT_GT(detail.admission_rejects, 0u)
-      << "cold scan pages must lose the admission contest";
-  EXPECT_GT(detail.protected_pages, 0u);
-  EXPECT_LE(detail.probation_pages + detail.protected_pages, 8u);
-
-  // The hot set survived the scan: re-touching it adds no misses.
-  uint64_t misses_before = pool.stats().cache_misses;
-  for (PageId id = 0; id < 4; ++id) {
-    char byte = 0;
-    STRR_ASSERT_OK(pool.ReadInto(id, 0, &byte, 1));
-    EXPECT_EQ(byte, static_cast<char>('A' + id));
-  }
-  EXPECT_EQ(pool.stats().cache_misses, misses_before);
-
-  // The same workload under plain LRU loses the hot set to the scan.
-  BufferPoolOptions lru_opt;
-  lru_opt.capacity_pages = 8;
-  BufferPool lru(file.get(), lru_opt);
-  for (int round = 0; round < 4; ++round) {
-    for (PageId id = 0; id < 4; ++id) {
-      char byte = 0;
-      STRR_ASSERT_OK(lru.ReadInto(id, 0, &byte, 1));
-    }
-  }
-  for (PageId id = 8; id < 64; ++id) {
-    char byte = 0;
-    STRR_ASSERT_OK(lru.ReadInto(id, 0, &byte, 1));
-  }
-  misses_before = lru.stats().cache_misses;
-  for (PageId id = 0; id < 4; ++id) {
-    char byte = 0;
-    STRR_ASSERT_OK(lru.ReadInto(id, 0, &byte, 1));
-  }
-  EXPECT_GT(lru.stats().cache_misses, misses_before);
-  EXPECT_EQ(lru.detail().protected_pages, 0u) << "LRU is single-segment";
-}
-
-TEST(TinyLfuBlockCacheTest, EvictionKeepsCapacityAndServesCorrectBytes) {
-  std::string dir = FreshDir("tinylfu_evict");
+TEST(LruBlockCacheTest, EvictionKeepsCapacityAndServesCorrectBytes) {
+  std::string dir = FreshDir("lru_evict");
   auto file = MakePageFile(dir + "/pages.dat", 32);
   BufferPoolOptions opt;
   opt.capacity_pages = 4;
-  opt.policy = CachePolicy::kTinyLfu;
   BufferPool pool(file.get(), opt);
 
-  // Every page read returns its own bytes whether cached, evicted-and-
-  // refetched, or served through the scratch frame on an admission reject.
+  // Every page read returns its own bytes whether cached or evicted and
+  // refetched.
   for (int round = 0; round < 3; ++round) {
     for (PageId id = 0; id < 32; ++id) {
       char byte = 0;
@@ -689,11 +628,10 @@ TEST(TinyLfuBlockCacheTest, EvictionKeepsCapacityAndServesCorrectBytes) {
   }
   StorageStats stats = pool.stats();
   EXPECT_GT(stats.cache_misses, 0u);
-  BufferPool::Detail detail = pool.detail();
-  EXPECT_LE(detail.probation_pages + detail.protected_pages, 4u);
+  EXPECT_LE(pool.CachedPages(), pool.capacity());
 }
 
-TEST(TinyLfuBlockCacheTest, PerRoleMetricSeriesAccounting) {
+TEST(LruBlockCacheTest, PerRoleMetricSeriesAccounting) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   obs::Counter& role_hits = registry.GetCounter(
       "strr_bufferpool_hits_total", {{"role", "ckpt_test_role"}});
@@ -702,11 +640,10 @@ TEST(TinyLfuBlockCacheTest, PerRoleMetricSeriesAccounting) {
   uint64_t hits0 = role_hits.Value();
   uint64_t misses0 = role_misses.Value();
 
-  std::string dir = FreshDir("tinylfu_role");
+  std::string dir = FreshDir("lru_role");
   auto file = MakePageFile(dir + "/pages.dat", 8);
   BufferPoolOptions opt;
   opt.capacity_pages = 4;
-  opt.policy = CachePolicy::kTinyLfu;
   opt.role = "ckpt_test_role";
   BufferPool pool(file.get(), opt);
 

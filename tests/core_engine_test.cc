@@ -122,6 +122,26 @@ TEST(EngineTest, QueryValidation) {
   EXPECT_TRUE(stack.engine->MQueryIndexed(m).status().IsInvalidArgument());
 }
 
+TEST(EngineTest, JunkLocationFailsBeforeAnyPostingRead) {
+  // A location beyond StIndexOptions::max_locate_distance_m fails the plan
+  // with NotFound; an m-query fails as a whole if any location is junk.
+  auto& stack = GetSharedStack();
+  const XyPoint junk{1.0e9, -1.0e9};
+  stack.engine->ResetIoStats();
+  SQuery s{junk, HMS(9), 600, 0.2};
+  EXPECT_TRUE(stack.engine->SQueryIndexed(s).status().IsNotFound());
+  EXPECT_TRUE(stack.engine->SQueryExhaustive(s).status().IsNotFound());
+  MQuery m;
+  m.locations = {stack.dataset.center, junk};
+  m.start_tod = HMS(9);
+  EXPECT_TRUE(stack.engine->MQueryIndexed(m).status().IsNotFound());
+  EXPECT_TRUE(stack.engine->MQueryRepeatedSQuery(m).status().IsNotFound());
+  StorageStats io = stack.engine->st_index().storage_stats();
+  EXPECT_EQ(io.cache_hits, 0u);
+  EXPECT_EQ(io.cache_misses, 0u);
+  EXPECT_EQ(io.disk_page_reads, 0u);
+}
+
 TEST(EngineTest, MQueryMatchesRepeatedSQueryApproximately) {
   auto& stack = GetSharedStack();
   Mbr box = stack.engine->network().BoundingBox();

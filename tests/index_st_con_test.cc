@@ -169,6 +169,38 @@ TEST_F(StIndexTest, LocateSegmentFindsNearest) {
   EXPECT_NEAR(d, bd, 1e-9);
 }
 
+TEST_F(StIndexTest, LocateCapSnapsJustInsideAndRejectsJustOutside) {
+  // The fixture keeps the default 25 km cap; the bottom road (y = 0) is
+  // the nearest one to every point below the grid.
+  ASSERT_EQ(StIndexOptions{}.max_locate_distance_m, 25000.0);
+  const XyPoint inside{150.0, -24999.0};
+  auto seg = index_->LocateSegment(inside);
+  ASSERT_TRUE(seg.ok()) << seg.status().ToString();
+  EXPECT_NEAR(net_.segment(*seg).shape.Project(inside).distance, 24999.0,
+              1e-6);
+  auto outside = index_->LocateSegment({150.0, -25001.0});
+  EXPECT_TRUE(outside.status().IsNotFound()) << outside.status().ToString();
+}
+
+TEST_F(StIndexTest, NonPositiveLocateCapSnapsUnconditionally) {
+  const XyPoint far{150.0, -1.0e6};
+  for (double cap : {0.0, -1.0}) {
+    StIndexOptions opt;
+    opt.slot_seconds = 300;
+    opt.posting_path = MakeTempDir(cap == 0.0 ? "st_cap0" : "st_capneg") +
+                       "/postings.bin";
+    opt.max_locate_distance_m = cap;
+    auto index = StIndex::Build(net_, *store_, opt);
+    ASSERT_TRUE(index.ok()) << index.status().ToString();
+    auto seg = (*index)->LocateSegment(far);
+    ASSERT_TRUE(seg.ok()) << "cap=" << cap << ": " << seg.status().ToString();
+    auto brute = net_.NearestSegmentBruteForce(far);
+    ASSERT_TRUE(brute.ok());
+    EXPECT_NEAR(net_.segment(*seg).shape.Project(far).distance,
+                net_.segment(*brute).shape.Project(far).distance, 1e-6);
+  }
+}
+
 TEST_F(StIndexTest, TimeListsMatchStoreContents) {
   SlotId slot = index_->SlotForTime(HMS(8));
   auto lists = index_->ReadTimeList(0, slot);

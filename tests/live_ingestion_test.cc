@@ -2,9 +2,9 @@
 // (LiveProfileManager), batching/coalescing/backpressure
 // (ObservationIngestor), the snapshot-pinned executor read path, the
 // engine-level end-to-end flow with the FleetSimulator as observation
-// source, negative caching at the facade, and the concurrent
-// query-vs-ingest hammer (the suite the TSan/ASan CI jobs run to prove no
-// torn reads and no use-after-free across epoch retirement).
+// source, and the concurrent query-vs-ingest hammer (the suite the
+// TSan/ASan CI jobs run to prove no torn reads and no use-after-free
+// across epoch retirement).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -31,8 +31,8 @@ using testing_util::GetSharedStack;
 using testing_util::MakeTempDir;
 
 /// A second engine over the shared dataset with the full front door on:
-/// live ingestion (manual-flush ingestor installed by Build), result
-/// cache, and negative cache. Built once per binary.
+/// live ingestion (manual-flush ingestor installed by Build) and the
+/// result cache. Built once per binary.
 struct LiveStack {
   ReachabilityEngine* engine = nullptr;
 };
@@ -48,8 +48,6 @@ LiveStack& GetLiveStack() {
     opt.live_batch_window_ms = 2;
     opt.live_queue_bound = 1 << 14;
     opt.result_cache_entries = 512;
-    opt.negative_cache_entries = 64;
-    opt.negative_cache_ttl_ms = 60'000;
     auto engine =
         ReachabilityEngine::Build(base.dataset.network, *base.dataset.store,
                                   opt);
@@ -674,37 +672,6 @@ TEST(LiveEngineTest, EndToEndSoakWithFleetObservationSource) {
   ASSERT_TRUE(fresh.ok());
   EXPECT_LE(fresh->stats.snapshot_version,
             engine.live_manager()->version());
-}
-
-TEST(LiveEngineTest, NegativeCacheAbsorbsJunkLocationFlood) {
-  ReachabilityEngine& engine = *GetLiveStack().engine;
-  ASSERT_NE(engine.negative_cache(), nullptr);
-  SQuery junk{{1.0e9, -1.0e9}, HMS(9), 600, 0.2};
-
-  auto first = engine.SQueryIndexed(junk);
-  EXPECT_TRUE(first.status().IsNotFound()) << first.status().ToString();
-  NegativeCache::Stats after_first = engine.negative_cache()->stats();
-  EXPECT_EQ(after_first.insertions, 1u);
-
-  for (int i = 0; i < 10; ++i) {
-    auto repeat = engine.SQueryIndexed(junk);
-    EXPECT_TRUE(repeat.status().IsNotFound());
-  }
-  NegativeCache::Stats after_flood = engine.negative_cache()->stats();
-  EXPECT_EQ(after_flood.insertions, 1u) << "flood served from cache";
-  EXPECT_GE(after_flood.hits, 10u);
-
-  // Same coordinates through the m-query facade share nothing: different
-  // location-set key, separate entry.
-  MQuery mjunk;
-  mjunk.locations = {junk.location, junk.location};
-  auto mresult = engine.MQueryIndexed(mjunk);
-  EXPECT_TRUE(mresult.status().IsNotFound());
-
-  // Valid queries are unaffected.
-  auto& base = GetSharedStack();
-  auto good = engine.SQueryIndexed({base.dataset.center, HMS(9), 600, 0.2});
-  EXPECT_TRUE(good.ok()) << good.status().ToString();
 }
 
 }  // namespace

@@ -278,74 +278,66 @@ TEST(BufferPoolConcurrencyTest, ShardedReadIntoUnderEviction) {
   constexpr int kRequestsPerThread = 3000;
   auto fm = MakeHammerFile(TempFile("hammer"), kPageSize, kFilePages);
 
-  for (CachePolicy policy : {CachePolicy::kLru, CachePolicy::kTinyLfu}) {
-    const std::string role = policy == CachePolicy::kLru
-                                 ? "storage_hammer_lru"
-                                 : "storage_hammer_tinylfu";
-    obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-    obs::Counter& contended = registry.GetCounter(
-        "strr_bufferpool_lock_contended_total", {{"role", role}});
-    const uint64_t contended0 = contended.Value();
+  const std::string role = "storage_hammer_lru";
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  obs::Counter& contended = registry.GetCounter(
+      "strr_bufferpool_lock_contended_total", {{"role", role}});
+  const uint64_t contended0 = contended.Value();
 
-    BufferPoolOptions opt;
-    opt.capacity_pages = kCapacity;
-    opt.policy = policy;
-    opt.role = role;
-    BufferPool pool(fm.get(), opt);
-    ASSERT_GE(pool.num_shards(), 2u);
-    ASSERT_LT(pool.capacity(), kFilePages) << "the hammer must evict";
+  BufferPoolOptions opt;
+  opt.capacity_pages = kCapacity;
+  opt.role = role;
+  BufferPool pool(fm.get(), opt);
+  ASSERT_GE(pool.num_shards(), 2u);
+  ASSERT_LT(pool.capacity(), kFilePages) << "the hammer must evict";
 
-    registry.set_enabled(true);
-    std::atomic<uint64_t> bad_bytes{0};
-    std::atomic<uint64_t> failed{0};
-    std::vector<std::thread> threads;
-    for (int t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&, t] {
-        Rng rng(100 + t);
-        char buf[kPageSize];
-        for (int i = 0; i < kRequestsPerThread; ++i) {
-          // Half the requests go to a hot set that fits, so hits mix with
-          // misses and evictions in every shard.
-          PageId id = rng.UniformInt(0, 1) == 0
-                          ? static_cast<PageId>(rng.UniformInt(0, 199))
-                          : static_cast<PageId>(
-                                rng.UniformInt(0, kFilePages - 1));
-          uint32_t offset =
-              static_cast<uint32_t>(rng.UniformInt(0, kPageSize - 1));
-          uint32_t n =
-              static_cast<uint32_t>(rng.UniformInt(1, kPageSize - offset));
-          if (!pool.ReadInto(id, offset, buf, n).ok()) {
-            failed.fetch_add(1);
-            continue;
-          }
-          for (uint32_t b = 0; b < n; ++b) {
-            if (buf[b] != HammerByte(id, offset + b)) bad_bytes.fetch_add(1);
-          }
+  registry.set_enabled(true);
+  std::atomic<uint64_t> bad_bytes{0};
+  std::atomic<uint64_t> failed{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(100 + t);
+      char buf[kPageSize];
+      for (int i = 0; i < kRequestsPerThread; ++i) {
+        // Half the requests go to a hot set that fits, so hits mix with
+        // misses and evictions in every shard.
+        PageId id = rng.UniformInt(0, 1) == 0
+                        ? static_cast<PageId>(rng.UniformInt(0, 199))
+                        : static_cast<PageId>(
+                              rng.UniformInt(0, kFilePages - 1));
+        uint32_t offset =
+            static_cast<uint32_t>(rng.UniformInt(0, kPageSize - 1));
+        uint32_t n =
+            static_cast<uint32_t>(rng.UniformInt(1, kPageSize - offset));
+        if (!pool.ReadInto(id, offset, buf, n).ok()) {
+          failed.fetch_add(1);
+          continue;
         }
-      });
-    }
-    for (std::thread& t : threads) t.join();
-    registry.set_enabled(false);
-
-    const uint64_t requests = uint64_t{kThreads} * kRequestsPerThread;
-    EXPECT_EQ(failed.load(), 0u);
-    EXPECT_EQ(bad_bytes.load(), 0u);
-    StorageStats stats = pool.stats();
-    EXPECT_EQ(stats.cache_hits + stats.cache_misses, requests);
-    EXPECT_GT(stats.cache_hits, 0u);
-    EXPECT_GT(stats.evictions, 0u);
-    EXPECT_LE(pool.CachedPages(), pool.capacity());
-    BufferPool::Detail detail = pool.detail();
-    EXPECT_EQ(detail.probation_pages + detail.protected_pages,
-              pool.CachedPages());
-    EXPECT_LE(contended.Value() - contended0, requests);
-
-    std::string prom;
-    registry.DumpPrometheus(&prom);
-    EXPECT_NE(prom.find("strr_bufferpool_lock_contended_total{role=\"" +
-                        role + "\"}"),
-              std::string::npos);
+        for (uint32_t b = 0; b < n; ++b) {
+          if (buf[b] != HammerByte(id, offset + b)) bad_bytes.fetch_add(1);
+        }
+      }
+    });
   }
+  for (std::thread& t : threads) t.join();
+  registry.set_enabled(false);
+
+  const uint64_t requests = uint64_t{kThreads} * kRequestsPerThread;
+  EXPECT_EQ(failed.load(), 0u);
+  EXPECT_EQ(bad_bytes.load(), 0u);
+  StorageStats stats = pool.stats();
+  EXPECT_EQ(stats.cache_hits + stats.cache_misses, requests);
+  EXPECT_GT(stats.cache_hits, 0u);
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_LE(pool.CachedPages(), pool.capacity());
+  EXPECT_LE(contended.Value() - contended0, requests);
+
+  std::string prom;
+  registry.DumpPrometheus(&prom);
+  EXPECT_NE(prom.find("strr_bufferpool_lock_contended_total{role=\"" +
+                      role + "\"}"),
+            std::string::npos);
 }
 
 TEST(FileManagerTest, WriteThenReadOnSameInstance) {

@@ -717,7 +717,7 @@ TEST(TenantFairnessExecutorTest, QuotaShedsTypedWhileOtherTenantIsServed) {
   EXPECT_EQ(executor->wfq_admission()->inflight(), 0u);
 }
 
-TEST(TenantFairnessExecutorTest, TenantScopedCacheIsolatesAndKnobShares) {
+TEST(TenantFairnessExecutorTest, TenantScopedCacheIsolatesTenants) {
   auto& stack = GetSharedStack();
   auto plan = stack.engine->planner().PlanSQuery(
       {stack.dataset.center, HMS(11), 600, 0.2}, QueryStrategy::kIndexed,
@@ -727,40 +727,25 @@ TEST(TenantFairnessExecutorTest, TenantScopedCacheIsolatesAndKnobShares) {
   QueryPlan t2 = *plan;
   t2.tenant = 2;
 
-  {
-    // Default: tenant-scoped entries — tenant 2 cannot hit tenant 1's.
-    QueryExecutorOptions opt;
-    opt.num_threads = 1;
-    opt.result_cache_entries = 64;
-    auto executor = MakeStandaloneExecutor(opt);
-    ASSERT_TRUE(executor->Execute(t1).ok());
-    auto second = executor->Execute(t2);
-    ASSERT_TRUE(second.ok());
-    EXPECT_FALSE(second->stats.cache_hit);
-    auto repeat = executor->Execute(t2);
-    ASSERT_TRUE(repeat.ok());
-    EXPECT_TRUE(repeat->stats.cache_hit);
-    QueryExecutor::FrontDoorStats stats = executor->front_door_stats();
-    EXPECT_EQ(stats.cache_hits, 1u);
-    EXPECT_EQ(stats.cache_misses, 2u);
-    TenantRegistry* registry = executor->tenant_registry();
-    EXPECT_EQ(registry->counters(1).cache_misses, 1u);
-    EXPECT_EQ(registry->counters(2).cache_hits, 1u);
-    EXPECT_EQ(registry->counters(2).cache_misses, 1u);
-  }
-  {
-    // Knob on: one shared key space — tenant 2 hits tenant 1's entry.
-    QueryExecutorOptions opt;
-    opt.num_threads = 1;
-    opt.result_cache_entries = 64;
-    opt.tenant_shared_cache = true;
-    auto executor = MakeStandaloneExecutor(opt);
-    ASSERT_TRUE(executor->Execute(t1).ok());
-    auto second = executor->Execute(t2);
-    ASSERT_TRUE(second.ok());
-    EXPECT_TRUE(second->stats.cache_hit);
-    EXPECT_EQ(executor->tenant_registry()->counters(2).cache_hits, 1u);
-  }
+  // Cache entries are tenant-scoped: tenant 2 cannot hit tenant 1's.
+  QueryExecutorOptions opt;
+  opt.num_threads = 1;
+  opt.result_cache_entries = 64;
+  auto executor = MakeStandaloneExecutor(opt);
+  ASSERT_TRUE(executor->Execute(t1).ok());
+  auto second = executor->Execute(t2);
+  ASSERT_TRUE(second.ok());
+  EXPECT_FALSE(second->stats.cache_hit);
+  auto repeat = executor->Execute(t2);
+  ASSERT_TRUE(repeat.ok());
+  EXPECT_TRUE(repeat->stats.cache_hit);
+  QueryExecutor::FrontDoorStats stats = executor->front_door_stats();
+  EXPECT_EQ(stats.cache_hits, 1u);
+  EXPECT_EQ(stats.cache_misses, 2u);
+  TenantRegistry* registry = executor->tenant_registry();
+  EXPECT_EQ(registry->counters(1).cache_misses, 1u);
+  EXPECT_EQ(registry->counters(2).cache_hits, 1u);
+  EXPECT_EQ(registry->counters(2).cache_misses, 1u);
 }
 
 TEST(TenantFairnessExecutorTest, DefaultTenantFrontDoorCountsExactly) {
