@@ -9,35 +9,33 @@ namespace strr {
 
 namespace {
 
-/// Build-time tuple; sorting puts the (segment, slot) cells in the store's
-/// slot-major order and groups each cell's tuples by day, then id (so
-/// duplicates from multi-sample traversals collapse).
-struct BuildTuple {
-  PostingKey key;  // (segment << 32) | slot
-  uint32_t day;
-  TrajectoryId traj;
+/// A time-list entry during Build: (day << 32) | trajectory id, so a
+/// cell's entries sort by day, then id.
+using ListEntry = uint64_t;
 
-  bool operator<(const BuildTuple& o) const {
-    if (key != o.key) return PostingSlotMajor(key) < PostingSlotMajor(o.key);
-    if (day != o.day) return day < o.day;
-    return traj < o.traj;
+/// Encodes one time list from a cell's sorted, duplicate-free entries:
+/// varint day count, then per present day: varint day, varint id count,
+/// sorted-delta ids (BinaryWriter::PutU32List's format).
+void EncodeTimeList(const ListEntry* begin, const ListEntry* end,
+                    BinaryWriter* w) {
+  uint32_t days = 0;
+  for (const ListEntry* e = begin; e != end; ++e) {
+    if (e == begin || (*e >> 32) != (e[-1] >> 32)) ++days;
   }
-  bool operator==(const BuildTuple& o) const {
-    return key == o.key && day == o.day && traj == o.traj;
+  w->PutVarint32(days);
+  for (const ListEntry* e = begin; e != end;) {
+    const auto day = static_cast<uint32_t>(*e >> 32);
+    const ListEntry* day_end = e;
+    while (day_end != end && (*day_end >> 32) == day) ++day_end;
+    w->PutVarint32(day);
+    w->PutVarint32(static_cast<uint32_t>(day_end - e));
+    uint32_t prev = 0;
+    for (; e != day_end; ++e) {
+      const auto id = static_cast<uint32_t>(*e);
+      w->PutVarint32(id - prev);
+      prev = id;
+    }
   }
-};
-
-/// Encodes one time list: varint day count, then per present day:
-/// varint day, sorted-delta id list.
-std::string EncodeTimeList(
-    const std::vector<std::pair<uint32_t, std::vector<TrajectoryId>>>& days) {
-  BinaryWriter w;
-  w.PutVarint32(static_cast<uint32_t>(days.size()));
-  for (const auto& [day, ids] : days) {
-    w.PutVarint32(day);
-    w.PutU32List(ids, /*sorted=*/true);
-  }
-  return w.Release();
 }
 
 /// Decodes one LEB128 varint32 at `*p`, advancing it. Returns nullptr on
@@ -197,54 +195,82 @@ StatusOr<std::unique_ptr<StIndex>> StIndex::Build(
     index->rtree_.BulkLoad(std::move(entries));
   }
 
-  // Time lists: gather (segment, slot, day, traj) tuples, sort, encode.
-  std::vector<BuildTuple> tuples;
+  // Time lists: a counting sort of (day, trajectory) entries by cell =
+  // slot × num_segments + segment, the store's slot-major order. Pass 1
+  // counts each cell's entries, a prefix sum turns the counts into runs of
+  // one flat array, and pass 2 scatters the entries into their runs. A
+  // trajectory's consecutive samples in one cell give one entry; a later
+  // revisit gives a duplicate, which the encode drops.
+  const PostingGrid grid{static_cast<uint32_t>(network.NumSegments()),
+                         static_cast<uint32_t>(index->slots_per_day_)};
   {
-    uint64_t total_samples = 0;
-    store.ForEach([&](const MatchedTrajectory& t) {
-      total_samples += t.samples.size();
+    Status bad;
+    auto for_each_entry = [&](auto&& visit) {
+      store.ForEach([&](const MatchedTrajectory& traj) {
+        uint64_t prev = grid.cells();  // no cell
+        for (const MatchedSample& s : traj.samples) {
+          if (s.segment >= grid.num_segments) continue;
+          const SlotId slot = SlotOf(s.timestamp, options.slot_seconds);
+          if (slot < 0 || static_cast<uint32_t>(slot) >= grid.slots) {
+            if (bad.ok()) {
+              bad = Status::InvalidArgument(
+                  "StIndex::Build: trajectory " + std::to_string(traj.id) +
+                  " has a sample at " + std::to_string(s.timestamp) +
+                  " s, outside the slot grid");
+            }
+            continue;
+          }
+          const uint64_t cell =
+              static_cast<uint64_t>(slot) * grid.num_segments + s.segment;
+          if (cell == prev) continue;
+          prev = cell;
+          visit(traj, cell);
+        }
+      });
+    };
+
+    // ends[c + 1] counts cell c's entries; after the prefix sum ends[c] is
+    // where c's run starts, and after the scatter, where it ends.
+    std::vector<uint64_t> ends(grid.cells() + 1, 0);
+    for_each_entry([&](const MatchedTrajectory&, uint64_t cell) {
+      ++ends[cell + 1];
     });
-    tuples.reserve(total_samples);
-  }
-  store.ForEach([&](const MatchedTrajectory& traj) {
-    for (const MatchedSample& s : traj.samples) {
-      if (s.segment >= network.NumSegments()) continue;
-      SlotId slot = SlotOf(s.timestamp, options.slot_seconds);
-      tuples.push_back({MakePostingKey(s.segment, static_cast<uint32_t>(slot)),
-                        static_cast<uint32_t>(traj.day), traj.id});
-    }
-  });
-  std::sort(tuples.begin(), tuples.end());
-  tuples.erase(std::unique(tuples.begin(), tuples.end()), tuples.end());
+    STRR_RETURN_IF_ERROR(bad);
+    for (size_t c = 1; c < ends.size(); ++c) ends[c] += ends[c - 1];
+    std::vector<ListEntry> entries(ends.back());
+    for_each_entry([&](const MatchedTrajectory& traj, uint64_t cell) {
+      entries[ends[cell]++] = (static_cast<ListEntry>(traj.day) << 32) |
+                              traj.id;
+    });
 
-  STRR_ASSIGN_OR_RETURN(
-      std::unique_ptr<PostingStoreBuilder> builder,
-      PostingStoreBuilder::Create(options.posting_path, options.page_size));
-
-  size_t i = 0;
-  while (i < tuples.size()) {
-    PostingKey key = tuples[i].key;
-    std::vector<std::pair<uint32_t, std::vector<TrajectoryId>>> days;
-    while (i < tuples.size() && tuples[i].key == key) {
-      uint32_t day = tuples[i].day;
-      std::vector<TrajectoryId> ids;
-      while (i < tuples.size() && tuples[i].key == key &&
-             tuples[i].day == day) {
-        ids.push_back(tuples[i].traj);
-        ++i;
-      }
-      days.emplace_back(day, std::move(ids));
+    STRR_ASSIGN_OR_RETURN(
+        std::unique_ptr<PostingStoreBuilder> builder,
+        PostingStoreBuilder::Create(options.posting_path, options.page_size));
+    // Runs arrive sorted by day (ForEach walks the days in order) and, when
+    // each day's ids were added in order, by id too; only other runs sort.
+    BinaryWriter blob;
+    ListEntry* run = entries.data();
+    for (uint64_t cell = 0; cell < grid.cells(); ++cell) {
+      ListEntry* first = run;
+      ListEntry* last = entries.data() + ends[cell];
+      run = last;
+      if (first == last) continue;
+      if (!std::is_sorted(first, last)) std::sort(first, last);
+      last = std::unique(first, last);
+      blob.Clear();
+      EncodeTimeList(first, last, &blob);
+      STRR_RETURN_IF_ERROR(builder->Add(
+          MakePostingKey(static_cast<uint32_t>(cell % grid.num_segments),
+                         static_cast<uint32_t>(cell / grid.num_segments)),
+          blob.data()));
     }
-    STRR_RETURN_IF_ERROR(builder->Add(key, EncodeTimeList(days)));
+    STRR_RETURN_IF_ERROR(builder->Finish());
   }
-  STRR_RETURN_IF_ERROR(builder->Finish());
 
   PostingStoreOptions store_options;
   store_options.cache_pages = options.cache_pages;
   store_options.page_size = options.page_size;
   store_options.role = "posting";
-  const PostingGrid grid{static_cast<uint32_t>(network.NumSegments()),
-                         static_cast<uint32_t>(index->slots_per_day_)};
   STRR_ASSIGN_OR_RETURN(index->postings_,
                         PostingStore::Open(options.posting_path, grid,
                                            store_options));
@@ -321,16 +347,16 @@ PostingStore::Window StIndex::TimeListWindow(SlotId first_slot,
 StatusOr<StIndex::SegmentMarks> StIndex::MarkDaysIntersecting(
     SegmentId seg, PostingStore::Window* window,
     const std::vector<std::vector<TrajectoryId>>& start_ids,
-    std::vector<uint8_t>* day_hit) const {
+    std::vector<uint8_t>* day_hit, int stop_at) const {
   const size_t days = static_cast<size_t>(num_days_);
   if (start_ids.size() != days || day_hit->size() != days) {
     return Status::InvalidArgument(
         "MarkDaysIntersecting: start_ids/day_hit must have one entry per day");
   }
   SegmentMarks marks;
-  auto unmarked = std::count(day_hit->begin(), day_hit->end(), 0);
+  auto marked = std::count(day_hit->begin(), day_hit->end(), 1);
   for (uint32_t slot = window->first_slot();
-       slot < window->end_slot() && unmarked > 0; ++slot) {
+       slot < window->end_slot() && marked < stop_at; ++slot) {
     std::string_view blob;
     STRR_ASSIGN_OR_RETURN(bool found, window->Read(seg, slot, &blob));
     if (!found) continue;
@@ -338,7 +364,7 @@ StatusOr<StIndex::SegmentMarks> StIndex::MarkDaysIntersecting(
     STRR_RETURN_IF_ERROR(DecodeTimeList(blob, num_days_, intersect));
     ++marks.lists_read;
     marks.days_marked += intersect.marked;
-    unmarked -= intersect.marked;
+    marked += intersect.marked;
   }
   return marks;
 }

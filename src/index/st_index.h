@@ -10,10 +10,11 @@
 //    trajectory IDs that traversed the segment in that slot. These live on
 //    disk in a PostingStore, slot-major as in the figure (one slot's lists
 //    for all segments lie together), and are read through a BufferPool,
-//    so every access is measurable I/O. Build opens the store over the
-//    grid NumSegments() × slots_per_day(), the shape of its dense
-//    in-memory directory: whether a (segment, slot) has a time list is one
-//    bitmap test, with no filter in front of it. A query verifies through
+//    so every access is measurable I/O. Build writes the lists with a
+//    counting sort over the grid NumSegments() × slots_per_day() and opens
+//    the store over the same grid, the shape of its dense in-memory
+//    directory: whether a (segment, slot) has a time list is one bitmap
+//    test, with no filter in front of it. A query verifies through
 //    one TimeListWindow over its slot range, which (up to its buffer cap)
 //    requests each distinct page once however many segments it verifies.
 #ifndef STRR_INDEX_ST_INDEX_H_
@@ -66,7 +67,12 @@ using TimeList = std::vector<std::vector<TrajectoryId>>;
 class StIndex {
  public:
   /// Builds from the matched-trajectory database, writing the posting file
-  /// and loading its directory back for querying.
+  /// and loading its directory back for querying. Two passes over the
+  /// samples counting-sort 8-byte (day, trajectory) entries into one flat
+  /// array of per-cell runs, which are encoded cell by cell in slot-major
+  /// order; the array is freed before the store is opened. Samples on a
+  /// segment outside the network are skipped; a sample whose slot falls
+  /// outside the grid is InvalidArgument.
   static StatusOr<std::unique_ptr<StIndex>> Build(
       const RoadNetwork& network, const TrajectoryStore& store,
       const StIndexOptions& options);
@@ -119,13 +125,16 @@ class StIndex {
   /// day_hit[d] == 0 and a non-empty start_ids[d], sets day_hit[d] = 1
   /// when the day-d list shares an id with the sorted start_ids[d]; each
   /// day's ids are merge-tested as they are delta-decoded. Stops as soon as
-  /// every day is marked, so the pages only later slots need are not
-  /// requested for this segment. Absent lists cost a bitmap test and no
-  /// I/O. Same corruption checks as ReadTimeList (one decoder serves both).
+  /// `stop_at` days of day_hit are marked (or reads nothing when that many
+  /// already are), so the pages only later slots need are not requested
+  /// for this segment: a caller that wants the exact count passes the
+  /// number of days with start ids, one that wants a verdict the number of
+  /// days it needs. Absent lists cost a bitmap test and no I/O. Same
+  /// corruption checks as ReadTimeList (one decoder serves both).
   StatusOr<SegmentMarks> MarkDaysIntersecting(
       SegmentId seg, PostingStore::Window* window,
       const std::vector<std::vector<TrajectoryId>>& start_ids,
-      std::vector<uint8_t>* day_hit) const;
+      std::vector<uint8_t>* day_hit, int stop_at) const;
 
   /// True when some trajectory traversed (segment, slot) on any day —
   /// directory-only check, no I/O.

@@ -51,8 +51,9 @@ StatusOr<RegionResult> ExhaustiveSearch(const StIndex& st_index,
 
   RegionResult result;
   for (const ExpansionHit& hit : cone) {
-    STRR_ASSIGN_OR_RETURN(double p, oracle.Probability(hit.segment));
-    if (p >= query.prob) result.segments.push_back(hit.segment);
+    STRR_ASSIGN_OR_RETURN(bool reaches,
+                          oracle.Reaches(hit.segment, query.prob));
+    if (reaches) result.segments.push_back(hit.segment);
   }
   std::sort(result.segments.begin(), result.segments.end());
   result.total_length_m = network.LengthOfSegments(result.segments);

@@ -10,7 +10,9 @@
 //
 // Termination (under-specified in the thesis; see DESIGN.md): a branch
 // stops expanding once the time budget L is exhausted; segments are
-// collected when their verified probability meets Prob.
+// collected when their verified probability meets Prob. Each segment gets
+// the same verdict walk as TBS (ReachabilityProbability::Reaches), which
+// stops reading once Prob is met, so the two read alike per segment.
 #ifndef STRR_QUERY_ES_BASELINE_H_
 #define STRR_QUERY_ES_BASELINE_H_
 

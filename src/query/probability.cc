@@ -59,23 +59,43 @@ StatusOr<ReachabilityProbability> ReachabilityProbability::Create(
   return p;
 }
 
-StatusOr<double> ReachabilityProbability::Probability(SegmentId r) {
-  ++verifications_;
-  const int num_days = st_index_->num_days();
-  if (num_days == 0 || start_active_days_ == 0) return 0.0;
-
+StatusOr<int> ReachabilityProbability::MarkDays(SegmentId r, int stop_at) {
   // Test r's per-day ids over the duration slots against the start lists,
   // straight from the posting bytes. A day counts once some common id
   // appears. The marks are per thread, so a worker reuses one buffer
   // across queries.
   thread_local std::vector<uint8_t> day_hit;
-  day_hit.assign(static_cast<size_t>(num_days), 0);
-  STRR_ASSIGN_OR_RETURN(
-      StIndex::SegmentMarks marks,
-      st_index_->MarkDaysIntersecting(r, &window_, start_ids_, &day_hit));
+  day_hit.assign(static_cast<size_t>(st_index_->num_days()), 0);
+  STRR_ASSIGN_OR_RETURN(StIndex::SegmentMarks marks,
+                        st_index_->MarkDaysIntersecting(
+                            r, &window_, start_ids_, &day_hit, stop_at));
   time_lists_read_ += marks.lists_read;
-  return static_cast<double>(marks.days_marked) /
-         static_cast<double>(num_days);
+  return marks.days_marked;
+}
+
+StatusOr<double> ReachabilityProbability::Probability(SegmentId r) {
+  ++verifications_;
+  const int num_days = st_index_->num_days();
+  if (num_days == 0) return 0.0;
+  STRR_ASSIGN_OR_RETURN(int marked, MarkDays(r, start_active_days_));
+  return static_cast<double>(marked) / static_cast<double>(num_days);
+}
+
+StatusOr<bool> ReachabilityProbability::Reaches(SegmentId r, double prob) {
+  ++verifications_;
+  const int num_days = st_index_->num_days();
+  if (num_days == 0) return 0.0 >= prob;  // Probability(r) is 0
+  // need: the smallest k <= m with k / m >= prob, the very comparison made
+  // on Probability(r); m + 1 when there is none (prob > 1 or NaN).
+  int need = 0;
+  while (need <= num_days &&
+         !(static_cast<double>(need) / static_cast<double>(num_days) >=
+           prob)) {
+    ++need;
+  }
+  if (need > start_active_days_) return false;
+  STRR_ASSIGN_OR_RETURN(int marked, MarkDays(r, need));
+  return marked >= need;
 }
 
 }  // namespace strr

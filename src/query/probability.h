@@ -15,8 +15,12 @@
 // cap). Verifying a candidate is one StIndex::MarkDaysIntersecting call:
 // it walks the candidate's lists over the duration slots in slot order
 // through the window, merge-tests the decoded ids against the start lists
-// without materialising a TimeList, and stops once every day is marked.
-// Absent (segment, slot) cells cost a directory probe and no I/O, so
+// without materialising a TimeList, and stops once the days it needs are
+// marked. Probability(r) needs every day with start traffic (no other day
+// can be marked), so its count is exact. Reaches(r, Prob) needs only the
+// days that make probability >= Prob: it stops at that many, and reads
+// nothing when the start has fewer active days than that. Absent
+// (segment, slot) cells cost a directory probe and no I/O, so
 // time_lists_read() counts present lists only.
 // Multi-location queries pass several start segments; their per-day ID
 // lists are unioned (reachable from ANY start).
@@ -46,6 +50,12 @@ class ReachabilityProbability {
   /// query's window. Not thread-safe.
   StatusOr<double> Probability(SegmentId r);
 
+  /// Probability(r) >= prob, decided with as few list reads as possible:
+  /// the walk stops once the smallest day count k with k / m >= prob
+  /// (m = days in the dataset) is marked, and reads nothing when the start
+  /// is active on fewer than k days. Not thread-safe.
+  StatusOr<bool> Reaches(SegmentId r, double prob);
+
   /// Number of candidate verifications performed so far.
   uint64_t verifications() const { return verifications_; }
   /// Number of time-list reads issued (start + candidates).
@@ -58,6 +68,10 @@ class ReachabilityProbability {
  private:
   ReachabilityProbability(const StIndex& st_index, PostingStore::Window window)
       : st_index_(&st_index), window_(std::move(window)) {}
+
+  /// Marks the days r reaches, stopping once `stop_at` are marked;
+  /// returns how many it marked.
+  StatusOr<int> MarkDays(SegmentId r, int stop_at);
 
   const StIndex* st_index_;
   /// The query's window over the slots covering [T, T+L].

@@ -50,9 +50,10 @@ StatusOr<TbsOutcome> TraceBackSearch(const RoadNetwork& network,
   TbsOutcome out;
   for (size_t head = 0; head < queue.size(); ++head) {
     SegmentId r = queue[head];
-    STRR_ASSIGN_OR_RETURN(double p, prob_oracle.Probability(r));
+    STRR_ASSIGN_OR_RETURN(bool reaches,
+                          prob_oracle.Reaches(r, prob_threshold));
     ++out.segments_verified;
-    if (p >= prob_threshold) continue;  // qualifies: stop tracing
+    if (reaches) continue;  // qualifies: stop tracing
     failed[r] = 1;
     ++out.segments_failed;
     // Trace back: enqueue unvisited neighbours inside the max region but

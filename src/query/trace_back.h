@@ -10,6 +10,11 @@
 // verification; that interior skip is where the 50–90% I/O saving over
 // exhaustive search comes from (DESIGN.md documents the semantics).
 //
+// Each verification asks only for the segment's verdict
+// (ReachabilityProbability::Reaches): its time-list walk stops once enough
+// days are marked to meet Prob, and makes no read at all when the start
+// has traffic on too few days for Prob to be met.
+//
 // A visited set guarantees each segment is examined at most once even when
 // multiple inward paths reach it (the paper's r* example in Fig. 3.5).
 //

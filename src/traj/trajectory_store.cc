@@ -9,6 +9,13 @@ Status TrajectoryStore::Add(MatchedTrajectory trajectory) {
         "trajectory day " + std::to_string(trajectory.day) +
         " outside dataset range [0, " + std::to_string(by_day_.size()) + ")");
   }
+  for (const MatchedSample& s : trajectory.samples) {
+    if (s.timestamp < 0) {
+      return Status::InvalidArgument(
+          "trajectory " + std::to_string(trajectory.id) + " has a sample at " +
+          std::to_string(s.timestamp) + " s, before day 0");
+    }
+  }
   by_day_[trajectory.day].push_back(std::move(trajectory));
   return Status::OK();
 }

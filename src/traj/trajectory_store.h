@@ -30,7 +30,8 @@ class TrajectoryStore {
  public:
   explicit TrajectoryStore(int32_t num_days) : by_day_(num_days) {}
 
-  /// Adds a trajectory; its day must be within [0, num_days).
+  /// Adds a trajectory; its day must be within [0, num_days) and no sample
+  /// may be timed before day 0 (Timestamp counts from its midnight).
   Status Add(MatchedTrajectory trajectory);
 
   int32_t num_days() const { return static_cast<int32_t>(by_day_.size()); }

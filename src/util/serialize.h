@@ -87,6 +87,9 @@ class BinaryWriter {
   const std::string& data() const { return buf_; }
   size_t size() const { return buf_.size(); }
   std::string Release() { return std::move(buf_); }
+  /// Empties the buffer but keeps its capacity, for a writer reused
+  /// across records.
+  void Clear() { buf_.clear(); }
 
  private:
   std::string buf_;

@@ -231,7 +231,8 @@ TEST_F(StIndexTest, MarkDaysIntersectingReportsAbsentListsDistinctly) {
       std::vector<uint8_t> hit(3, 0);
       index_->ResetStorageStats();
       PostingStore::Window window = index_->TimeListWindow(slot, slot);
-      auto marks = index_->MarkDaysIntersecting(seg, &window, start, &hit);
+      auto marks = index_->MarkDaysIntersecting(seg, &window, start, &hit,
+                                                index_->num_days());
       ASSERT_TRUE(marks.ok()) << marks.status().ToString();
       if (index_->HasTraffic(seg, slot)) {
         EXPECT_EQ(marks->lists_read, 1u) << seg << "/" << slot;
@@ -251,11 +252,13 @@ TEST_F(StIndexTest, MarkDaysIntersectingReportsAbsentListsDistinctly) {
   const SlotId slot = index_->SlotForTime(HMS(8));
   PostingStore::Window window = index_->TimeListWindow(slot, slot);
   std::vector<uint8_t> hit(3, 0);
-  auto none = index_->MarkDaysIntersecting(0, &window, {{}, {}, {}}, &hit);
+  auto none = index_->MarkDaysIntersecting(0, &window, {{}, {}, {}}, &hit,
+                                           index_->num_days());
   ASSERT_TRUE(none.ok());
   EXPECT_EQ(none->lists_read, 1u);
   EXPECT_EQ(none->days_marked, 0);
-  auto both = index_->MarkDaysIntersecting(0, &window, start, &hit);
+  auto both = index_->MarkDaysIntersecting(0, &window, start, &hit,
+                                           index_->num_days());
   ASSERT_TRUE(both.ok());
   EXPECT_EQ(both->days_marked, 2);
   EXPECT_EQ(hit, (std::vector<uint8_t>{1, 0, 1}));
@@ -268,7 +271,8 @@ TEST_F(StIndexTest, MarkDaysIntersectingReportsAbsentListsDistinctly) {
   EXPECT_EQ(day_window.first_slot(), 0u);
   EXPECT_EQ(day_window.end_slot(),
             static_cast<uint32_t>(index_->slots_per_day()));
-  auto day = index_->MarkDaysIntersecting(0, &day_window, start, &hit);
+  auto day = index_->MarkDaysIntersecting(0, &day_window, start, &hit,
+                                          index_->num_days());
   ASSERT_TRUE(day.ok());
   EXPECT_EQ(day->days_marked, 2);
   EXPECT_EQ(day->lists_read, 1u);
@@ -279,7 +283,8 @@ TEST_F(StIndexTest, MarkDaysIntersectingReportsAbsentListsDistinctly) {
     std::fill(hit.begin(), hit.end(), 0);
     PostingStore::Window empty_window = index_->TimeListWindow(first, last);
     EXPECT_EQ(empty_window.first_slot(), empty_window.end_slot());
-    auto empty = index_->MarkDaysIntersecting(0, &empty_window, start, &hit);
+    auto empty = index_->MarkDaysIntersecting(0, &empty_window, start, &hit,
+                                              index_->num_days());
     ASSERT_TRUE(empty.ok());
     EXPECT_EQ(empty->lists_read, 0u);
   }
@@ -314,6 +319,177 @@ TEST_F(StIndexTest, BuildValidation) {
   opt.posting_path = MakeTempDir("stbad") + "/p.bin";
   opt.slot_seconds = 0;
   EXPECT_TRUE(StIndex::Build(net_, *store_, opt).status().IsInvalidArgument());
+
+  // A sample before day 0 (in a negative slot, or truncated into slot 0)
+  // never reaches Build: Add refuses it, and the store builds as before.
+  for (Timestamp ts : {Timestamp{-1000}, Timestamp{-5}}) {
+    MatchedTrajectory t;
+    t.id = 7;
+    t.day = 0;
+    t.samples = {{1, ts, 10.0f}};
+    EXPECT_TRUE(store_->Add(std::move(t)).IsInvalidArgument()) << ts;
+  }
+  opt.slot_seconds = 300;
+  auto rebuilt = StIndex::Build(net_, *store_, opt);
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+  EXPECT_EQ((*rebuilt)->NumPostings(), index_->NumPostings());
+}
+
+// --- Build against the tuple-sort reference ----------------------------------
+
+/// The tuple sort Build used before its counting sort, kept as the
+/// reference: one (key, day, id) tuple per sample on a network segment,
+/// sorted into slot-major key order, then day, then id, with duplicates
+/// dropped.
+struct BuildTuple {
+  PostingKey key;
+  uint32_t day;
+  TrajectoryId traj;
+
+  bool operator<(const BuildTuple& o) const {
+    if (key != o.key) return PostingSlotMajor(key) < PostingSlotMajor(o.key);
+    if (day != o.day) return day < o.day;
+    return traj < o.traj;
+  }
+  bool operator==(const BuildTuple& o) const {
+    return key == o.key && day == o.day && traj == o.traj;
+  }
+};
+
+/// Each cell's blob as the tuple sort encoded it: varint day count, then
+/// per present day a varint day and a sorted-delta id list.
+std::map<PostingKey, std::string> TupleSortPostings(
+    const RoadNetwork& net, const TrajectoryStore& store,
+    int64_t slot_seconds) {
+  std::vector<BuildTuple> tuples;
+  store.ForEach([&](const MatchedTrajectory& traj) {
+    for (const MatchedSample& s : traj.samples) {
+      if (s.segment >= net.NumSegments()) continue;
+      const SlotId slot = SlotOf(s.timestamp, slot_seconds);
+      tuples.push_back({MakePostingKey(s.segment, static_cast<uint32_t>(slot)),
+                        static_cast<uint32_t>(traj.day), traj.id});
+    }
+  });
+  std::sort(tuples.begin(), tuples.end());
+  tuples.erase(std::unique(tuples.begin(), tuples.end()), tuples.end());
+  std::map<PostingKey, std::string> out;
+  size_t i = 0;
+  while (i < tuples.size()) {
+    const PostingKey key = tuples[i].key;
+    std::vector<std::pair<uint32_t, std::vector<TrajectoryId>>> days;
+    while (i < tuples.size() && tuples[i].key == key) {
+      const uint32_t day = tuples[i].day;
+      std::vector<TrajectoryId> ids;
+      while (i < tuples.size() && tuples[i].key == key &&
+             tuples[i].day == day) {
+        ids.push_back(tuples[i].traj);
+        ++i;
+      }
+      days.emplace_back(day, std::move(ids));
+    }
+    BinaryWriter w;
+    w.PutVarint32(static_cast<uint32_t>(days.size()));
+    for (const auto& [day, ids] : days) {
+      w.PutVarint32(day);
+      w.PutU32List(ids, /*sorted=*/true);
+    }
+    out[key] = w.Release();
+  }
+  return out;
+}
+
+/// Builds over `store` with slot width `slot_seconds` and checks every cell
+/// of the grid: the reference's blob where it has one, NotFound elsewhere.
+void ExpectBuildMatchesTupleSort(const RoadNetwork& net,
+                                 const TrajectoryStore& store,
+                                 int64_t slot_seconds) {
+  SCOPED_TRACE("slot_seconds " + std::to_string(slot_seconds));
+  StIndexOptions opt;
+  opt.slot_seconds = slot_seconds;
+  opt.posting_path = MakeTempDir("build_diff") + "/postings.bin";
+  auto index = StIndex::Build(net, store, opt);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  const std::map<PostingKey, std::string> want =
+      TupleSortPostings(net, store, slot_seconds);
+  ASSERT_FALSE(want.empty());
+  EXPECT_EQ((*index)->NumPostings(), want.size());
+
+  const PostingGrid grid{static_cast<uint32_t>(net.NumSegments()),
+                         static_cast<uint32_t>((*index)->slots_per_day())};
+  auto postings = PostingStore::Open(opt.posting_path, grid, 64);
+  ASSERT_TRUE(postings.ok()) << postings.status().ToString();
+  size_t matched = 0;
+  for (uint32_t slot = 0; slot < grid.slots; ++slot) {
+    for (uint32_t seg = 0; seg < grid.num_segments; ++seg) {
+      const PostingKey key = MakePostingKey(seg, slot);
+      auto got = (*postings)->Get(key);
+      auto it = want.find(key);
+      if (it == want.end()) {
+        ASSERT_TRUE(got.status().IsNotFound())
+            << seg << "/" << slot << ": " << got.status().ToString();
+        continue;
+      }
+      ASSERT_TRUE(got.ok()) << seg << "/" << slot << ": "
+                            << got.status().ToString();
+      EXPECT_EQ(*got, it->second) << seg << "/" << slot;
+      ++matched;
+    }
+  }
+  EXPECT_EQ(matched, want.size());
+}
+
+TEST(StIndexBuildTest, MatchesTupleSortOnHandBuiltStore) {
+  RoadNetwork net = testing_util::MakeChainNetwork(4);
+  const SegmentId last = static_cast<SegmentId>(net.NumSegments() - 1);
+  TrajectoryStore store(3);
+  auto add = [&](TrajectoryId id, DayIndex day,
+                 std::vector<MatchedSample> samples) {
+    MatchedTrajectory t;
+    t.id = id;
+    t.taxi = id;
+    t.day = day;
+    t.samples = std::move(samples);
+    ASSERT_TRUE(store.Add(std::move(t)).ok());
+  };
+  auto at = [](DayIndex day, int64_t tod) { return MakeTimestamp(day, tod); };
+  // Day 0: a revisit of segment 0 after segment 1 within one slot; two
+  // consecutive samples on segment 2, then samples off the network, then
+  // segment 2 again; a sample past midnight, filed under the trajectory's
+  // day; the grid's last cell.
+  add(5, 0,
+      {{0, at(0, HMS(8)), 10.0f},
+       {1, at(0, HMS(8, 0, 20)), 10.0f},
+       {0, at(0, HMS(8, 0, 40)), 10.0f},
+       {2, at(0, HMS(8, 1)), 10.0f},
+       {2, at(0, HMS(8, 1, 10)), 10.0f},
+       {static_cast<SegmentId>(net.NumSegments()), at(0, HMS(8, 2)), 10.0f},
+       {kInvalidSegment, at(0, HMS(8, 2, 30)), 10.0f},
+       {2, at(0, HMS(8, 3)), 10.0f},
+       {last, at(0, kSecondsPerDay - 1), 10.0f},
+       {last, at(1, 100), 10.0f}});
+  // Day 1: ids added out of order, all through one cell and one of them
+  // through a second.
+  add(9, 1, {{0, at(1, HMS(9)), 10.0f}, {1, at(1, HMS(9, 1)), 10.0f}});
+  add(3, 1, {{0, at(1, HMS(9, 0, 30)), 10.0f}});
+  add(7, 1, {{0, at(1, HMS(9, 0, 50)), 10.0f}, {1, at(1, HMS(9, 2)), 10.0f}});
+  // Day 2: the same cells again, the short last slot of a 700 s grid
+  // (86 100 s onwards), and the grid's last cell.
+  add(11, 2, {{0, at(2, HMS(8)), 10.0f}, {1, at(2, HMS(9, 1)), 10.0f}});
+  add(12, 2,
+      {{1, at(2, 86100 + 50), 10.0f},
+       {last, at(2, kSecondsPerDay - 1), 10.0f}});
+  add(4, 2, {{0, at(2, HMS(8, 4)), 10.0f}, {0, at(2, HMS(9)), 10.0f}});
+  for (int64_t slot_seconds : {300, 700}) {
+    ExpectBuildMatchesTupleSort(net, store, slot_seconds);
+  }
+}
+
+TEST(StIndexBuildTest, MatchesTupleSortOnSharedDataset) {
+  auto& stack = GetSharedStack();
+  for (int64_t slot_seconds : {300, 700}) {
+    ExpectBuildMatchesTupleSort(stack.dataset.network, *stack.dataset.store,
+                                slot_seconds);
+  }
 }
 
 TEST(StIndexSharedTest, EveryStoredSampleIsFindable) {
@@ -480,7 +656,8 @@ TEST(TimeListDecoderTest, MutationSweepStreamingAgreesWithReadTimeList) {
     index.DropCache();
     index.ResetStorageStats();
     PostingStore::Window window = index.TimeListWindow(first, last);
-    auto marks = index.MarkDaysIntersecting(seg, &window, start, &got);
+    auto marks = index.MarkDaysIntersecting(seg, &window, start, &got,
+                                            index.num_days());
     EXPECT_LE(index.storage_stats().TotalRequests(),
               RowPages(blobs, opt.page_size, seg, first, last).size())
         << what;
@@ -598,7 +775,8 @@ class WindowReadTest : public ::testing::Test {
                   StIndex::SegmentMarks* marks) {
     std::vector<uint8_t> hit(4, 0);
     const uint64_t before = index_->storage_stats().TotalRequests();
-    auto got = index_->MarkDaysIntersecting(seg, window, start, &hit);
+    auto got = index_->MarkDaysIntersecting(seg, window, start, &hit,
+                                            index_->num_days());
     EXPECT_TRUE(got.ok()) << got.status().ToString();
     if (got.ok()) *marks = *got;
     return index_->storage_stats().TotalRequests() - before;
@@ -753,7 +931,8 @@ TEST(WindowCapTest, CappedWindowMarksAsUncappedReads) {
     std::vector<uint8_t> want(start.size(), 0), got(start.size(), 0);
     auto ref = ReferenceRowHits(index, seg, 0, last, start, &want);
     ASSERT_TRUE(ref.ok()) << ref.status().ToString();
-    auto marks = index.MarkDaysIntersecting(seg, &window, start, &got);
+    auto marks = index.MarkDaysIntersecting(seg, &window, start, &got,
+                                            index.num_days());
     ASSERT_TRUE(marks.ok()) << marks.status().ToString();
     EXPECT_EQ(got, want) << seg;
     EXPECT_EQ(marks->lists_read, *ref) << seg;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <set>
 
@@ -146,13 +147,14 @@ StatusOr<double> ReferenceProbability(
 }
 
 /// The time lists Probability(r) reads, walked the long way: one per
-/// duration slot that HasTraffic reports, stopping once every day is hit.
+/// duration slot that HasTraffic reports, stopping once every day with
+/// start ids is hit (no other day can be).
 StatusOr<uint64_t> ReferenceListsRead(
     const StIndex& index, const std::vector<std::vector<TrajectoryId>>& start,
     SegmentId r, int64_t T, int64_t duration) {
-  bool start_active = false;
-  for (const auto& ids : start) start_active |= !ids.empty();
-  if (index.num_days() == 0 || !start_active) return 0;
+  int active_days = 0;
+  for (const auto& ids : start) active_days += !ids.empty();
+  if (index.num_days() == 0 || active_days == 0) return 0;
   std::vector<bool> hit(start.size(), false);
   int hits = 0;
   uint64_t reads = 0;
@@ -166,7 +168,7 @@ StatusOr<uint64_t> ReferenceListsRead(
         ++hits;
       }
     }
-    if (hits == index.num_days()) break;
+    if (hits == active_days) break;
   }
   return reads;
 }
@@ -224,6 +226,100 @@ TEST(ProbabilityTest, StreamingCheckMatchesMaterialisedReference) {
     }
   }
   EXPECT_GT(nonzero, 100);
+}
+
+TEST(ProbabilityTest, ReachesMatchesProbabilityAtEveryThreshold) {
+  auto& stack = GetSharedStack();
+  const StIndex& index = stack.engine->st_index();
+  const RoadNetwork& net = index.network();
+  const int m = index.num_days();
+  ASSERT_GT(m, 1);
+  // Every k / m with its neighbours either side, and a 0.05 sweep.
+  std::vector<double> thresholds;
+  for (int k = 0; k <= m; ++k) {
+    const double at = static_cast<double>(k) / m;
+    thresholds.insert(thresholds.end(), {std::nextafter(at, 0.0), at,
+                                         std::nextafter(at, 2.0)});
+  }
+  for (int i = 1; i <= 20; ++i) thresholds.push_back(0.05 * i);
+  int nonzero = 0, cheaper = 0;
+  for (int64_t T : {HMS(8), HMS(17, 45)}) {
+    std::vector<SegmentId> busy;
+    for (SegmentId s = 0; s < net.NumSegments(); ++s) {
+      if (index.HasTraffic(s, index.SlotForTime(T))) busy.push_back(s);
+    }
+    ASSERT_FALSE(busy.empty());
+    const std::vector<SegmentId> starts = {busy[busy.size() / 2]};
+    for (int64_t L : {600, 1800}) {
+      auto oracle = ReachabilityProbability::Create(
+          index, starts, T, index.slot_seconds(), L);
+      ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+      for (SegmentId r = 0; r < net.NumSegments(); ++r) {
+        uint64_t before = oracle->time_lists_read();
+        auto p = oracle->Probability(r);
+        ASSERT_TRUE(p.ok()) << p.status().ToString();
+        const uint64_t exact_reads = oracle->time_lists_read() - before;
+        if (*p > 0) ++nonzero;
+        for (double prob : thresholds) {
+          before = oracle->time_lists_read();
+          auto reaches = oracle->Reaches(r, prob);
+          ASSERT_TRUE(reaches.ok()) << reaches.status().ToString();
+          const uint64_t reads = oracle->time_lists_read() - before;
+          EXPECT_EQ(*reaches, *p >= prob)
+              << "T " << T << " L " << L << " r " << r << " prob " << prob;
+          EXPECT_LE(reads, exact_reads) << "r " << r << " prob " << prob;
+          if (reads < exact_reads) ++cheaper;
+        }
+      }
+    }
+  }
+  EXPECT_GT(nonzero, 50);
+  EXPECT_GT(cheaper, 0);
+}
+
+TEST(ProbabilityTest, ReachesReadsNothingWhenStartHasTooFewDays) {
+  // Three days. Two trajectories leave segment 0 at 08:00 on day 0 and
+  // reach segment 1 a minute later; on day 2 segment 1 has traffic that
+  // did not come from the start.
+  RoadNetwork net = testing_util::MakeChainNetwork(2);
+  TrajectoryStore store(3);
+  auto add = [&](TrajectoryId id, DayIndex day,
+                 std::vector<MatchedSample> samples) {
+    MatchedTrajectory t;
+    t.id = id;
+    t.taxi = id;
+    t.day = day;
+    t.samples = std::move(samples);
+    ASSERT_TRUE(store.Add(std::move(t)).ok());
+  };
+  for (TrajectoryId id : {0u, 1u}) {
+    add(id, 0,
+        {{0, MakeTimestamp(0, HMS(8)), 10.0f},
+         {1, MakeTimestamp(0, HMS(8, 1)), 10.0f}});
+  }
+  add(2, 2, {{1, MakeTimestamp(2, HMS(8, 1)), 10.0f}});
+  StIndexOptions opt;
+  opt.posting_path =
+      testing_util::MakeTempDir("reaches_few") + "/postings.bin";
+  auto index = StIndex::Build(net, store, opt);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  auto oracle =
+      ReachabilityProbability::Create(**index, {0}, HMS(8), 300, 600);
+  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+  EXPECT_DOUBLE_EQ(*oracle->Probability(1), 1.0 / 3);
+
+  // Prob 0.5 needs two days; the start is active on one, so no list is
+  // read.
+  uint64_t before = oracle->time_lists_read();
+  auto two_days = oracle->Reaches(1, 0.5);
+  ASSERT_TRUE(two_days.ok());
+  EXPECT_FALSE(*two_days);
+  EXPECT_EQ(oracle->time_lists_read(), before);
+  // One day is within reach: one list read settles it.
+  auto one_day = oracle->Reaches(1, 1.0 / 3);
+  ASSERT_TRUE(one_day.ok());
+  EXPECT_TRUE(*one_day);
+  EXPECT_EQ(oracle->time_lists_read(), before + 1);
 }
 
 TEST(ProbabilityTest, StartWithNoTrafficGivesZero) {

@@ -82,6 +82,28 @@ TEST(TrajectoryStoreTest, AddValidatesDay) {
   EXPECT_EQ(store.NumTrajectories(), 1u);
 }
 
+TEST(TrajectoryStoreTest, AddRejectsSamplesBeforeDayZero) {
+  // Timestamp counts seconds from midnight of day 0: an earlier sample
+  // would land in a negative slot (-1000 s) or, truncated toward zero, be
+  // filed under slot 0 (-5 s).
+  TrajectoryStore store(3);
+  for (Timestamp ts : {Timestamp{-1000}, Timestamp{-5}}) {
+    MatchedTrajectory t;
+    t.id = 42;
+    t.day = 0;
+    t.samples = {{0, MakeTimestamp(0, HMS(8)), 10.0f}, {1, ts, 10.0f}};
+    Status st = store.Add(t);
+    EXPECT_TRUE(st.IsInvalidArgument()) << ts;
+    EXPECT_NE(st.ToString().find("trajectory 42"), std::string::npos)
+        << st.ToString();
+  }
+  EXPECT_EQ(store.NumTrajectories(), 0u);
+  MatchedTrajectory ok;
+  ok.day = 0;
+  ok.samples = {{0, 0, 10.0f}};  // midnight of day 0 is fine
+  EXPECT_TRUE(store.Add(ok).ok());
+}
+
 TEST(TrajectoryStoreTest, ForEachVisitsAll) {
   TrajectoryStore store(2);
   for (int d = 0; d < 2; ++d) {
