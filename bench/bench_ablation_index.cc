@@ -1,12 +1,13 @@
 // Ablation bench — the design choices DESIGN.md calls out:
 //
 //  1. Con-Index value: SQMB+TBS vs ES (no Con-Index at all).
-//  2. Buffer-pool capacity sweep: query I/O under memory pressure
-//     (cache_pages in {0, 256, 2048, 16384}).
+//  2. Buffer-pool capacity sweep: the disk reads of a fixed sequence of
+//     distinct queries on one pool (cache_pages in {0, 256, 2048, 16384}).
 //  3. Posting layout: per-(segment,slot) blocks mean one Get per candidate
 //     slot; measured as lists-read per verified segment.
 //  4. Interior-trust: segments TBS accepted without verification.
 #include <cstdio>
+#include <vector>
 
 #include "bench/bench_common.h"
 
@@ -49,33 +50,52 @@ int main() {
   }
 
   std::printf("\nAblation 2: buffer-pool capacity sweep "
-              "(L=10min, Prob=20%%)\n");
+              "(busy locations at 08:00, 11:00, 14:00 and 17:00, "
+              "L=10 and 20min, Prob=20%%)\n");
   PrintRow({"cache_pages", "disk_reads", "hits", "misses", "wall_ms"});
   uint64_t reads_small = 0, reads_large = 0;
+  // One query's window already reads each page once, so the pool can only
+  // save reads across queries: run a fixed sequence of distinct queries on
+  // one pool and count its disk reads.
+  std::vector<SQuery> sequence;
   for (size_t pages : {size_t{0}, size_t{256}, size_t{2048}, size_t{16384}}) {
     auto engine = BuildBenchEngine(*dataset, 300, pages);
     if (!engine.ok()) return 1;
-    XyPoint loc = PickBusyLocation(**engine, *dataset, HMS(11));
-    SQuery q{loc, HMS(11), 600, 0.2};
-    // Warm con-index, then measure a query against a dropped page cache —
-    // within one query, re-reads of hot pages hit (or miss) the pool.
-    auto warm = (*engine)->SQueryIndexed(q);
-    if (!warm.ok()) return 1;
+    if (sequence.empty()) {
+      for (int hour : {8, 11, 14, 17}) {
+        XyPoint loc = PickBusyLocation(**engine, *dataset, HMS(hour));
+        for (int minutes : {10, 20}) {
+          sequence.push_back(SQuery{loc, HMS(hour), minutes * 60, 0.2});
+        }
+      }
+    }
+    // Warm the Con-Index tables, then measure the sequence from a dropped
+    // page cache without dropping it between queries.
+    for (const SQuery& q : sequence) {
+      if (!(*engine)->SQueryIndexed(q).ok()) return 1;
+    }
     (*engine)->ResetIoStats(true);
-    auto r = (*engine)->SQueryIndexed(q);
-    if (!r.ok()) return 1;
-    PrintRow({std::to_string(pages),
-              std::to_string(r->stats.io.disk_page_reads),
-              std::to_string(r->stats.io.cache_hits),
-              std::to_string(r->stats.io.cache_misses),
-              Cell(r->stats.wall_ms, 2)});
-    if (pages == 0) reads_small = r->stats.io.disk_page_reads;
-    if (pages == 16384) reads_large = r->stats.io.disk_page_reads;
+    uint64_t reads = 0, hits = 0, misses = 0;
+    double wall_ms = 0.0;
+    for (const SQuery& q : sequence) {
+      auto r = (*engine)->SQueryIndexed(q);
+      if (!r.ok()) return 1;
+      reads += r->stats.io.disk_page_reads;
+      hits += r->stats.io.cache_hits;
+      misses += r->stats.io.cache_misses;
+      wall_ms += r->stats.wall_ms;
+    }
+    PrintRow({std::to_string(pages), std::to_string(reads),
+              std::to_string(hits), std::to_string(misses),
+              Cell(wall_ms, 2)});
+    if (pages == 0) reads_small = reads;
+    if (pages == 16384) reads_large = reads;
   }
   ShapeCheck("ablation.buffer_pool_reduces_disk_reads",
-             reads_large <= reads_small,
+             reads_large < reads_small,
              std::to_string(reads_large) + " reads at 16k pages vs " +
-                 std::to_string(reads_small) + " at 0");
+                 std::to_string(reads_small) + " at 0 over " +
+                 std::to_string(sequence.size()) + " queries");
 
   std::printf("\nAblation 3: posting layout efficiency (L=10min)\n");
   {

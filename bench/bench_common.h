@@ -60,7 +60,8 @@ void PrintRow(const std::vector<std::string>& cells);
 /// printf-style float cell.
 std::string Cell(double value, int decimals = 1);
 
-/// Emits a '# shape-check' verdict line (grep-able by EXPERIMENTS.md).
+/// Emits a '# shape-check <name> PASS|FAIL' verdict line, one grep away
+/// from each bench's output.
 void ShapeCheck(const std::string& name, bool pass,
                 const std::string& detail);
 

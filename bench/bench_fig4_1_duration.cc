@@ -107,9 +107,10 @@ int main() {
 
   ShapeCheck("fig4.1.indexed_below_es", indexed_always_fewer_lists,
              "SQMB+TBS reads fewer time lists than ES at every L");
-  // Ordering reproduces; the reduction magnitude is bounded by how much of
-  // the bounding cone the mined region fills, which scales with fleet
-  // density (ours is ~16x below Shenzhen's; see EXPERIMENTS.md).
+  // Ordering reproduces; the reduction magnitude (3-14% here) is bounded
+  // by how much of the bounding cone the mined region fills. That this
+  // scales with fleet density (ours ~16x below Shenzhen's) is unmeasured;
+  // ROADMAP item 5 is the density sweep that would show it.
   ShapeCheck("fig4.1.reduction_positive",
              reduction_min >= 0.0 && reduction_max > 0.05,
              "I/O reduction " + Cell(reduction_min * 100, 0) + "%-" +

@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the index/storage components:
 // R-tree build & queries, B+-tree ops, network expansion, posting store
-// reads, probability intersection. These are the inner loops every query
+// reads, the start-id membership test. These are the inner loops every query
 // pays; the figure benches measure the end-to-end behaviour.
 #include <benchmark/benchmark.h>
 
@@ -9,7 +9,7 @@
 
 #include "index/bplus_tree.h"
 #include "index/rtree.h"
-#include "query/probability.h"
+#include "index/start_id_sets.h"
 #include "roadnet/city_generator.h"
 #include "roadnet/expansion.h"
 #include "roadnet/segment_grid.h"
@@ -279,20 +279,49 @@ void BM_NetworkExpansion(benchmark::State& state) {
 }
 BENCHMARK(BM_NetworkExpansion)->Arg(300)->Arg(1200);
 
-void BM_SortedIntersects(benchmark::State& state) {
+// One day's verification walk: a sorted list of range(0) ids probed
+// against a start set of as many ids, as MarkDaysIntersecting tests the
+// ids it decodes. range(1) = 0 spreads the start ids over the bench's
+// ~13k-id range (a bitmap); 1 spreads them over 2^30 ids (the galloping
+// fallback). Start ids are even and list ids odd, so a probe finds no
+// member and walks the list up to the start set's max.
+void BM_StartIdMembership(benchmark::State& state) {
   Rng rng(17);
-  std::vector<TrajectoryId> a, b;
+  const int64_t range = state.range(1) == 0 ? 13000 : int64_t{1} << 30;
+  std::vector<TrajectoryId> start, list;
   for (int i = 0; i < state.range(0); ++i) {
-    a.push_back(static_cast<TrajectoryId>(rng.UniformInt(0, 1 << 20)));
-    b.push_back(static_cast<TrajectoryId>(rng.UniformInt(0, 1 << 20)));
+    start.push_back(static_cast<TrajectoryId>(2 * rng.UniformInt(0, range)));
+    list.push_back(static_cast<TrajectoryId>(2 * rng.UniformInt(0, range) + 1));
   }
-  std::sort(a.begin(), a.end());
-  std::sort(b.begin(), b.end());
+  for (auto* ids : {&start, &list}) {
+    std::sort(ids->begin(), ids->end());
+    ids->erase(std::unique(ids->begin(), ids->end()), ids->end());
+  }
+  const StartIdSets sets({start});
+  if (sets.is_bitmap(0) != (state.range(1) == 0)) {
+    state.SkipWithError("start set has the wrong representation");
+    return;
+  }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(SortedIntersects(a, b));
+    StartIdSets::DayProbe probe = sets.Probe(0);
+    bool hit = false;
+    for (TrajectoryId id : list) {
+      const StartIdSets::Membership m = probe.Test(id);
+      if (m == StartIdSets::Membership::kAbsent) continue;
+      hit = m == StartIdSets::Membership::kPresent;
+      break;
+    }
+    benchmark::DoNotOptimize(hit);
   }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(list.size()));
 }
-BENCHMARK(BM_SortedIntersects)->Arg(32)->Arg(512);
+BENCHMARK(BM_StartIdMembership)
+    ->ArgNames({"ids", "fallback"})
+    ->Args({32, 0})
+    ->Args({512, 0})
+    ->Args({32, 1})
+    ->Args({512, 1});
 
 }  // namespace
 }  // namespace strr

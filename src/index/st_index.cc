@@ -124,29 +124,31 @@ struct CollectDays {
   }
 };
 
-/// Merge-tests each wanted day's ids against the sorted start ids as they
-/// are decoded — the same two-pointer walk as SortedIntersects(start, day),
-/// stopping at the first common id or once the start ids run out.
-struct IntersectDays {
-  const std::vector<std::vector<TrajectoryId>>* start_ids;
+/// Tests each wanted day's ids against the day's start-id set as they are
+/// decoded: an id below the set's min keeps the day going, one above its
+/// max ends it (no later id can match), and a member marks the day.
+struct MarkStartDays {
+  const StartIdSets* starts;
   std::vector<uint8_t>* day_hit;
   int marked = 0;
   uint32_t day = 0;
-  const TrajectoryId* next = nullptr;  // first start id not yet passed
-  const TrajectoryId* end = nullptr;
+  StartIdSets::DayProbe probe{};
 
   bool BeginDay(uint32_t d, uint32_t count) {
-    const std::vector<TrajectoryId>& starts = (*start_ids)[d];
-    if ((*day_hit)[d] || count == 0 || starts.empty()) return false;
+    if ((*day_hit)[d] || count == 0 || starts->empty(d)) return false;
     day = d;
-    next = starts.data();
-    end = next + starts.size();
+    probe = starts->Probe(d);
     return true;
   }
   bool Id(uint32_t id) {
-    while (next != end && *next < id) ++next;
-    if (next == end) return false;
-    if (*next != id) return true;
+    switch (probe.Test(id)) {
+      case StartIdSets::Membership::kAbsent:
+        return true;
+      case StartIdSets::Membership::kPastMax:
+        return false;
+      case StartIdSets::Membership::kPresent:
+        break;
+    }
     (*day_hit)[day] = 1;
     ++marked;
     return false;
@@ -346,10 +348,10 @@ PostingStore::Window StIndex::TimeListWindow(SlotId first_slot,
 
 StatusOr<StIndex::SegmentMarks> StIndex::MarkDaysIntersecting(
     SegmentId seg, PostingStore::Window* window,
-    const std::vector<std::vector<TrajectoryId>>& start_ids,
-    std::vector<uint8_t>* day_hit, int stop_at) const {
+    const StartIdSets& start_ids, std::vector<uint8_t>* day_hit,
+    int stop_at) const {
   const size_t days = static_cast<size_t>(num_days_);
-  if (start_ids.size() != days || day_hit->size() != days) {
+  if (start_ids.num_days() != days || day_hit->size() != days) {
     return Status::InvalidArgument(
         "MarkDaysIntersecting: start_ids/day_hit must have one entry per day");
   }
@@ -360,11 +362,11 @@ StatusOr<StIndex::SegmentMarks> StIndex::MarkDaysIntersecting(
     std::string_view blob;
     STRR_ASSIGN_OR_RETURN(bool found, window->Read(seg, slot, &blob));
     if (!found) continue;
-    IntersectDays intersect{&start_ids, day_hit};
-    STRR_RETURN_IF_ERROR(DecodeTimeList(blob, num_days_, intersect));
+    MarkStartDays mark{&start_ids, day_hit};
+    STRR_RETURN_IF_ERROR(DecodeTimeList(blob, num_days_, mark));
     ++marks.lists_read;
-    marks.days_marked += intersect.marked;
-    marked += intersect.marked;
+    marks.days_marked += mark.marked;
+    marked += mark.marked;
   }
   return marks;
 }

@@ -27,6 +27,7 @@
 
 #include "index/bplus_tree.h"
 #include "index/rtree.h"
+#include "index/start_id_sets.h"
 #include "roadnet/road_network.h"
 #include "storage/posting_store.h"
 #include "traj/trajectory_store.h"
@@ -122,9 +123,10 @@ class StIndex {
   /// The verification step of Eq. 3.1 for segment `seg` over the window's
   /// slots, without materialising a TimeList. Walks the present (seg,
   /// slot) lists in slot order through `window` and, for every day d with
-  /// day_hit[d] == 0 and a non-empty start_ids[d], sets day_hit[d] = 1
-  /// when the day-d list shares an id with the sorted start_ids[d]; each
-  /// day's ids are merge-tested as they are delta-decoded. Stops as soon as
+  /// day_hit[d] == 0 and a non-empty start set, sets day_hit[d] = 1 when
+  /// the day-d list shares an id with start_ids' day-d set; each id costs
+  /// one membership test as it is delta-decoded, and a day's walk ends at
+  /// its first member or at the first id past the set's max. Stops as soon as
   /// `stop_at` days of day_hit are marked (or reads nothing when that many
   /// already are), so the pages only later slots need are not requested
   /// for this segment: a caller that wants the exact count passes the
@@ -133,8 +135,8 @@ class StIndex {
   /// corruption checks as ReadTimeList (one decoder serves both).
   StatusOr<SegmentMarks> MarkDaysIntersecting(
       SegmentId seg, PostingStore::Window* window,
-      const std::vector<std::vector<TrajectoryId>>& start_ids,
-      std::vector<uint8_t>* day_hit, int stop_at) const;
+      const StartIdSets& start_ids, std::vector<uint8_t>* day_hit,
+      int stop_at) const;
 
   /// True when some trajectory traversed (segment, slot) on any day —
   /// directory-only check, no I/O.

@@ -4,21 +4,6 @@
 
 namespace strr {
 
-bool SortedIntersects(const std::vector<TrajectoryId>& a,
-                      const std::vector<TrajectoryId>& b) {
-  size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (b[j] < a[i]) {
-      ++j;
-    } else {
-      return true;
-    }
-  }
-  return false;
-}
-
 StatusOr<ReachabilityProbability> ReachabilityProbability::Create(
     const StIndex& st_index, const std::vector<SegmentId>& starts,
     int64_t start_tod, int64_t window_seconds, int64_t duration_seconds) {
@@ -37,30 +22,31 @@ StatusOr<ReachabilityProbability> ReachabilityProbability::Create(
                                               duration_slots.back()));
 
   // Union the start segments' trajectory ids per day over the start window.
-  p.start_ids_.assign(static_cast<size_t>(st_index.num_days()), {});
+  std::vector<std::vector<TrajectoryId>> start_ids(
+      static_cast<size_t>(st_index.num_days()));
   std::vector<SlotId> start_slots =
       st_index.SlotsCovering(start_tod, start_tod + window_seconds);
   for (SegmentId s : starts) {
     for (SlotId slot : start_slots) {
       STRR_ASSIGN_OR_RETURN(TimeList lists, st_index.ReadTimeList(s, slot));
       ++p.time_lists_read_;
-      for (size_t d = 0; d < lists.size() && d < p.start_ids_.size(); ++d) {
+      for (size_t d = 0; d < lists.size() && d < start_ids.size(); ++d) {
         if (lists[d].empty()) continue;
-        auto& day = p.start_ids_[d];
+        auto& day = start_ids[d];
         day.insert(day.end(), lists[d].begin(), lists[d].end());
       }
     }
   }
-  for (auto& day : p.start_ids_) {
+  for (auto& day : start_ids) {
     std::sort(day.begin(), day.end());
     day.erase(std::unique(day.begin(), day.end()), day.end());
-    if (!day.empty()) ++p.start_active_days_;
   }
+  p.start_sets_ = StartIdSets(start_ids);
   return p;
 }
 
 StatusOr<int> ReachabilityProbability::MarkDays(SegmentId r, int stop_at) {
-  // Test r's per-day ids over the duration slots against the start lists,
+  // Test r's per-day ids over the duration slots against the start sets,
   // straight from the posting bytes. A day counts once some common id
   // appears. The marks are per thread, so a worker reuses one buffer
   // across queries.
@@ -68,7 +54,7 @@ StatusOr<int> ReachabilityProbability::MarkDays(SegmentId r, int stop_at) {
   day_hit.assign(static_cast<size_t>(st_index_->num_days()), 0);
   STRR_ASSIGN_OR_RETURN(StIndex::SegmentMarks marks,
                         st_index_->MarkDaysIntersecting(
-                            r, &window_, start_ids_, &day_hit, stop_at));
+                            r, &window_, start_sets_, &day_hit, stop_at));
   time_lists_read_ += marks.lists_read;
   return marks.days_marked;
 }
@@ -77,7 +63,7 @@ StatusOr<double> ReachabilityProbability::Probability(SegmentId r) {
   ++verifications_;
   const int num_days = st_index_->num_days();
   if (num_days == 0) return 0.0;
-  STRR_ASSIGN_OR_RETURN(int marked, MarkDays(r, start_active_days_));
+  STRR_ASSIGN_OR_RETURN(int marked, MarkDays(r, start_sets_.active_days()));
   return static_cast<double>(marked) / static_cast<double>(num_days);
 }
 
@@ -93,7 +79,7 @@ StatusOr<bool> ReachabilityProbability::Reaches(SegmentId r, double prob) {
            prob)) {
     ++need;
   }
-  if (need > start_active_days_) return false;
+  if (need > start_sets_.active_days()) return false;
   STRR_ASSIGN_OR_RETURN(int marked, MarkDays(r, need));
   return marked >= need;
 }

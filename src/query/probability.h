@@ -12,14 +12,16 @@
 // machinery exists to minimize). The instance owns one ST-Index window over
 // the duration slots [first, last], so the whole query's verifications
 // request each page of that slot range once (up to the window's buffer
-// cap). Verifying a candidate is one StIndex::MarkDaysIntersecting call:
+// cap). Create unions the start segments' ids per day once and keeps them
+// as a StartIdSets, one membership set per day (a bitmap over the day's id
+// range). Verifying a candidate is one StIndex::MarkDaysIntersecting call:
 // it walks the candidate's lists over the duration slots in slot order
-// through the window, merge-tests the decoded ids against the start lists
-// without materialising a TimeList, and stops once the days it needs are
-// marked. Probability(r) needs every day with start traffic (no other day
-// can be marked), so its count is exact. Reaches(r, Prob) needs only the
-// days that make probability >= Prob: it stops at that many, and reads
-// nothing when the start has fewer active days than that. Absent
+// through the window, tests each decoded id against its day's set with one
+// bit test, without materialising a TimeList, and stops once the days it
+// needs are marked. Probability(r) needs every day with start traffic (no
+// other day can be marked), so its count is exact. Reaches(r, Prob) needs
+// only the days that make probability >= Prob: it stops at that many, and
+// reads nothing when the start has fewer active days than that. Absent
 // (segment, slot) cells cost a directory probe and no I/O, so
 // time_lists_read() counts present lists only.
 // Multi-location queries pass several start segments; their per-day ID
@@ -63,7 +65,7 @@ class ReachabilityProbability {
 
   /// True when no trajectory left the start segments in the window on any
   /// day (every probability will be 0).
-  bool StartHasNoTraffic() const { return start_active_days_ == 0; }
+  bool StartHasNoTraffic() const { return start_sets_.active_days() == 0; }
 
  private:
   ReachabilityProbability(const StIndex& st_index, PostingStore::Window window)
@@ -76,16 +78,11 @@ class ReachabilityProbability {
   const StIndex* st_index_;
   /// The query's window over the slots covering [T, T+L].
   PostingStore::Window window_;
-  /// start_ids_[d] = sorted trajectory ids leaving the starts on day d.
-  std::vector<std::vector<TrajectoryId>> start_ids_;
-  int start_active_days_ = 0;
+  /// Day d's set holds the trajectory ids leaving the starts on day d.
+  StartIdSets start_sets_;
   uint64_t verifications_ = 0;
   uint64_t time_lists_read_ = 0;
 };
-
-/// Sorted-vector intersection test (exposed for tests).
-bool SortedIntersects(const std::vector<TrajectoryId>& a,
-                      const std::vector<TrajectoryId>& b);
 
 }  // namespace strr
 

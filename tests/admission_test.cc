@@ -150,21 +150,31 @@ TEST(QueryExecutorAdmissionTest, SaturatingBatchCannotStarveSingles) {
 
   // A client that saturates the executor with back-to-back big batches.
   std::atomic<bool> stop{false};
+  std::atomic<bool> batch_shed{false};
   std::thread batcher([&] {
     std::vector<QueryPlan> plans(16, *batch_plan);
     while (!stop.load()) {
-      auto results = executor->ExecuteBatch(plans);
-      (void)results;  // sheds are expected and fine here
+      // Sheds are expected here; they show the batch saturated capacity.
+      for (const auto& r : executor->ExecuteBatch(plans)) {
+        if (!r.ok()) batch_shed.store(true);
+      }
     }
   });
 
   // Meanwhile two single-query clients must keep getting served: the
-  // batch share leaves them dedicated tickets, so none is ever shed.
+  // batch share leaves them dedicated tickets, so none is ever shed. They
+  // run at least ten rounds, and on until a batch has been shed, since ten
+  // quick rounds can finish before the batcher's first batch arrives.
   std::atomic<int> single_failures{0};
   std::vector<std::thread> singles;
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::seconds(60);
   for (int t = 0; t < 2; ++t) {
     singles.emplace_back([&] {
-      for (int round = 0; round < 10; ++round) {
+      for (int round = 0;
+           round < 10 || (!batch_shed.load() &&
+                          std::chrono::steady_clock::now() < deadline);
+           ++round) {
         auto r = executor->Execute(*single_plan);
         if (!r.ok()) single_failures.fetch_add(1);
       }

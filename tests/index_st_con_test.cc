@@ -24,6 +24,7 @@ namespace {
 using testing_util::GetSharedStack;
 using testing_util::MakeGridNetwork;
 using testing_util::MakeTempDir;
+using testing_util::SortedIntersects;
 
 /// Hand-built store: one taxi crossing segment 0 at 08:00 on days 0 and 2,
 /// fast on day 0 (20 m/s) and slow on day 2 (4 m/s).
@@ -224,15 +225,15 @@ TEST_F(StIndexTest, NoTrafficSlotsEmptyWithoutIo) {
 TEST_F(StIndexTest, MarkDaysIntersectingReportsAbsentListsDistinctly) {
   // Every (segment, slot) of the grid through a one-slot window: a list is
   // read exactly where HasTraffic is true; an absent one costs no I/O.
-  const std::vector<std::vector<TrajectoryId>> start = {{0}, {}, {1}};
+  const StartIdSets start_sets({{0}, {}, {1}});
   int present = 0;
   for (SegmentId seg = 0; seg < net_.NumSegments(); ++seg) {
     for (SlotId slot = 0; slot < index_->slots_per_day(); ++slot) {
       std::vector<uint8_t> hit(3, 0);
       index_->ResetStorageStats();
       PostingStore::Window window = index_->TimeListWindow(slot, slot);
-      auto marks = index_->MarkDaysIntersecting(seg, &window, start, &hit,
-                                                index_->num_days());
+      auto marks = index_->MarkDaysIntersecting(seg, &window, start_sets,
+                                                &hit, index_->num_days());
       ASSERT_TRUE(marks.ok()) << marks.status().ToString();
       if (index_->HasTraffic(seg, slot)) {
         EXPECT_EQ(marks->lists_read, 1u) << seg << "/" << slot;
@@ -252,12 +253,12 @@ TEST_F(StIndexTest, MarkDaysIntersectingReportsAbsentListsDistinctly) {
   const SlotId slot = index_->SlotForTime(HMS(8));
   PostingStore::Window window = index_->TimeListWindow(slot, slot);
   std::vector<uint8_t> hit(3, 0);
-  auto none = index_->MarkDaysIntersecting(0, &window, {{}, {}, {}}, &hit,
-                                           index_->num_days());
+  auto none = index_->MarkDaysIntersecting(
+      0, &window, StartIdSets({{}, {}, {}}), &hit, index_->num_days());
   ASSERT_TRUE(none.ok());
   EXPECT_EQ(none->lists_read, 1u);
   EXPECT_EQ(none->days_marked, 0);
-  auto both = index_->MarkDaysIntersecting(0, &window, start, &hit,
+  auto both = index_->MarkDaysIntersecting(0, &window, start_sets, &hit,
                                            index_->num_days());
   ASSERT_TRUE(both.ok());
   EXPECT_EQ(both->days_marked, 2);
@@ -271,7 +272,7 @@ TEST_F(StIndexTest, MarkDaysIntersectingReportsAbsentListsDistinctly) {
   EXPECT_EQ(day_window.first_slot(), 0u);
   EXPECT_EQ(day_window.end_slot(),
             static_cast<uint32_t>(index_->slots_per_day()));
-  auto day = index_->MarkDaysIntersecting(0, &day_window, start, &hit,
+  auto day = index_->MarkDaysIntersecting(0, &day_window, start_sets, &hit,
                                           index_->num_days());
   ASSERT_TRUE(day.ok());
   EXPECT_EQ(day->days_marked, 2);
@@ -283,8 +284,8 @@ TEST_F(StIndexTest, MarkDaysIntersectingReportsAbsentListsDistinctly) {
     std::fill(hit.begin(), hit.end(), 0);
     PostingStore::Window empty_window = index_->TimeListWindow(first, last);
     EXPECT_EQ(empty_window.first_slot(), empty_window.end_slot());
-    auto empty = index_->MarkDaysIntersecting(0, &empty_window, start, &hit,
-                                              index_->num_days());
+    auto empty = index_->MarkDaysIntersecting(0, &empty_window, start_sets,
+                                              &hit, index_->num_days());
     ASSERT_TRUE(empty.ok());
     EXPECT_EQ(empty->lists_read, 0u);
   }
@@ -611,6 +612,31 @@ std::set<uint64_t> RowPages(const std::vector<BlobExtent>& blobs,
   return pages;
 }
 
+/// Marks the bytes of `blob` (a well-formed time list) that hold ids a
+/// verification against `sparse_start` declines: every id of a day with no
+/// start ids, and every id after a day's first when that day's start ids
+/// are {0} (its first id either is 0 or lies past the max).
+std::vector<bool> DeclinedIdBytes(
+    const std::string& blob,
+    const std::vector<std::vector<TrajectoryId>>& sparse_start) {
+  std::vector<bool> declined(blob.size(), false);
+  BinaryReader r(blob.data(), blob.size());
+  const uint32_t days = r.GetVarint32().value();
+  for (uint32_t i = 0; i < days; ++i) {
+    const uint32_t day = r.GetVarint32().value();
+    const uint32_t count = r.GetVarint32().value();
+    for (uint32_t k = 0; k < count; ++k) {
+      const size_t from = r.position();
+      EXPECT_TRUE(r.GetVarint32().ok());
+      if (sparse_start[day].empty() || k > 0) {
+        std::fill(declined.begin() + from, declined.begin() + r.position(),
+                  true);
+      }
+    }
+  }
+  return declined;
+}
+
 TEST(TimeListDecoderTest, MutationSweepStreamingAgreesWithReadTimeList) {
   auto& stack = GetSharedStack();
   StIndexOptions opt;
@@ -633,6 +659,12 @@ TEST(TimeListDecoderTest, MutationSweepStreamingAgreesWithReadTimeList) {
   for (auto& ids : start) {
     for (TrajectoryId id = 0; id <= max_id; id += 3) ids.push_back(id);
   }
+  // Odd days without start ids, even days with only id 0: nearly every id
+  // a verification decodes is declined, so mutations land in declined runs,
+  // which the decoder must still check in full.
+  std::vector<std::vector<TrajectoryId>> sparse(index.num_days());
+  for (size_t d = 0; d < sparse.size(); d += 2) sparse[d] = {0};
+  const StartIdSets start_sets(start), sparse_sets(sparse);
 
   // Verifies b's segment through a window over [slot - before, slot +
   // after], which puts b's list in the middle of the segment's walk,
@@ -641,7 +673,8 @@ TEST(TimeListDecoderTest, MutationSweepStreamingAgreesWithReadTimeList) {
   // holds none of the segment's lists over those slots.
   int clean = 0, corrupt = 0, sandwiched = 0;
   auto check = [&](const BlobExtent& b, int before, int after,
-                   const std::string& what) {
+                   const std::vector<std::vector<TrajectoryId>>& ids,
+                   const StartIdSets& sets, const std::string& what) {
     const auto seg = static_cast<SegmentId>(b.key >> 32);
     const auto slot = static_cast<SlotId>(b.key & 0xffffffffu);
     const SlotId first = std::max<SlotId>(0, slot - before);
@@ -651,12 +684,12 @@ TEST(TimeListDecoderTest, MutationSweepStreamingAgreesWithReadTimeList) {
         (last > slot && index.HasTraffic(seg, last))) {
       ++sandwiched;
     }
-    std::vector<uint8_t> want(start.size(), 0), got(start.size(), 0);
-    auto ref = ReferenceRowHits(index, seg, first, last, start, &want);
+    std::vector<uint8_t> want(ids.size(), 0), got(ids.size(), 0);
+    auto ref = ReferenceRowHits(index, seg, first, last, ids, &want);
     index.DropCache();
     index.ResetStorageStats();
     PostingStore::Window window = index.TimeListWindow(first, last);
-    auto marks = index.MarkDaysIntersecting(seg, &window, start, &got,
+    auto marks = index.MarkDaysIntersecting(seg, &window, sets, &got,
                                             index.num_days());
     EXPECT_LE(index.storage_stats().TotalRequests(),
               RowPages(blobs, opt.page_size, seg, first, last).size())
@@ -672,8 +705,8 @@ TEST(TimeListDecoderTest, MutationSweepStreamingAgreesWithReadTimeList) {
       EXPECT_TRUE(ref.status().IsCorruption())
           << what << ": " << ref.status().ToString();
       ASSERT_FALSE(marks.ok()) << what;
-      EXPECT_TRUE(marks.status().IsCorruption())
-          << what << ": " << marks.status().ToString();
+      // Declined ids fail the same way as collected ones.
+      EXPECT_EQ(marks.status().ToString(), ref.status().ToString()) << what;
       ++corrupt;
     }
   };
@@ -683,16 +716,19 @@ TEST(TimeListDecoderTest, MutationSweepStreamingAgreesWithReadTimeList) {
     const BlobExtent& b = blobs[rng.UniformInt(0, blobs.size() - 1)];
     const auto before = static_cast<int>(rng.UniformInt(0, 6));
     const auto after = static_cast<int>(rng.UniformInt(0, 6));
-    check(b, before, after, "pristine");
+    check(b, before, after, start, start_sets, "pristine");
+    check(b, before, after, sparse, sparse_sets, "pristine sparse");
   }
   ASSERT_EQ(corrupt, 0);
 
+  int in_declined = 0;
   for (int m = 0; m < 600; ++m) {
     const BlobExtent& b = blobs[rng.UniformInt(0, blobs.size() - 1)];
     if (b.length == 0) continue;
     const std::string original = pristine.substr(b.file_offset, b.length);
     std::string bytes = original;
     const auto pos = static_cast<size_t>(rng.UniformInt(0, b.length - 1));
+    in_declined += DeclinedIdBytes(original, sparse)[pos];
     std::string kind;
     switch (m % 3) {
       case 0:  // flip bits in one byte
@@ -712,15 +748,244 @@ TEST(TimeListDecoderTest, MutationSweepStreamingAgreesWithReadTimeList) {
     const auto after = static_cast<int>(rng.UniformInt(1, 6));
     OverwriteFile(opt.posting_path, b.file_offset, bytes);
     index.DropCache();
-    check(b, before, after,
-          kind + " at byte " + std::to_string(pos) + " of key " +
-              std::to_string(b.key));
+    const std::string what = kind + " at byte " + std::to_string(pos) +
+                             " of key " + std::to_string(b.key);
+    check(b, before, after, start, start_sets, what);
+    check(b, before, after, sparse, sparse_sets, what + " (sparse)");
     OverwriteFile(opt.posting_path, b.file_offset, original);
   }
   index.DropCache();
-  EXPECT_GT(corrupt, 50);
-  EXPECT_GT(clean, 250);
-  EXPECT_GT(sandwiched, 100);
+  EXPECT_GT(corrupt, 100);
+  EXPECT_GT(clean, 500);
+  EXPECT_GT(sandwiched, 200);
+  EXPECT_GT(in_declined, 60);
+}
+
+// --- Start-id membership sets ------------------------------------------------
+
+/// One day of a verification the way MarkDaysIntersecting walks it: ids in
+/// order through a fresh probe until a member (true) or the first id past
+/// the set's max (false). Also checks that a fallback day's cursor sits at
+/// the first start id not below each id tested.
+bool ProbeHits(const StartIdSets& sets, size_t day,
+               const std::vector<TrajectoryId>& start_day,
+               const std::vector<TrajectoryId>& list) {
+  if (sets.empty(day)) return false;
+  StartIdSets::DayProbe probe = sets.Probe(day);
+  for (TrajectoryId id : list) {
+    const StartIdSets::Membership m = probe.Test(id);
+    if (m == StartIdSets::Membership::kPastMax) {
+      EXPECT_GT(id, start_day.back());
+      return false;
+    }
+    const auto lower = static_cast<size_t>(
+        std::lower_bound(start_day.begin(), start_day.end(), id) -
+        start_day.begin());
+    EXPECT_EQ(probe.cursor(), sets.is_bitmap(day) ? 0 : lower) << id;
+    if (m == StartIdSets::Membership::kPresent) return true;
+  }
+  return false;
+}
+
+/// Sorted, duplicate-free ids.
+std::vector<TrajectoryId> SortedUnique(std::vector<TrajectoryId> ids) {
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  return ids;
+}
+
+TEST(StartIdSetsTest, SizesEachDayToItsRange) {
+  constexpr TrajectoryId kTop = UINT32_MAX - 1;
+  const std::vector<std::vector<TrajectoryId>> days = {
+      {},        {7},          {0, 63},           {0, 64},
+      {kTop},    {kTop - 64, kTop},
+      {0, kTop},  // far too wide for a bitmap
+      {0, StartIdSets::kMaxBitmapWords * 64 - 1},
+      {0, StartIdSets::kMaxBitmapWords * 64}};
+  const StartIdSets sets(days);
+  ASSERT_EQ(sets.num_days(), days.size());
+  EXPECT_EQ(sets.active_days(), 8);
+  EXPECT_TRUE(sets.empty(0));
+  const std::vector<bool> bitmap = {false, true, true, true, true,
+                                    true,  false, true, false};
+  for (size_t d = 0; d < days.size(); ++d) {
+    EXPECT_EQ(sets.is_bitmap(d), bitmap[d]) << d;
+  }
+  // Words 1 + 1 + 2 + 1 + 2 + kMaxBitmapWords, plus 2 + 2 fallback ids.
+  EXPECT_EQ(sets.memory_bytes(),
+            (7 + StartIdSets::kMaxBitmapWords) * sizeof(uint64_t) +
+                4 * sizeof(TrajectoryId));
+  for (size_t d = 1; d < days.size(); ++d) {
+    for (TrajectoryId id : days[d]) {
+      EXPECT_EQ(sets.Probe(d).Test(id), StartIdSets::Membership::kPresent)
+          << d << ": " << id;
+    }
+  }
+  // An empty day holds no id.
+  EXPECT_EQ(sets.Probe(0).Test(0), StartIdSets::Membership::kAbsent);
+  EXPECT_EQ(sets.Probe(0).Test(7), StartIdSets::Membership::kPastMax);
+  EXPECT_EQ(sets.Probe(1).Test(6), StartIdSets::Membership::kAbsent);
+  EXPECT_EQ(sets.Probe(1).Test(8), StartIdSets::Membership::kPastMax);
+  EXPECT_EQ(sets.Probe(6).Test(1), StartIdSets::Membership::kAbsent);
+  EXPECT_EQ(sets.Probe(6).Test(UINT32_MAX), StartIdSets::Membership::kPastMax);
+  EXPECT_EQ(sets.Probe(5).Test(kTop - 65), StartIdSets::Membership::kAbsent);
+  EXPECT_EQ(sets.Probe(5).Test(kTop - 1), StartIdSets::Membership::kAbsent);
+}
+
+TEST(StartIdSetsTest, DifferentialAgainstSortedIntersects) {
+  // Each query mixes days of every shape; each day is then probed with
+  // random lists built around its edges.
+  constexpr TrajectoryId kTop = UINT32_MAX - 1;
+  Rng rng(20261019);
+  int bitmap_days = 0, fallback_days = 0, hits = 0, misses = 0;
+  for (int q = 0; q < 200; ++q) {
+    std::vector<std::vector<TrajectoryId>> days(8);
+    for (auto& day : days) {
+      std::vector<TrajectoryId> ids;
+      switch (rng.UniformInt(0, 5)) {
+        case 0:  // empty
+          break;
+        case 1:  // one id, sometimes at either end of the id space
+          ids = {rng.Chance(0.3)   ? 0
+                 : rng.Chance(0.3) ? kTop
+                                      : static_cast<TrajectoryId>(
+                                            rng.UniformInt(0, 100000))};
+          break;
+        case 2: {  // dense, narrow
+          const auto lo = static_cast<TrajectoryId>(rng.UniformInt(0, 5000));
+          const auto n = rng.UniformInt(2, 300);
+          for (int64_t k = 0; k < n; ++k) {
+            ids.push_back(lo + static_cast<TrajectoryId>(
+                                   rng.UniformInt(0, 2000)));
+          }
+          break;
+        }
+        case 3: {  // sparse over the bench's id range (a bitmap)
+          const auto n = rng.UniformInt(1, 600);
+          for (int64_t k = 0; k < n; ++k) {
+            ids.push_back(static_cast<TrajectoryId>(rng.UniformInt(0, 13000)));
+          }
+          break;
+        }
+        default: {  // too wide for a bitmap: galloping fallback
+          const auto n = rng.UniformInt(2, 600);
+          for (int64_t k = 0; k < n; ++k) {
+            ids.push_back(static_cast<TrajectoryId>(
+                rng.UniformInt(0, 3 * StartIdSets::kMaxBitmapWords * 64)));
+          }
+          ids.push_back(rng.Chance(0.5) ? kTop : 0);
+          break;
+        }
+      }
+      day = SortedUnique(std::move(ids));
+    }
+    const StartIdSets sets(days);
+    for (size_t d = 0; d < days.size(); ++d) {
+      const std::vector<TrajectoryId>& start = days[d];
+      if (!start.empty()) ++(sets.is_bitmap(d) ? bitmap_days : fallback_days);
+      for (int l = 0; l < 8; ++l) {
+        std::vector<TrajectoryId> list;
+        const auto n = rng.UniformInt(0, 40);
+        for (int64_t k = 0; k < n; ++k) {
+          if (!start.empty() && rng.Chance(0.3)) {
+            // At or next to a start id, often the min or the max.
+            TrajectoryId id = rng.Chance(0.3)   ? start.front()
+                              : rng.Chance(0.3) ? start.back()
+                                                   : start[rng.UniformInt(
+                                                         0, start.size() - 1)];
+            const auto nudge = rng.UniformInt(-1, 1);
+            if (rng.Chance(0.5) && !(nudge < 0 && id == 0) &&
+                !(nudge > 0 && id == UINT32_MAX)) {
+              id += static_cast<TrajectoryId>(nudge);
+            }
+            list.push_back(id);
+          } else if (rng.Chance(0.1)) {
+            list.push_back(rng.Chance(0.5) ? 0 : kTop);
+          } else {
+            list.push_back(static_cast<TrajectoryId>(
+                rng.UniformInt(0, 2 * StartIdSets::kMaxBitmapWords * 64)));
+          }
+        }
+        list = SortedUnique(std::move(list));
+        const bool want = SortedIntersects(start, list);
+        EXPECT_EQ(ProbeHits(sets, d, start, list), want)
+            << "query " << q << " day " << d << " list " << l;
+        ++(want ? hits : misses);
+      }
+    }
+  }
+  EXPECT_GT(bitmap_days, 300);
+  EXPECT_GT(fallback_days, 200);
+  EXPECT_GT(hits, 2000);
+  EXPECT_GT(misses, 2000);
+}
+
+TEST(StartIdSetsTest, EveryCellOfSharedDatasetMarksAsReferenceWalk) {
+  // Every (segment, slot) of the shared dataset through a one-slot window,
+  // against ReadTimeList + SortedIntersects: the same day_hit, days_marked
+  // and lists_read. Three start shapes: every fourth id (bitmap days), the
+  // ids of one busy cell, and the same with a far id added to alternate
+  // days so that bitmap and fallback days mix in one query.
+  auto& stack = GetSharedStack();
+  const StIndex& index = stack.engine->st_index();
+  const auto days = static_cast<size_t>(index.num_days());
+  TrajectoryId max_id = 0;
+  stack.dataset.store->ForEach(
+      [&](const MatchedTrajectory& t) { max_id = std::max(max_id, t.id); });
+  std::vector<std::vector<TrajectoryId>> quarter(days);
+  for (auto& ids : quarter) {
+    for (TrajectoryId id = 1; id <= max_id; id += 4) ids.push_back(id);
+  }
+  TimeList busy;
+  size_t busy_ids = 0;
+  for (SegmentId seg = 0; seg < stack.dataset.network.NumSegments(); ++seg) {
+    for (SlotId slot = 0; slot < index.slots_per_day(); ++slot) {
+      if (!index.HasTraffic(seg, slot)) continue;
+      auto lists = index.ReadTimeList(seg, slot);
+      ASSERT_TRUE(lists.ok()) << lists.status().ToString();
+      size_t n = 0;
+      for (const auto& day : *lists) n += day.size();
+      if (n > busy_ids) {
+        busy_ids = n;
+        busy = *lists;
+      }
+    }
+  }
+  ASSERT_GT(busy_ids, 10u);
+  std::vector<std::vector<TrajectoryId>> mixed = busy;
+  for (size_t d = 0; d < days; d += 2) mixed[d].push_back(UINT32_MAX - 1);
+  const StartIdSets mixed_sets(mixed);
+  bool has_bitmap = false, has_fallback = false;
+  for (size_t d = 0; d < days; ++d) {
+    if (mixed_sets.empty(d)) continue;
+    (mixed_sets.is_bitmap(d) ? has_bitmap : has_fallback) = true;
+  }
+  ASSERT_TRUE(has_bitmap && has_fallback);
+
+  uint64_t lists_read = 0, marked = 0;
+  for (const auto* start : {&quarter, &busy, &mixed}) {
+    const StartIdSets sets(*start);
+    for (SegmentId seg = 0; seg < stack.dataset.network.NumSegments();
+         ++seg) {
+      for (SlotId slot = 0; slot < index.slots_per_day(); ++slot) {
+        std::vector<uint8_t> want(days, 0), got(days, 0);
+        auto ref = ReferenceRowHits(index, seg, slot, slot, *start, &want);
+        ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+        PostingStore::Window window = index.TimeListWindow(slot, slot);
+        auto marks = index.MarkDaysIntersecting(seg, &window, sets, &got,
+                                                index.num_days());
+        ASSERT_TRUE(marks.ok()) << marks.status().ToString();
+        ASSERT_EQ(got, want) << seg << "/" << slot;
+        ASSERT_EQ(marks->days_marked, std::count(want.begin(), want.end(), 1))
+            << seg << "/" << slot;
+        ASSERT_EQ(marks->lists_read, *ref) << seg << "/" << slot;
+        lists_read += marks->lists_read;
+        marked += static_cast<uint64_t>(marks->days_marked);
+      }
+    }
+  }
+  EXPECT_GT(lists_read, 3000u);
+  EXPECT_GT(marked, 1000u);
 }
 
 // --- Window reads ------------------------------------------------------------
@@ -775,8 +1040,8 @@ class WindowReadTest : public ::testing::Test {
                   StIndex::SegmentMarks* marks) {
     std::vector<uint8_t> hit(4, 0);
     const uint64_t before = index_->storage_stats().TotalRequests();
-    auto got = index_->MarkDaysIntersecting(seg, window, start, &hit,
-                                            index_->num_days());
+    auto got = index_->MarkDaysIntersecting(seg, window, StartIdSets(start),
+                                            &hit, index_->num_days());
     EXPECT_TRUE(got.ok()) << got.status().ToString();
     if (got.ok()) *marks = *got;
     return index_->storage_stats().TotalRequests() - before;
@@ -923,6 +1188,7 @@ TEST(WindowCapTest, CappedWindowMarksAsUncappedReads) {
   for (auto& ids : start) {
     for (TrajectoryId id = 0; id <= max_id; id += 5) ids.push_back(id);
   }
+  const StartIdSets start_sets(start);
   const SlotId last = index.slots_per_day() - 1;
   PostingStore::Window window = index.TimeListWindow(0, last);
   uint64_t lists = 0;
@@ -931,7 +1197,7 @@ TEST(WindowCapTest, CappedWindowMarksAsUncappedReads) {
     std::vector<uint8_t> want(start.size(), 0), got(start.size(), 0);
     auto ref = ReferenceRowHits(index, seg, 0, last, start, &want);
     ASSERT_TRUE(ref.ok()) << ref.status().ToString();
-    auto marks = index.MarkDaysIntersecting(seg, &window, start, &got,
+    auto marks = index.MarkDaysIntersecting(seg, &window, start_sets, &got,
                                             index.num_days());
     ASSERT_TRUE(marks.ok()) << marks.status().ToString();
     EXPECT_EQ(got, want) << seg;

@@ -19,6 +19,7 @@ namespace {
 
 using testing_util::GetSharedStack;
 using testing_util::MakeGridNetwork;
+using testing_util::SortedIntersects;
 
 // --- SortedIntersects --------------------------------------------------------
 

@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/dataset.h"
 #include "core/reachability_engine.h"
@@ -116,6 +117,23 @@ inline SharedStack& GetSharedStack() {
     return s;
   }();
   return *stack;
+}
+
+/// Two-pointer test whether sorted `a` and `b` share an element: the
+/// reference for StartIdSets membership and for MarkDaysIntersecting.
+inline bool SortedIntersects(const std::vector<TrajectoryId>& a,
+                             const std::vector<TrajectoryId>& b) {
+  size_t i = 0, j = 0;
+  while (i < a.size() && j < b.size()) {
+    if (a[i] < b[j]) {
+      ++i;
+    } else if (b[j] < a[i]) {
+      ++j;
+    } else {
+      return true;
+    }
+  }
+  return false;
 }
 
 }  // namespace testing_util
