@@ -76,7 +76,7 @@ namespace {
 
 /// The fixed workload: a ring of s-queries around downtown at staggered
 /// rush-hour start times, plus every 8th query an m-query (3 locations,
-/// repeated-s strategy so its legs can exploit intra-query parallelism).
+/// repeated-s strategy, whose legs run in order on the executing thread).
 std::vector<QueryPlan> PlanWorkload(const BenchStack& stack, int n) {
   const QueryPlanner& planner = stack.engine->planner();
   Mbr box = stack.dataset.network.BoundingBox();
@@ -185,6 +185,16 @@ int main() {
                    reference[i].status().ToString().c_str());
       return 1;
     }
+  }
+  // Untimed multi-worker warm-up before the first timed row: keep four
+  // workers busy for 3 s. On a host that had sat idle, the first multi-
+  // worker rows ((2, none), (4, none)) have read a reference ratio of
+  // ~1.0 while the rows after them read ~3, and runs started right after
+  // a few seconds of four-thread work passed.
+  {
+    auto warm_exec = stack.engine->MakeExecutor({.num_threads = 4});
+    Stopwatch warm_watch;
+    while (warm_watch.ElapsedMillis() < 3000.0) warm_exec->ExecuteBatch(plans);
   }
 
   std::vector<RowResult> rows;

@@ -114,7 +114,6 @@ QueryExecutor::QueryExecutor(const RoadNetwork& network,
     WfqOptions wfq_opt;
     wfq_opt.max_inflight = options_.max_inflight;
     wfq_opt.batch_share = options_.batch_share;
-    wfq_opt.cost_based = options_.wfq_cost_based;
     wfq_ = std::make_unique<WfqAdmissionController>(wfq_opt, tenants_);
   }
   if (options_.result_cache_entries > 0) {
@@ -179,12 +178,8 @@ StatusOr<RegionResult> QueryExecutor::ExecuteFrontDoor(const QueryPlan& plan,
     }
     ticket = true;
   }
-  Stopwatch exec_watch;
   StatusOr<RegionResult> result = ExecutePinned(plan);
-  if (ticket) {
-    ReleaseTicket(plan.tenant, batch,
-                  /*cost_us=*/exec_watch.ElapsedMillis() * 1000.0);
-  }
+  if (ticket) ReleaseTicket(plan.tenant, batch);
   if (result.ok()) tenants_->RecordCompletion(plan.tenant, result->stats.io);
   if (key && result.ok()) MaybeCacheInsert(*key, *result);
   RecordQueryMetrics(wall_watch, result);
@@ -210,12 +205,11 @@ Status QueryExecutor::TryAdmitBatchTicket(TenantId tenant) {
   return admitted;
 }
 
-void QueryExecutor::ReleaseTicket(TenantId tenant, bool batch,
-                                  double cost_us) {
+void QueryExecutor::ReleaseTicket(TenantId tenant, bool batch) {
   if (batch) {
-    wfq_->ReleaseBatch(tenant, cost_us);
+    wfq_->ReleaseBatch(tenant);
   } else {
-    wfq_->Release(tenant, cost_us);
+    wfq_->Release(tenant);
   }
 }
 
@@ -227,10 +221,7 @@ StatusOr<RegionResult> QueryExecutor::RunAdmitted(const QueryPlan& plan,
   obs::QueryTrace trace("query");
   Stopwatch exec_watch;
   StatusOr<RegionResult> result = ExecutePinned(plan);
-  if (batch_ticket) {
-    ReleaseTicket(plan.tenant, /*batch=*/true,
-                  /*cost_us=*/exec_watch.ElapsedMillis() * 1000.0);
-  }
+  if (batch_ticket) ReleaseTicket(plan.tenant, /*batch=*/true);
   if (result.ok()) tenants_->RecordCompletion(plan.tenant, result->stats.io);
   if (key != nullptr && result.ok()) {
     MaybeCacheInsert(*key, *result);
@@ -326,30 +317,6 @@ std::vector<StatusOr<RegionResult>> QueryExecutor::ExecuteBatch(
       results.push_back(futures[i].get());
     }
   }
-  return results;
-}
-
-std::vector<StatusOr<RegionResult>> QueryExecutor::ExecuteRaw(
-    std::span<const QueryPlan> plans, const SnapshotRef& snap) {
-  std::vector<StatusOr<RegionResult>> results;
-  results.reserve(plans.size());
-  if (pool_.OnWorkerThread() || pool_.num_threads() <= 1) {
-    for (const QueryPlan& plan : plans) {
-      results.push_back(ExecutePlan(plan, snap));
-    }
-    return results;
-  }
-  std::vector<std::future<StatusOr<RegionResult>>> futures;
-  futures.reserve(plans.size());
-  for (const QueryPlan& plan : plans) {
-    // `snap` stays valid: the enclosing query's frame holds the pin and
-    // blocks on the futures below before returning.
-    futures.push_back(
-        pool_.Submit([this, &plan, &snap]() -> StatusOr<RegionResult> {
-          return ExecutePlan(plan, snap);
-        }));
-  }
-  for (auto& f : futures) results.push_back(f.get());
   return results;
 }
 
@@ -502,25 +469,15 @@ StatusOr<RegionResult> QueryExecutor::ExecuteRepeatedS(
     legs.push_back(std::move(leg));
   }
 
-  std::vector<StatusOr<RegionResult>> leg_results;
-  obs::TraceSpan legs_span("mquery_legs", legs.size());
-  if (options_.parallel_mquery_legs) {
-    // ExecuteRaw degrades to an inline sequential loop on a pool worker or
-    // a single-thread pool — one fan-out decision point. Legs bypass the
-    // front door: the m-query was admitted (and snapshot-pinned, and will
-    // be cached) as one unit, so every leg reads the same version.
-    leg_results = ExecuteRaw(legs, snap);
-  } else {
-    leg_results.reserve(legs.size());
-    for (const QueryPlan& leg : legs) {
-      leg_results.push_back(ExecutePlan(leg, snap));
-    }
-  }
-
-  // Merge in location order so the result is independent of scheduling.
+  // Legs run in order on the calling thread, as the paper's baseline
+  // does, and bypass the front door: the m-query was admitted (and
+  // snapshot-pinned, and will be cached) as one unit, so every leg reads
+  // the same version.
   RegionResult merged;
   std::vector<SegmentId> all;
-  for (auto& leg_result : leg_results) {
+  obs::TraceSpan legs_span("mquery_legs", legs.size());
+  for (const QueryPlan& leg : legs) {
+    StatusOr<RegionResult> leg_result = ExecutePlan(leg, snap);
     if (!leg_result.ok()) return leg_result.status();
     const RegionResult& r = *leg_result;
     all.insert(all.end(), r.segments.begin(), r.segments.end());
@@ -532,10 +489,8 @@ StatusOr<RegionResult> QueryExecutor::ExecuteRepeatedS(
     merged.stats.max_region_segments += r.stats.max_region_segments;
     merged.stats.min_region_segments += r.stats.min_region_segments;
     merged.stats.boundary_segments += r.stats.boundary_segments;
-    // Per-leg scoped counters are exact and disjoint (each leg counts on
-    // its own thread), so the sum attributes the whole m-query without
-    // double counting — unlike the engine-global delta PR 1 used, which
-    // absorbed every concurrent neighbour's traffic.
+    // Per-leg scoped counters are exact and disjoint, so the sum
+    // attributes the whole m-query without double counting.
     merged.stats.io += r.stats.io;
   }
   std::sort(all.begin(), all.end());

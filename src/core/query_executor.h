@@ -5,9 +5,9 @@
 // produced by the QueryPlanner:
 //  * Execute()      — one plan, on the calling thread;
 //  * ExecuteBatch() — fans independent plans across the pool and returns
-//    one StatusOr per plan (a failing plan never poisons its neighbours);
-//  * inside one kRepeatedS m-query, the per-location SQMB+TBS legs can run
-//    in parallel on the same pool.
+//    one StatusOr per plan (a failing plan never poisons its neighbours).
+// A kRepeatedS m-query runs its per-location SQMB+TBS legs in order on
+// the thread that executes it, as the paper's m-query baseline does.
 //
 // Front door (caching and admission opt-in via options, off by default so
 // the facade reproduces the paper's measurements exactly):
@@ -21,9 +21,9 @@
 //    (core/wfq_admission.h). Single-tenant traffic is its default-tenant
 //    case. Batch plans shed instead of queueing, and batches keep at most
 //    batch_share of the tickets so they cannot starve single queries.
-//    Work already running on this executor's own pool (m-query legs,
-//    nested batches) is never re-admitted: the enclosing query was
-//    admitted as one unit;
+//    Work already running on this executor's own pool (nested batches)
+//    is never re-admitted, and neither are m-query legs: the enclosing
+//    query was admitted as one unit;
 //  * TenantRegistry — per-tenant configs plus hit/shed/in-flight/io
 //    counters, carried in front_door_stats(). Tenancy never changes a
 //    computed region — only who waits, who sheds, and how counters are
@@ -35,7 +35,7 @@
 // engine's indexes can run arbitrarily many plans at once. Results are
 // bit-identical to sequential execution — threading only changes the
 // schedule, never the region (lazy Con-Index build races keep the first
-// deterministic result; batch/leg merges happen in submission order).
+// deterministic result; batch merges happen in submission order).
 // Per-query stats.io is attributed through a thread-local ScopedIoCounters
 // in the storage layer, so concurrent queries never contaminate each
 // other's I/O deltas.
@@ -72,13 +72,8 @@ namespace strr {
 
 /// Executor construction knobs.
 struct QueryExecutorOptions {
-  /// Worker threads for batches and parallel m-query legs. 0 = one per
-  /// hardware thread.
+  /// Worker threads for ExecuteBatch. 0 = one per hardware thread.
   int num_threads = 0;
-  /// Run the per-location legs of a kRepeatedS plan on the pool (when not
-  /// already on a pool worker). Off = legs run sequentially, reproducing
-  /// the paper's single-threaded m-query baseline timings.
-  bool parallel_mquery_legs = true;
   /// Result-cache capacity in entries; 0 disables caching. Off by default:
   /// cached results replay the original execution's stats, which would
   /// skew the paper-reproduction measurements.
@@ -90,10 +85,6 @@ struct QueryExecutorOptions {
   size_t max_inflight = 0;
   /// Share of max_inflight all batch work combined may hold, in (0, 1].
   double batch_share = 0.5;
-  /// Cost-based DRR: charge each WFQ grant the tenant's measured average
-  /// query cost in microseconds instead of one count, so fairness holds in
-  /// CPU time (see WfqOptions::cost_based). Requires max_inflight > 0.
-  bool wfq_cost_based = false;
   /// Defaults for tenants never Configure()d in the registry (weight,
   /// quota, queue bound). Only used when the executor creates its own
   /// registry (an engine-provided registry carries its own defaults).
@@ -120,10 +111,9 @@ class QueryExecutor {
   /// caching is on). The manager must outlive the executor.
   ~QueryExecutor();
 
-  /// Executes one plan on the calling thread (kRepeatedS legs may still
-  /// fan out, see QueryExecutorOptions::parallel_mquery_legs), routed
-  /// through the front door: cache lookup first, then admission (which
-  /// may block in the bounded queue or shed with ResourceExhausted).
+  /// Executes one plan on the calling thread, routed through the front
+  /// door: cache lookup first, then admission (which may block in the
+  /// bounded queue or shed with ResourceExhausted).
   StatusOr<RegionResult> Execute(const QueryPlan& plan);
 
   /// Executes independent plans concurrently across the pool; result i
@@ -192,8 +182,8 @@ class QueryExecutor {
   /// Validates and dispatches one plan against the pinned `snap` (no
   /// front door). Runs on the calling thread; used for admitted work and
   /// m-query legs. The pin is held in the enclosing query's frame
-  /// (ExecuteFrontDoor / RunAdmitted) and outlives every use, including
-  /// m-query legs running on pool workers.
+  /// (ExecuteFrontDoor / RunAdmitted) and outlives every use, m-query
+  /// legs included.
   StatusOr<RegionResult> ExecutePlan(const QueryPlan& plan,
                                      const SnapshotRef& snap);
 
@@ -206,10 +196,7 @@ class QueryExecutor {
   // around the WFQ controller. Call only when wfq_ is non-null.
   Status AdmitSingle(TenantId tenant);
   Status TryAdmitBatchTicket(TenantId tenant);
-  /// `cost_us` (>= 0) is the query's measured execution wall time; it
-  /// feeds the tenant's cost EWMA under cost-based DRR. Negative =
-  /// unmeasured.
-  void ReleaseTicket(TenantId tenant, bool batch, double cost_us = -1.0);
+  void ReleaseTicket(TenantId tenant, bool batch);
 
   /// Shared tail of the front-door paths: pin a snapshot, run, release the
   /// admission ticket (when held), insert into the cache on success.
@@ -224,12 +211,6 @@ class QueryExecutor {
   /// while it executed (a stale insert could serve a superseded version
   /// after its Δt-slots were already invalidated).
   void MaybeCacheInsert(const PlanKey& key, const RegionResult& result);
-
-  /// Executes `plans` against one shared snapshot with no admission or
-  /// caching — the raw fan-out for m-query legs (admitted, and
-  /// snapshot-pinned, as one unit with their m-query).
-  std::vector<StatusOr<RegionResult>> ExecuteRaw(
-      std::span<const QueryPlan> plans, const SnapshotRef& snap);
 
   StatusOr<RegionResult> ExecuteIndexed(const QueryPlan& plan,
                                         const SnapshotRef& snap);

@@ -71,25 +71,16 @@ StatusOr<std::unique_ptr<ReachabilityEngine>> ReachabilityEngine::Build(
 
   ConIndexOptions con_opt;
   con_opt.delta_t_seconds = options.delta_t_seconds;
-  con_opt.num_build_threads = options.build_threads;
   STRR_ASSIGN_OR_RETURN(
       engine->con_index_,
       ConIndex::Create(network, *engine->profile_, con_opt));
-  if (options.precompute_con_index) {
-    STRR_RETURN_IF_ERROR(engine->con_index_->BuildAll());
-  }
 
   // Snapshot stack: every query pins a snapshot from the manager, whose
   // version 0 aliases the engine-built indexes. Epochs reclaim superseded
   // versions once something publishes (the ingestor, below).
-  EpochManagerOptions epoch_opt;
-  epoch_opt.max_retained = options.live_max_retained_epochs;
-  engine->epochs_ = std::make_unique<EpochManager>(epoch_opt);
-  LiveProfileOptions live_opt;
-  live_opt.prewarm = options.live_prewarm;
-  live_opt.prewarm_threads = options.live_prewarm_threads;
+  engine->epochs_ = std::make_unique<EpochManager>();
   engine->live_manager_ = std::make_unique<LiveProfileManager>(
-      *engine->epochs_, *engine->profile_, *engine->con_index_, live_opt);
+      *engine->epochs_, *engine->profile_, *engine->con_index_);
 
   // One registry for the whole engine: the default executor and every
   // MakeExecutor-created one share tenant configs, quotas and counters.
@@ -99,12 +90,10 @@ StatusOr<std::unique_ptr<ReachabilityEngine>> ReachabilityEngine::Build(
       std::make_unique<QueryPlanner>(network, *engine->st_index_);
   QueryExecutorOptions exec_opt;
   exec_opt.num_threads = options.query_threads;
-  exec_opt.parallel_mquery_legs = options.parallel_mquery_legs;
   exec_opt.result_cache_entries = options.result_cache_entries;
   exec_opt.result_cache_shards = options.result_cache_shards;
   exec_opt.max_inflight = options.max_inflight_queries;
   exec_opt.batch_share = options.batch_share;
-  exec_opt.wfq_cost_based = options.wfq_cost_based;
   engine->executor_ = engine->MakeExecutor(exec_opt);
 
   if (options.live_ingestion) {
@@ -127,8 +116,6 @@ StatusOr<std::unique_ptr<ReachabilityEngine>> ReachabilityEngine::Build(
       journal_opt.checkpoint_interval_batches =
           options.live_checkpoint_interval_batches;
       journal_opt.compaction = options.live_compaction;
-      journal_opt.compaction_small_bytes = options.live_compaction_small_bytes;
-      journal_opt.compaction_min_tables = options.live_compaction_min_tables;
       STRR_ASSIGN_OR_RETURN(RecoveredLog recovered,
                             RecoveryManager::Recover(journal_opt.dir));
       engine->live_recovery_.recovered_batches = recovered.replay_batches();
@@ -137,12 +124,9 @@ StatusOr<std::unique_ptr<ReachabilityEngine>> ReachabilityEngine::Build(
       engine->live_recovery_.wal_tail_torn = recovered.wal_tail_torn;
       engine->live_recovery_.tables_loaded = recovered.tables_loaded;
       engine->live_recovery_.wal_files_loaded = recovered.wal_files_loaded;
-      RecoveryManager::ReplayOptions replay_opt;
-      replay_opt.chunk_observations = options.live_replay_chunk;
       STRR_ASSIGN_OR_RETURN(
           engine->live_recovery_.replay_publishes,
-          RecoveryManager::Replay(recovered, *engine->live_manager_,
-                                  replay_opt));
+          RecoveryManager::Replay(recovered, *engine->live_manager_));
       if (recovered.wal_tail_torn) {
         STRR_LOG(Warning)
             << "live recovery: WAL tail torn (crash mid-append); "
@@ -169,8 +153,8 @@ StatusOr<std::unique_ptr<ReachabilityEngine>> ReachabilityEngine::Build(
   }
 
   if (!options.tenant_config_path.empty()) {
-    STRR_RETURN_IF_ERROR(engine->tenants_->StartFileWatch(
-        options.tenant_config_path, options.tenant_config_poll_ms));
+    STRR_RETURN_IF_ERROR(
+        engine->tenants_->StartFileWatch(options.tenant_config_path));
   }
   return engine;
 }

@@ -9,9 +9,8 @@
 //  * m-queries as n independent s-queries (the paper's m-query baseline).
 //
 // The SQuery/MQuery methods are thin conveniences: they plan and execute
-// in one call. Callers that batch many queries, pick strategies
-// explicitly, or want intra-query parallelism use planner() / executor()
-// directly:
+// in one call. Callers that batch many queries or pick strategies
+// explicitly use planner() / executor() directly:
 //
 //   auto plans = ...;                      // engine.planner().PlanSQuery(...)
 //   auto results = engine.executor().ExecuteBatch(plans);
@@ -52,18 +51,11 @@ struct EngineOptions {
   int64_t profile_slot_seconds = 3600;    ///< speed-profile granularity
   size_t cache_pages = 4096;              ///< ST-Index buffer-pool pages
   uint32_t page_size = kDefaultPageSize;
-  bool precompute_con_index = false;      ///< BuildAll vs lazy tables
-  int build_threads = 4;
-  /// Worker threads for the query executor (batches, parallel m-query
-  /// legs). 0 = one per hardware thread, so executor().ExecuteBatch is
-  /// fast out of the box; pass 1 for strictly sequential facade use to
-  /// avoid idle workers (they cost address space, and join only at
-  /// engine destruction).
+  /// Worker threads for the query executor's batches. 0 = one per
+  /// hardware thread, so executor().ExecuteBatch is fast out of the box;
+  /// pass 1 for strictly sequential facade use to avoid idle workers
+  /// (they cost address space, and join only at engine destruction).
   int query_threads = 0;
-  /// Run MQueryRepeatedSQuery legs in parallel. Off by default so the
-  /// facade reproduces the paper's single-threaded baseline timings;
-  /// throughput-oriented callers flip it (or use the executor directly).
-  bool parallel_mquery_legs = false;
   // --- Query front door (see QueryExecutorOptions). Caching and admission
   // are off by default so the facade's per-query stats keep their
   // paper-reproduction semantics — cached results replay the original
@@ -79,20 +71,15 @@ struct EngineOptions {
   size_t max_inflight_queries = 0;
   /// Share of max_inflight_queries all batch work combined may hold.
   double batch_share = 0.5;
-  /// Cost-based DRR dispatch: WFQ charges grants in measured microseconds
-  /// instead of counts (see WfqOptions::cost_based).
-  bool wfq_cost_based = false;
   /// Registry defaults for tenants never configured explicitly; its
   /// max_queued is the single-query waiting bound per tenant.
   TenantConfig tenant_defaults;
   /// Dynamic tenant configuration: when non-empty, the registry loads this
   /// file at build and re-loads it whenever its mtime changes —
   /// weights/quotas reconfigure under load without a restart (see
-  /// TenantRegistry::StartFileWatch). Build fails if the initial load
-  /// fails.
+  /// TenantRegistry::StartFileWatch, whose default poll interval
+  /// applies). Build fails if the initial load fails.
   std::string tenant_config_path;
-  /// Poll interval for tenant_config_path mtime checks.
-  int64_t tenant_config_poll_ms = 200;
   // --- Live ingestion (see live/). Every engine serves pinned snapshots
   // from a LiveProfileManager whose version 0 is the engine-built indexes;
   // these knobs decide whether anything publishes new versions ------------
@@ -104,14 +91,6 @@ struct EngineOptions {
   int64_t live_batch_window_ms = 20;
   /// Ingestion queue bound; observations beyond it are dropped (counted).
   size_t live_queue_bound = 4096;
-  /// Superseded snapshot versions tolerated before publishers wait for
-  /// readers to drain (memory bound under publish storms).
-  size_t live_max_retained_epochs = 8;
-  /// Ingest-driven Con-Index prewarm: rebuild partially-invalidated
-  /// tables in the background right after a publish, before queries pay
-  /// the lazy-build latency (see LiveProfileOptions). Off by default.
-  bool live_prewarm = false;
-  int live_prewarm_threads = 1;
   /// Crash-safe durability for the live tier: every accepted observation
   /// batch is WAL-logged before it is published (the ack point), sealed
   /// into checksummed immutable tables, and replayed on engine build so
@@ -133,16 +112,9 @@ struct EngineOptions {
   /// instead of the whole stream. 0 disables. Requires live_durability.
   uint64_t live_checkpoint_interval_batches = 0;
   /// Background-merge runs of small observation tables into larger
-  /// seq-deduplicated tables (rebuilt blooms, atomic swap). Requires
-  /// live_durability.
+  /// seq-deduplicated tables (rebuilt blooms, atomic swap), with the
+  /// thresholds of ObservationJournalOptions. Requires live_durability.
   bool live_compaction = false;
-  /// A sealed table below this many bytes is a compaction candidate.
-  size_t live_compaction_small_bytes = 4 << 20;
-  /// Merge once this many contiguous candidates accumulate.
-  size_t live_compaction_min_tables = 4;
-  /// Observations per snapshot publish during recovery replay (bounds
-  /// replay memory; correctness is chunk-size independent).
-  size_t live_replay_chunk = 4096;
   /// Location match radius for planning (see
   /// StIndexOptions::max_locate_distance_m); <= 0 restores unconditional
   /// snap-to-nearest.

@@ -28,8 +28,6 @@ WfqAdmissionController::WfqAdmissionController(const WfqOptions& options,
                                                TenantRegistry* registry)
     : max_inflight_(options.max_inflight),
       batch_share_(std::clamp(options.batch_share, 0.0, 1.0)),
-      cost_based_(options.cost_based),
-      cost_quantum_us_(std::max(options.cost_quantum_us, 1.0)),
       registry_(registry) {
   global_batch_cap_ = std::max<size_t>(
       static_cast<size_t>(static_cast<double>(max_inflight_) * batch_share_),
@@ -136,28 +134,17 @@ Status WfqAdmissionController::TryAdmitBatch(TenantId tenant) {
   return Status::OK();
 }
 
-void WfqAdmissionController::RecordCostLocked(TenantQueue& q,
-                                              double cost_us) {
-  if (!cost_based_ || cost_us < 0.0) return;
-  // Floor at 1us so a timer-resolution zero doesn't read as "no sample".
-  cost_us = std::max(cost_us, 1.0);
-  q.avg_cost_us = q.avg_cost_us == 0.0
-                      ? cost_us
-                      : 0.75 * q.avg_cost_us + 0.25 * cost_us;
-}
-
-void WfqAdmissionController::Release(TenantId tenant, double cost_us) {
+void WfqAdmissionController::Release(TenantId tenant) {
   if (!enabled()) return;
   std::lock_guard<std::mutex> lock(mu_);
   TenantQueue& q = QueueForLocked(tenant);
   if (inflight_ > 0) --inflight_;
   if (q.inflight > 0) --q.inflight;
-  RecordCostLocked(q, cost_us);
   registry_->RecordRelease(tenant);
   DispatchLocked();
 }
 
-void WfqAdmissionController::ReleaseBatch(TenantId tenant, double cost_us) {
+void WfqAdmissionController::ReleaseBatch(TenantId tenant) {
   if (!enabled()) return;
   std::lock_guard<std::mutex> lock(mu_);
   TenantQueue& q = QueueForLocked(tenant);
@@ -165,15 +152,8 @@ void WfqAdmissionController::ReleaseBatch(TenantId tenant, double cost_us) {
   if (batch_inflight_ > 0) --batch_inflight_;
   if (q.inflight > 0) --q.inflight;
   if (q.batch_inflight > 0) --q.batch_inflight;
-  RecordCostLocked(q, cost_us);
   registry_->RecordRelease(tenant);
   DispatchLocked();
-}
-
-double WfqAdmissionController::AvgCostUs(TenantId tenant) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = queues_.find(tenant);
-  return it == queues_.end() ? 0.0 : it->second->avg_cost_us;
 }
 
 void WfqAdmissionController::RemoveFromRingLocked() {
@@ -205,9 +185,7 @@ void WfqAdmissionController::DispatchLocked() {
   // and per-tenant deficits persist across calls: a tenant whose turn was
   // cut short by the global cap resumes its remaining credit on the next
   // free ticket, which is exactly what makes completion ratios track
-  // weights under saturation. In cost-based mode the deficit is a budget
-  // of measured microseconds instead of a grant count, so the ratios that
-  // track weights are CPU-time shares.
+  // weights under saturation.
   bool progress = true;
   while (progress && inflight_ < max_inflight_ && !ring_.empty()) {
     progress = false;
@@ -220,7 +198,6 @@ void WfqAdmissionController::DispatchLocked() {
       if (q.waiters.empty()) {
         // Drained tenants leave the ring at grant time; defensive only.
         q.deficit = 0;
-        q.deficit_us = 0.0;
         RemoveFromRingLocked();
         continue;
       }
@@ -232,56 +209,23 @@ void WfqAdmissionController::DispatchLocked() {
         // quota frees) and advance so the ring never livelocks behind a
         // full tenant.
         q.deficit = 0;
-        q.deficit_us = 0.0;
         ++rr_pos_;
         continue;
       }
       const uint32_t weight = std::max<uint32_t>(config.weight, 1);
-      bool turn_cut_short;
-      if (cost_based_) {
-        // Credit this visit in microseconds — but only when the current
-        // credit can't already afford a grant, mirroring the count-based
-        // "fresh visit" rule: a turn resumed after a global-cap cut keeps
-        // its credit without re-crediting, and credit stays bounded by
-        // charge + weight x quantum. Unspent credit carries over, so a
-        // tenant whose queries each cost more than one visit's credit
-        // accumulates across ring cycles and still drains (classic DRR
-        // backlog handling).
-        const double charge =
-            q.avg_cost_us > 0.0 ? q.avg_cost_us : cost_quantum_us_;
-        if (q.deficit_us < charge) {
-          q.deficit_us += static_cast<double>(weight) * cost_quantum_us_;
-          // Still short of one grant: demand another pass (classic DRR
-          // cycles rounds while backlog exists). Stopping here would
-          // strand free tickets behind a tenant whose charge exceeds one
-          // visit's credit until some unrelated release redispatches —
-          // or forever, when no other ticket is outstanding.
-          if (q.deficit_us < charge) progress = true;
-        }
-        while (q.deficit_us >= charge && !q.waiters.empty() &&
-               inflight_ < max_inflight_ && q.inflight < quota) {
-          GrantFrontLocked(tenant, q);
-          q.deficit_us -= charge;
-          progress = true;
-        }
-        turn_cut_short = !q.waiters.empty() && q.deficit_us >= charge;
-      } else {
-        if (q.deficit == 0) q.deficit = weight;
-        while (q.deficit > 0 && !q.waiters.empty() &&
-               inflight_ < max_inflight_ && q.inflight < quota) {
-          GrantFrontLocked(tenant, q);
-          --q.deficit;
-          progress = true;
-        }
-        turn_cut_short = !q.waiters.empty() && q.deficit > 0;
+      if (q.deficit == 0) q.deficit = weight;
+      while (q.deficit > 0 && !q.waiters.empty() &&
+             inflight_ < max_inflight_ && q.inflight < quota) {
+        GrantFrontLocked(tenant, q);
+        --q.deficit;
+        progress = true;
       }
       if (q.waiters.empty()) {
         q.deficit = 0;
-        q.deficit_us = 0.0;
         RemoveFromRingLocked();
         continue;
       }
-      if (!turn_cut_short) {
+      if (q.deficit == 0) {
         ++rr_pos_;  // visit fully spent; next tenant's turn
       } else {
         // The global cap (or this tenant's quota mid-drain) cut the turn

@@ -59,15 +59,6 @@ struct WfqOptions {
   /// work combined may hold, in (0, 1]; clamped so batches always get at
   /// least one ticket.
   double batch_share = 0.5;
-  /// Cost-based DRR: charge each grant the tenant's measured average query
-  /// cost in microseconds (EWMA of the costs passed to Release) instead of
-  /// one count. Fairness then holds in CPU time, not grant counts — a
-  /// tenant of 100x-costlier m-queries gets ~1/100th the grants of an
-  /// equal-weight s-query tenant rather than an equal number.
-  bool cost_based = false;
-  /// Microseconds of credit one weight unit earns per DRR visit; also the
-  /// charge for tenants with no measured cost yet.
-  double cost_quantum_us = 10000.0;
 };
 
 /// See file comment. All methods are thread-safe. The registry must
@@ -90,14 +81,8 @@ class WfqAdmissionController {
   /// ReleaseBatch(tenant) exactly once.
   Status TryAdmitBatch(TenantId tenant);
 
-  /// `cost_us` (>= 0) reports the query's measured execution cost in
-  /// microseconds; it feeds the tenant's cost EWMA under cost-based DRR
-  /// and is ignored otherwise. Pass a negative value when unmeasured.
-  void Release(TenantId tenant, double cost_us = -1.0);
-  void ReleaseBatch(TenantId tenant, double cost_us = -1.0);
-
-  /// Tenant's average query cost estimate, microseconds (0 = no sample).
-  double AvgCostUs(TenantId tenant) const;
+  void Release(TenantId tenant);
+  void ReleaseBatch(TenantId tenant);
 
   /// Aggregate counters across tenants (per-tenant breakdowns live in
   /// the registry).
@@ -135,13 +120,6 @@ class WfqAdmissionController {
     /// (deficit == 0), decremented per grant, reset when the tenant's
     /// queue drains or it forfeits a visit at quota.
     uint32_t deficit = 0;
-    /// Cost-based DRR credit, microseconds. Credited weight x quantum per
-    /// visit; each grant is charged the tenant's average measured cost.
-    /// Unspent credit carries across visits so queries costlier than one
-    /// visit's credit still drain; reset on drain or quota-park.
-    double deficit_us = 0.0;
-    /// EWMA of measured query costs, microseconds (0 = no sample yet).
-    double avg_cost_us = 0.0;
     bool in_ring = false;          ///< member of ring_
   };
 
@@ -151,9 +129,6 @@ class WfqAdmissionController {
   /// Grants the tenant's front waiter one ticket (all accounting except
   /// deficit charging). Caller holds mu_.
   void GrantFrontLocked(TenantId tenant, TenantQueue& q);
-
-  /// Folds a measured cost into the tenant's EWMA. Caller holds mu_.
-  void RecordCostLocked(TenantQueue& q, double cost_us);
 
   /// Grants tickets to waiting singles by deficit round robin until the
   /// global cap is reached or no eligible waiter remains. Caller holds
@@ -168,8 +143,6 @@ class WfqAdmissionController {
   size_t max_inflight_;
   double batch_share_;
   size_t global_batch_cap_;
-  bool cost_based_;
-  double cost_quantum_us_;
   TenantRegistry* registry_;
 
   mutable std::mutex mu_;

@@ -13,9 +13,9 @@
 // the substitution is documented in DESIGN.md and keeps the table count
 // (and memory) bounded while preserving the time-varying behaviour.
 //
-// Tables are built lazily and memoized by default (BuildAll precomputes);
-// both paths produce identical lists, and the lazy path lets benches sweep
-// Δt without paying a full rebuild for slots they never touch.
+// Tables are built lazily, on a query's first touch, and memoized: a
+// query pays only for the (segment, slot) tables its cone reaches, and
+// benches sweep Δt without building slots they never touch.
 //
 // An index never changes the profile it was built over: each table is
 // written once and then only read. A speed refresh derives a new index
@@ -36,13 +36,9 @@
 
 namespace strr {
 
-class ExpansionContext;  // search/expansion_context.h
-class FrontierEngine;    // search/frontier_engine.h
-
 /// Con-Index construction knobs.
 struct ConIndexOptions {
   int64_t delta_t_seconds = 300;  ///< Δt: expansion budget per hop
-  int num_build_threads = 4;      ///< BuildAll parallelism
 };
 
 /// Connection tables. Thread-safe, including the lazy build path:
@@ -70,9 +66,6 @@ class ConIndex {
   const std::vector<SegmentId>& Near(SegmentId seg,
                                      int64_t time_of_day_sec) const;
 
-  /// Precomputes every table (the paper's offline index construction).
-  Status BuildAll();
-
   /// One slot whose extremes changed on a *few segment cells only* (no
   /// level-fallback change): instead of dropping the whole slot, the
   /// clone keeps serving every table provably unaffected by the change.
@@ -91,13 +84,6 @@ class ConIndex {
   /// lazily in a fresh per-generation bucket. O(#slots) pointer copies
   /// plus, per partial slot, membership probes over its materialized
   /// lists — no table data is copied or recomputed eagerly.
-  /// `rebuild_out` (optional) receives, per partial slot, every segment
-  /// whose table was serving in this generation (base-shared tables
-  /// newly knocked out, plus tables materialized in this generation's
-  /// own bucket, which the clone's fresh bucket discards) — the exact
-  /// work list an ingest-driven prewarm pass should run (see
-  /// LiveProfileManager). Never-built tables are excluded: no query
-  /// needed them yet.
   ///
   /// Sharing is sound because an untouched slot has bit-identical speed
   /// statistics in both profiles, and lazy builds are deterministic:
@@ -114,15 +100,7 @@ class ConIndex {
   std::unique_ptr<ConIndex> CloneWithInvalidation(
       const SpeedProfile& profile,
       const std::vector<SlotId>& invalidated_slots,
-      const std::vector<PartialInvalidation>& partial = {},
-      std::vector<PartialInvalidation>* rebuild_out = nullptr) const;
-
-  /// Eagerly materializes the tables of `segments` in `slot` (skipping
-  /// ones already ready or overlay-served) so queries don't pay the lazy
-  /// build — the ingest-driven prewarm entry point. Safe under concurrent
-  /// queries (same contract as the lazy path); one pooled context serves
-  /// the whole batch. Returns the number of tables built by this call.
-  size_t PrewarmSlot(SlotId slot, const std::vector<SegmentId>& segments) const;
+      const std::vector<PartialInvalidation>& partial = {}) const;
 
   int64_t delta_t_seconds() const { return options_.delta_t_seconds; }
   int32_t num_profile_slots() const { return num_slots_; }
@@ -130,15 +108,11 @@ class ConIndex {
   /// Number of materialized (segment, slot) tables so far.
   size_t MaterializedTables() const;
 
-  /// Total ids across materialized Near+Far lists (memory proxy).
-  size_t TotalListEntries() const;
-
  private:
   struct SlotTables {
     std::vector<std::vector<SegmentId>> near;  // per segment
     std::vector<std::vector<SegmentId>> far;
     std::vector<uint8_t> ready;                // per segment
-    size_t ready_count = 0;  // materialized tables; clone fast path
     std::mutex mu;
   };
 
@@ -165,19 +139,14 @@ class ConIndex {
   /// A fresh empty bucket sized for the network.
   std::shared_ptr<SlotTables> MakeBucket() const;
 
-  /// Ensures tables for (seg, slot) exist; returns the slot bucket.
-  /// Acquires a pooled expansion context per call — batch builders
-  /// (BuildAll, PrewarmSlot) hold one context across their loop instead.
+  /// Ensures tables for (seg, slot) exist and returns the slot bucket.
   SlotTables& EnsureTables(SegmentId seg, SlotId slot) const;
 
-  /// Same, reusing the caller's engine + context across calls.
-  SlotTables& EnsureTablesWith(FrontierEngine& engine, ExpansionContext& ctx,
-                               SegmentId seg, SlotId slot) const;
-
-  /// Expands (seg, slot) on the unified frontier core and publishes the
-  /// Near/Far lists into `bucket` (first writer wins).
-  void ComputeTables(FrontierEngine& engine, ExpansionContext& ctx,
-                     SegmentId seg, SlotId slot, SlotTables& bucket) const;
+  /// Expands (seg, slot) on the unified frontier core (with a pooled
+  /// expansion context) and publishes the Near/Far lists into `bucket`
+  /// (first writer wins). Kept out of EnsureTables so its hot ready-check
+  /// stays a small frame.
+  void ComputeTables(SegmentId seg, SlotId slot, SlotTables& bucket) const;
 
   const RoadNetwork* network_;
   const SpeedProfile* profile_;

@@ -32,44 +32,26 @@ obs::Gauge& SnapshotVersionGauge() {
       "strr_live_snapshot_version");
   return g;
 }
-/// Per-table prewarm rebuild latency, in µs.
-obs::Histogram& PrewarmHistogram() {
-  static obs::Histogram& h = obs::MetricsRegistry::Global().GetHistogram(
-      "strr_live_prewarm_us");
-  return h;
-}
 
 }  // namespace
 
 LiveProfileManager::LiveProfileManager(EpochManager& epochs,
                                        const SpeedProfile& base_profile,
-                                       const ConIndex& base_con_index,
-                                       const LiveProfileOptions& options)
-    : epochs_(&epochs), options_(options) {
+                                       const ConIndex& base_con_index)
+    : epochs_(&epochs) {
   base_.version = 0;
   base_.profile = &base_profile;
   base_.con_index = &base_con_index;
   current_.store(&base_);
-  if (options_.prewarm) {
-    prewarm_pool_ = std::make_unique<ThreadPool>(
-        options_.prewarm_threads > 0 ? options_.prewarm_threads : 1);
-  }
 }
 
 LiveProfileManager::~LiveProfileManager() {
-  // Join prewarm tasks first: they pin epochs and read snapshots, so they
-  // must drain before reclamation tears those down.
-  prewarm_pool_.reset();
   // Shutdown contract: no readers pinned. Drain the grace period so every
   // superseded owned snapshot's deleter runs, then drop the current one
   // (owned unless we never published).
   epochs_->SynchronizeAndReclaim();
   const IndexSnapshot* last = current_.load();
   if (last != &base_) delete last;
-}
-
-void LiveProfileManager::WaitForPrewarm() {
-  if (prewarm_pool_ != nullptr) prewarm_pool_->Wait();
 }
 
 SnapshotRef LiveProfileManager::Acquire() const {
@@ -156,12 +138,8 @@ uint64_t LiveProfileManager::Publish(std::span<const CoalescedUpdate> batch) {
   for (const auto& p : partial) changed_slots.push_back(p.slot);
   std::sort(changed_slots.begin(), changed_slots.end());
 
-  // The rebuild list (per partial slot, the tables the overlay stopped
-  // serving) is exactly what the prewarm workers should rebuild.
-  std::vector<ConIndex::PartialInvalidation> rebuild;
-  auto con_index = cur->con_index->CloneWithInvalidation(
-      *profile, full_slots, partial,
-      prewarm_pool_ != nullptr ? &rebuild : nullptr);
+  auto con_index =
+      cur->con_index->CloneWithInvalidation(*profile, full_slots, partial);
 
   auto* next = new IndexSnapshot();
   next->version = cur->version + 1;
@@ -204,34 +182,6 @@ uint64_t LiveProfileManager::Publish(std::span<const CoalescedUpdate> batch) {
     }
   }
 
-  if (prewarm_pool_ != nullptr && !rebuild.empty()) {
-    // Ingest-driven prewarm: rebuild the knocked-out tables on the new
-    // snapshot before queries pay the lazy-build latency. Each task pins
-    // the current snapshot; if a newer version already superseded the one
-    // this batch targeted, the work list no longer describes that
-    // snapshot's overlay, so the task skips (the newer publish scheduled
-    // its own tasks).
-    const uint64_t target_version = next->version;
-    for (auto& p : rebuild) {
-      prewarm_tasks_.fetch_add(1);
-      prewarm_pool_->Submit(
-          [this, target_version, slot = p.slot,
-           segments = std::move(p.changed)] {
-            SnapshotRef ref = Acquire();
-            if (ref.version() != target_version) {
-              prewarm_stale_skips_.fetch_add(1);
-              return;
-            }
-            Stopwatch prewarm_watch;
-            prewarm_tables_built_.fetch_add(
-                ref.con_index().PrewarmSlot(slot, segments));
-            if (obs::MetricsRegistry::Global().enabled()) {
-              PrewarmHistogram().Record(
-                  static_cast<uint64_t>(prewarm_watch.ElapsedMicros()));
-            }
-          });
-    }
-  }
   return next->version;
 }
 
@@ -242,9 +192,6 @@ LiveProfileManager::Stats LiveProfileManager::stats() const {
   out.slots_invalidated = slots_invalidated_.load();
   out.slots_partially_invalidated = slots_partially_invalidated_.load();
   out.publishes_quiet = publishes_quiet_.load();
-  out.prewarm_tasks = prewarm_tasks_.load();
-  out.prewarm_tables_built = prewarm_tables_built_.load();
-  out.prewarm_stale_skips = prewarm_stale_skips_.load();
   return out;
 }
 

@@ -41,23 +41,8 @@
 #include "index/speed_profile.h"
 #include "live/epoch_manager.h"
 #include "live/observation.h"
-#include "util/thread_pool.h"
 
 namespace strr {
-
-/// Manager construction knobs.
-struct LiveProfileOptions {
-  /// Ingest-driven Con-Index prewarm: after a publish that partially
-  /// invalidates a slot, background tasks rebuild exactly the tables the
-  /// invalidation knocked out (the lazy-rebuild work list from
-  /// ConIndex::CloneWithInvalidation) on the new snapshot, so queries stop
-  /// paying the lazy-build latency spike (the p99 gap at high observation
-  /// rates). Tasks pin the target version and skip (cheaply) when a newer
-  /// snapshot superseded it before they ran. Off by default.
-  bool prewarm = false;
-  /// Background prewarm worker threads.
-  int prewarm_threads = 1;
-};
 
 /// One immutable published version of the index stack's mutable half.
 /// Version 0 aliases the engine-built base profile/index (not owned);
@@ -97,8 +82,7 @@ class LiveProfileManager {
  public:
   /// Wraps the engine-built `base_profile` + `base_con_index` as version 0.
   LiveProfileManager(EpochManager& epochs, const SpeedProfile& base_profile,
-                     const ConIndex& base_con_index,
-                     const LiveProfileOptions& options = {});
+                     const ConIndex& base_con_index);
 
   /// Reclaims every superseded snapshot and the current one. No reader may
   /// hold a SnapshotRef at destruction (same lifetime contract as the
@@ -143,27 +127,13 @@ class LiveProfileManager {
     /// saturate; unaffected tables keep serving).
     uint64_t slots_partially_invalidated = 0;
     uint64_t publishes_quiet = 0;    ///< publishes invalidating nothing
-    // --- Prewarm (all zero when LiveProfileOptions::prewarm is off) ----------
-    uint64_t prewarm_tasks = 0;          ///< background tasks scheduled
-    uint64_t prewarm_tables_built = 0;   ///< tables rebuilt ahead of queries
-    uint64_t prewarm_stale_skips = 0;    ///< tasks outrun by a newer version
   };
   Stats stats() const;
-
-  /// Blocks until every prewarm task scheduled so far has finished (no-op
-  /// when prewarm is off). Deterministic-test hook.
-  void WaitForPrewarm();
 
   EpochManager& epoch_manager() { return *epochs_; }
 
  private:
   EpochManager* epochs_;
-  LiveProfileOptions options_;
-  /// Prewarm workers (null when off). Declared before the snapshot state
-  /// it reads and reset first in the destructor, so no task can outlive a
-  /// snapshot: each task holds an epoch pin only while running, and the
-  /// destructor joins the pool before reclaiming.
-  std::unique_ptr<ThreadPool> prewarm_pool_;
   std::atomic<const IndexSnapshot*> current_;
   std::atomic<uint64_t> version_{0};
   IndexSnapshot base_;  // version 0 (aliases the engine-built indexes)
@@ -181,9 +151,6 @@ class LiveProfileManager {
   std::atomic<uint64_t> slots_invalidated_{0};
   std::atomic<uint64_t> slots_partially_invalidated_{0};
   std::atomic<uint64_t> publishes_quiet_{0};
-  std::atomic<uint64_t> prewarm_tasks_{0};
-  std::atomic<uint64_t> prewarm_tables_built_{0};
-  std::atomic<uint64_t> prewarm_stale_skips_{0};
 };
 
 }  // namespace strr

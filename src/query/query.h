@@ -40,9 +40,9 @@ struct MQuery {
 struct QueryStats {
   double wall_ms = 0.0;            ///< end-to-end processing time
   /// Summed wall time of the sub-queries a composite strategy ran (the
-  /// repeated-s-query baseline runs one per location). Equals wall_ms for
-  /// single-leg queries; under parallel legs it exceeds wall_ms — the gap
-  /// is the intra-query speedup.
+  /// repeated-s-query baseline runs one per location, in order). Equals
+  /// wall_ms for single-leg queries; for the baseline, wall_ms adds the
+  /// merge to it.
   double sum_wall_ms = 0.0;
   uint64_t time_lists_read = 0;    ///< ST-Index time-list fetches
   uint64_t segments_verified = 0;  ///< probability computations performed

@@ -31,8 +31,8 @@ enum class QueryStrategy {
   /// single-location only).
   kExhaustive,
   /// m-query as one independent indexed s-query per location, regions
-  /// unioned (the paper's m-query baseline). The executor can run the
-  /// per-location legs in parallel.
+  /// unioned (the paper's m-query baseline). The executor runs the
+  /// per-location legs in order.
   kRepeatedS,
 };
 

@@ -171,8 +171,9 @@ class ThreadPool {
   }
 
   /// Tasks enqueued-but-not-started summed over every pool in the process
-  /// (executor, prewarm, frontier workers share one gauge): the per-pool
-  /// split lives in stats(); the gauge answers "is anything backed up".
+  /// (each query executor's pool, and any other ThreadPool, share one
+  /// gauge): the per-pool split lives in stats(); the gauge answers "is
+  /// anything backed up".
   static obs::Gauge& QueuedTasksGauge() {
     static obs::Gauge& g = obs::MetricsRegistry::Global().GetGauge(
         "strr_pool_queued_tasks");

@@ -192,7 +192,7 @@ TEST(QueryExecutorAdmissionTest, SaturatingBatchCannotStarveSingles) {
 }
 
 TEST(QueryExecutorAdmissionTest, MQueryLegsAreNotReadmitted) {
-  // A parallel repeated-s m-query fans its legs onto the pool. With a
+  // A repeated-s m-query runs one indexed leg per location. With a
   // capacity of one, re-admitting legs would shed or deadlock mid-query;
   // the front door must treat the admitted m-query as one unit.
   auto& stack = GetSharedStack();
@@ -214,7 +214,6 @@ TEST(QueryExecutorAdmissionTest, MQueryLegsAreNotReadmitted) {
 
   QueryExecutorOptions opt;
   opt.num_threads = 4;
-  opt.parallel_mquery_legs = true;
   opt.max_inflight = 1;  // tightest possible: the m-query takes the ticket
   auto executor = stack.engine->MakeExecutor(opt);
   auto r = executor->Execute(*plan);

@@ -1271,26 +1271,6 @@ TEST_F(ConIndexTest, LazyMaterializationCounts) {
   EXPECT_EQ(con_->MaterializedTables(), 3u);
 }
 
-TEST_F(ConIndexTest, BuildAllMaterializesEverything) {
-  ASSERT_TRUE(con_->BuildAll().ok());
-  EXPECT_EQ(con_->MaterializedTables(),
-            net_.NumSegments() *
-                static_cast<size_t>(con_->num_profile_slots()));
-  EXPECT_GT(con_->TotalListEntries(), 0u);
-}
-
-TEST_F(ConIndexTest, LazyEqualsPrecomputed) {
-  ConIndexOptions opt;
-  opt.delta_t_seconds = 120;
-  auto pre = ConIndex::Create(net_, *profile_, opt);
-  ASSERT_TRUE(pre.ok());
-  ASSERT_TRUE((*pre)->BuildAll().ok());
-  for (SegmentId seg = 0; seg < net_.NumSegments(); seg += 5) {
-    EXPECT_EQ(con_->Far(seg, HMS(8)), (*pre)->Far(seg, HMS(8)));
-    EXPECT_EQ(con_->Near(seg, HMS(8)), (*pre)->Near(seg, HMS(8)));
-  }
-}
-
 TEST_F(ConIndexTest, LargerDeltaTReachesFurther) {
   ConIndexOptions big;
   big.delta_t_seconds = 360;

@@ -1,6 +1,6 @@
 // Tests for the plan -> execute pipeline: QueryPlanner validation and
 // resolution, QueryExecutor batches (parallel == sequential, per-plan
-// errors), parallel m-query legs, and a multi-threaded hammer over one
+// errors), repeated-s m-query legs, and a multi-threaded hammer over one
 // shared engine.
 #include <gtest/gtest.h>
 
@@ -113,7 +113,7 @@ TEST(QueryExecutorTest, BatchMatchesSequentialExecution) {
     reference.push_back(std::move(r).value());
   }
 
-  // Concurrent: 4 workers, parallel legs on.
+  // Concurrent: 4 workers.
   QueryExecutorOptions par_opt;
   par_opt.num_threads = 4;
   auto concurrent = stack.engine->MakeExecutor(par_opt);
@@ -166,9 +166,9 @@ TEST(QueryExecutorTest, EmptyBatchIsFine) {
   EXPECT_TRUE(results.empty());
 }
 
-// --- QueryExecutor: parallel m-query legs ------------------------------------
+// --- QueryExecutor: repeated-s m-query legs ----------------------------------
 
-TEST(QueryExecutorTest, ParallelRepeatedSLegsMatchSequentialAndSumWall) {
+TEST(QueryExecutorTest, RepeatedSLegsMatchAcrossPoolSizesAndSumWall) {
   auto& stack = GetSharedStack();
   Mbr box = stack.engine->network().BoundingBox();
   MQuery m;
@@ -184,23 +184,22 @@ TEST(QueryExecutorTest, ParallelRepeatedSLegsMatchSequentialAndSumWall) {
       stack.engine->planner().PlanMQuery(m, QueryStrategy::kRepeatedS);
   ASSERT_TRUE(plan.ok());
 
-  auto sequential = stack.engine->MakeExecutor(
-      {.num_threads = 1, .parallel_mquery_legs = false});
-  auto parallel = stack.engine->MakeExecutor(
-      {.num_threads = 4, .parallel_mquery_legs = true});
-  auto rs = sequential->Execute(*plan);
-  auto rp = parallel->Execute(*plan);
-  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
-  ASSERT_TRUE(rp.ok()) << rp.status().ToString();
-  EXPECT_EQ(rs->segments, rp->segments);
-  ASSERT_FALSE(rp->segments.empty());
-  // Both report the per-leg sum alongside the end-to-end wall time; the
-  // sum covers the legs regardless of how they were scheduled.
-  EXPECT_GT(rs->stats.sum_wall_ms, 0.0);
-  EXPECT_GT(rp->stats.sum_wall_ms, 0.0);
-  // Sequentially, the end-to-end time covers all legs plus merge overhead.
-  EXPECT_GE(rs->stats.wall_ms, rs->stats.sum_wall_ms * 0.5);
-  EXPECT_EQ(rs->stats.segments_verified, rp->stats.segments_verified);
+  // Legs run in order on the calling thread whatever the pool size.
+  auto one = stack.engine->MakeExecutor({.num_threads = 1});
+  auto four = stack.engine->MakeExecutor({.num_threads = 4});
+  auto r1 = one->Execute(*plan);
+  auto r4 = four->Execute(*plan);
+  ASSERT_TRUE(r1.ok()) << r1.status().ToString();
+  ASSERT_TRUE(r4.ok()) << r4.status().ToString();
+  EXPECT_EQ(r1->segments, r4->segments);
+  ASSERT_FALSE(r4->segments.empty());
+  // Both report the per-leg sum alongside the end-to-end wall time.
+  EXPECT_GT(r1->stats.sum_wall_ms, 0.0);
+  EXPECT_GT(r4->stats.sum_wall_ms, 0.0);
+  // The end-to-end time covers all legs plus merge overhead.
+  EXPECT_GE(r1->stats.wall_ms, r1->stats.sum_wall_ms * 0.5);
+  EXPECT_GE(r4->stats.wall_ms, r4->stats.sum_wall_ms * 0.5);
+  EXPECT_EQ(r1->stats.segments_verified, r4->stats.segments_verified);
 }
 
 TEST(QueryExecutorTest, RepeatedSStatsSumSubQueries) {

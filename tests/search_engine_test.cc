@@ -5,8 +5,8 @@
 //    an independent oracle on randomized cities and a tie-heavy grid;
 //  * Con-Index parallel-build determinism (concurrent builders produce
 //    exactly the sequential lists);
-//  * ingest-driven prewarm (LiveProfileManager rebuilds partially
-//    invalidated tables in the background, bit-identical to lazy builds);
+//  * lazy rebuilds after repeated partial invalidations of one slot
+//    (bit-identical to a fresh index over the published profile);
 //  * a concurrent query-x-ingest hammer with context-pool reuse (the
 //    TSan/ASan CI suite for the subsystem).
 #include <gtest/gtest.h>
@@ -249,24 +249,29 @@ TEST(ConIndexBuildTest, ConcurrentBuildersProduceSequentialLists) {
   const SlotId slot = 10;
   const int64_t tod = static_cast<int64_t>(slot) * profile.slot_seconds();
 
-  // Parallel: 4 racing builders over interleaved segment sets (deliberate
-  // overlap at the chunk edges so first-writer-wins races actually occur).
+  // Parallel: 4 racing builders over interleaved segment sets (workers 0
+  // and 3 share a set, so first-writer-wins races actually occur), each
+  // building through the lazy Far/Near path.
   {
     ThreadPool build_pool(4);
     const size_t n = net.NumSegments();
     for (int worker = 0; worker < 4; ++worker) {
       build_pool.Submit([&, worker] {
-        std::vector<SegmentId> mine;
         for (SegmentId s = 0; s < n; ++s) {
-          if (s % 3 == static_cast<SegmentId>(worker % 3)) mine.push_back(s);
+          if (s % 3 != static_cast<SegmentId>(worker % 3)) continue;
+          if (worker % 2 == 0) {
+            (**parallel_index).Far(s, tod);
+          } else {
+            (**parallel_index).Near(s, tod);
+          }
         }
-        (**parallel_index).PrewarmSlot(slot, mine);
       });
     }
     build_pool.Wait();
   }
   // Every table must exist (worker coverage) and match the lazily,
   // sequentially materialized reference bit for bit.
+  EXPECT_EQ((**parallel_index).MaterializedTables(), net.NumSegments());
   for (SegmentId s = 0; s < net.NumSegments(); ++s) {
     ASSERT_EQ((**parallel_index).Far(s, tod), (**sequential_index).Far(s, tod))
         << "Far list differs at segment " << s;
@@ -274,12 +279,11 @@ TEST(ConIndexBuildTest, ConcurrentBuildersProduceSequentialLists) {
               (**sequential_index).Near(s, tod))
         << "Near list differs at segment " << s;
   }
-  EXPECT_GE((**parallel_index).MaterializedTables(), net.NumSegments());
 }
 
-// --- Ingest-driven prewarm --------------------------------------------------
+// --- Lazy rebuilds after partial invalidation -----------------------------
 
-TEST(LivePrewarmTest, PrewarmRebuildsExactlyTheInvalidatedTables) {
+TEST(LiveRebuildTest, RepeatedPartialInvalidationRebuildsLazily) {
   auto& stack = GetSharedStack();
   const RoadNetwork& net = stack.engine->network();
   const SpeedProfile& profile = stack.engine->speed_profile();
@@ -290,8 +294,7 @@ TEST(LivePrewarmTest, PrewarmRebuildsExactlyTheInvalidatedTables) {
 
   // The busy segment with the LARGEST slot minimum: lowering its cell min
   // slightly stays above the level fallback minimum (held by some slower
-  // segment), so the change is cell-only — a *partial* invalidation, the
-  // case prewarm consumes.
+  // segment), so the change is cell-only — a *partial* invalidation.
   const int64_t tod = HMS(11);
   SegmentId seg = kInvalidSegment;
   double best_min = 0.0;
@@ -307,58 +310,40 @@ TEST(LivePrewarmTest, PrewarmRebuildsExactlyTheInvalidatedTables) {
   ASSERT_GT(best_min, 1.0);
   // Materialize some base tables so the partial invalidation has
   // something to knock out (seg's own table is always affected).
-  (**base_index).Far(seg, tod);
-  (**base_index).Near(seg, tod);
+  std::vector<SegmentId> warmed = {seg};
   for (SegmentId s = 0; s < std::min<SegmentId>(32, net.NumSegments()); ++s) {
-    (**base_index).Far(s, tod);
+    warmed.push_back(s);
   }
+  for (SegmentId s : warmed) (**base_index).Far(s, tod);
 
   EpochManager epochs;
-  LiveProfileOptions lopt;
-  lopt.prewarm = true;
-  lopt.prewarm_threads = 2;
-  LiveProfileManager live(epochs, profile, **base_index, lopt);
+  LiveProfileManager live(epochs, profile, **base_index);
+  auto expect_fresh = [&](const SnapshotRef& ref) {
+    auto oracle = ConIndex::Create(net, ref.profile(), copt);
+    ASSERT_TRUE(oracle.ok());
+    for (SegmentId s : warmed) {
+      EXPECT_EQ(ref.con_index().Far(s, tod), (**oracle).Far(s, tod))
+          << "Far differs at segment " << s << ", version " << ref.version();
+      EXPECT_EQ(ref.con_index().Near(s, tod), (**oracle).Near(s, tod))
+          << "Near differs at segment " << s << ", version " << ref.version();
+    }
+  };
 
   float v = static_cast<float>(best_min - 0.01);
   CoalescedUpdate update{seg, tod, v, v, v, 1};
-  uint64_t version = live.Publish({&update, 1});
-  EXPECT_EQ(version, 1u);
+  EXPECT_EQ(live.Publish({&update, 1}), 1u);
+  // Queries rebuild the knocked-out tables lazily into version 1's own
+  // bucket; they must equal a cold build over the published profile.
+  expect_fresh(live.Acquire());
 
-  live.WaitForPrewarm();
-  LiveProfileManager::Stats stats = live.stats();
-  ASSERT_GT(stats.prewarm_tasks, 0u)
-      << "partial invalidation scheduled no prewarm";
-  EXPECT_GT(stats.prewarm_tables_built, 0u);
-
-  // The prewarmed tables must be bit-identical to a cold lazy build over
-  // the same (published) profile.
-  {
-    SnapshotRef ref = live.Acquire();
-    auto oracle = ConIndex::Create(net, ref.profile(), copt);
-    ASSERT_TRUE(oracle.ok());
-    EXPECT_EQ(ref.con_index().Far(seg, tod), (**oracle).Far(seg, tod));
-    EXPECT_EQ(ref.con_index().Near(seg, tod), (**oracle).Near(seg, tod));
-  }
-
-  // A second partial invalidation of the same slot: the new clone's
-  // fresh bucket discards the tables the first generation built (the
-  // prewarmed ones included), so the work list must cover them again —
-  // not just the newly changed segment.
-  const uint64_t built_after_first = stats.prewarm_tables_built;
+  // A second partial invalidation of the same slot: the new clone starts
+  // a fresh bucket, discarding the tables version 1 built, and must
+  // rebuild them from the newer profile rather than serve stale lists.
   float v2 = static_cast<float>(best_min - 0.02);
   CoalescedUpdate update2{seg, tod, v2, v2, v2, 1};
   EXPECT_EQ(live.Publish({&update2, 1}), 2u);
-  live.WaitForPrewarm();
-  LiveProfileManager::Stats stats2 = live.stats();
-  EXPECT_EQ(stats2.slots_partially_invalidated, 2u);
-  EXPECT_GT(stats2.prewarm_tables_built, built_after_first)
-      << "repeated partial invalidation must re-prewarm the previous "
-         "generation's own tables";
-  SnapshotRef ref2 = live.Acquire();
-  auto oracle2 = ConIndex::Create(net, ref2.profile(), copt);
-  ASSERT_TRUE(oracle2.ok());
-  EXPECT_EQ(ref2.con_index().Far(seg, tod), (**oracle2).Far(seg, tod));
-  EXPECT_EQ(ref2.con_index().Near(seg, tod), (**oracle2).Near(seg, tod));
+  EXPECT_EQ(live.stats().slots_partially_invalidated, 2u);
+  expect_fresh(live.Acquire());
 }
 
 // --- Concurrent query x ingest ---------------------------------------------
@@ -371,7 +356,6 @@ TEST(SearchConcurrencyTest, QueryIngestHammer) {
   opt.query_threads = 2;
   opt.live_ingestion = true;
   opt.live_batch_window_ms = 2;
-  opt.live_prewarm = true;
   opt.result_cache_entries = 128;
   auto engine_or =
       ReachabilityEngine::Build(base.dataset.network, *base.dataset.store, opt);

@@ -472,126 +472,6 @@ TEST(WfqAdmissionTest, HeavyWeightCannotStarveLightTenants) {
   EXPECT_GT(per_tenant[3].load(), 0);
 }
 
-TEST(WfqCostBasedTest, CostEwmaTracksReportedReleaseCosts) {
-  TenantRegistry registry;
-  WfqAdmissionController wfq({.max_inflight = 4, .cost_based = true},
-                             &registry);
-  EXPECT_EQ(wfq.AvgCostUs(1), 0.0);
-  ASSERT_TRUE(wfq.Admit(1).ok());
-  wfq.Release(1, 1000.0);
-  EXPECT_DOUBLE_EQ(wfq.AvgCostUs(1), 1000.0);  // first sample seeds
-  ASSERT_TRUE(wfq.Admit(1).ok());
-  wfq.Release(1, 2000.0);
-  EXPECT_DOUBLE_EQ(wfq.AvgCostUs(1), 0.75 * 1000.0 + 0.25 * 2000.0);
-  // Unmeasured releases leave the estimate untouched.
-  ASSERT_TRUE(wfq.Admit(1).ok());
-  wfq.Release(1);
-  EXPECT_DOUBLE_EQ(wfq.AvgCostUs(1), 1250.0);
-}
-
-TEST(WfqCostBasedTest, GrantRatioTracksInverseCostUnderSaturation) {
-  // Equal weights, 4x cost skew: under cost-based DRR each visit's credit
-  // buys the cheap tenant ~4x the grants of the expensive one, so the
-  // saturated grant ratio approaches the inverse cost ratio — the
-  // CPU-time shares equalize. (Count-based DRR would grant them 1:1 and
-  // let the expensive tenant hog 4x the CPU.)
-  TenantRegistry registry;
-  registry.Configure(1, {.weight = 1, .max_inflight = 0, .max_queued = 64});
-  registry.Configure(2, {.weight = 1, .max_inflight = 0, .max_queued = 64});
-  WfqAdmissionController wfq(
-      {.max_inflight = 2, .cost_based = true, .cost_quantum_us = 4000.0},
-      &registry);
-  constexpr double kCheapUs = 1000.0, kExpensiveUs = 4000.0;
-
-  constexpr int kTargetTotal = 300;
-  std::atomic<int> total{0};
-  std::atomic<int> per_tenant[3] = {{0}, {0}, {0}};
-  std::atomic<bool> counting{false};
-  std::atomic<bool> stop{false};
-  std::vector<std::thread> clients;
-  for (TenantId tenant : {1u, 2u}) {
-    for (int i = 0; i < 4; ++i) {
-      clients.emplace_back([&, tenant] {
-        const double cost = tenant == 1 ? kCheapUs : kExpensiveUs;
-        while (!stop.load()) {
-          Status s = wfq.Admit(tenant);
-          ASSERT_TRUE(s.ok()) << s.ToString();
-          std::this_thread::sleep_for(std::chrono::microseconds(200));
-          if (counting.load()) {
-            per_tenant[tenant].fetch_add(1);
-            if (total.fetch_add(1) + 1 >= kTargetTotal) stop.store(true);
-          }
-          wfq.Release(tenant, cost);
-        }
-      });
-    }
-  }
-  while (wfq.queued(1) == 0 || wfq.queued(2) == 0) std::this_thread::yield();
-  counting.store(true);
-  for (auto& t : clients) t.join();
-
-  double cheap = per_tenant[1].load();
-  double expensive = per_tenant[2].load();
-  ASSERT_GT(expensive, 0.0);
-  double ratio = cheap / expensive;
-  const double want = kExpensiveUs / kCheapUs;
-  EXPECT_GE(ratio, want * 0.7) << "cheap " << cheap << " expensive "
-                               << expensive;
-  EXPECT_LE(ratio, want * 1.3) << "cheap " << cheap << " expensive "
-                               << expensive;
-  EXPECT_EQ(wfq.inflight(), 0u);
-  EXPECT_DOUBLE_EQ(wfq.AvgCostUs(1), kCheapUs);
-  EXPECT_DOUBLE_EQ(wfq.AvgCostUs(2), kExpensiveUs);
-}
-
-TEST(WfqCostBasedTest, ExpensiveTenantStillDrainsAcrossRingCycles) {
-  // A tenant whose per-query charge exceeds one visit's credit must
-  // accumulate credit across cycles and drain (classic DRR backlog), not
-  // starve. Quantum 1000 vs measured cost 10000: ~10 visits per grant.
-  TenantRegistry registry;
-  registry.Configure(1, {.weight = 1, .max_inflight = 0, .max_queued = 64});
-  registry.Configure(2, {.weight = 1, .max_inflight = 0, .max_queued = 64});
-  WfqAdmissionController wfq(
-      {.max_inflight = 1, .cost_based = true, .cost_quantum_us = 1000.0},
-      &registry);
-  // Seed the cost estimates without contention.
-  ASSERT_TRUE(wfq.Admit(1).ok());
-  wfq.Release(1, 500.0);
-  ASSERT_TRUE(wfq.Admit(2).ok());
-  wfq.Release(2, 10000.0);
-
-  constexpr int kTargetTotal = 120;
-  std::atomic<int> total{0};
-  std::atomic<int> per_tenant[3] = {{0}, {0}, {0}};
-  std::atomic<bool> counting{false};
-  std::atomic<bool> stop{false};
-  std::vector<std::thread> clients;
-  for (TenantId tenant : {1u, 2u}) {
-    for (int i = 0; i < 3; ++i) {
-      clients.emplace_back([&, tenant] {
-        const double cost = tenant == 1 ? 500.0 : 10000.0;
-        while (!stop.load()) {
-          Status s = wfq.Admit(tenant);
-          ASSERT_TRUE(s.ok()) << s.ToString();
-          std::this_thread::sleep_for(std::chrono::microseconds(200));
-          if (counting.load()) {
-            per_tenant[tenant].fetch_add(1);
-            if (total.fetch_add(1) + 1 >= kTargetTotal) stop.store(true);
-          }
-          wfq.Release(tenant, cost);
-        }
-      });
-    }
-  }
-  // Only count the saturated regime: both tenants must have waiters, or
-  // thread start-up order (not the scheduler) decides who drains first.
-  while (wfq.queued(1) == 0 || wfq.queued(2) == 0) std::this_thread::yield();
-  counting.store(true);
-  for (auto& t : clients) t.join();
-  EXPECT_GT(per_tenant[1].load(), 0);
-  EXPECT_GT(per_tenant[2].load(), 0) << "expensive tenant starved";
-}
-
 // --- Executor-level tenancy --------------------------------------------------
 
 TEST(TenantFairnessExecutorTest, WeightedThroughputUnderSaturation) {
