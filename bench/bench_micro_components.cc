@@ -1,18 +1,16 @@
 // Micro-benchmarks (google-benchmark) for the index/storage components:
-// R-tree build & queries, B+-tree ops, network expansion, posting store
-// reads, the start-id membership test. These are the inner loops every query
-// pays; the figure benches measure the end-to-end behaviour.
+// R-tree build & queries, the network's radius query, network expansion,
+// posting store reads, the start-id membership test. These are the inner
+// loops every query pays; the figure benches measure the end-to-end
+// behaviour.
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
 #include <unordered_map>
 
-#include "index/bplus_tree.h"
-#include "index/rtree.h"
+#include "geo/rtree.h"
 #include "index/start_id_sets.h"
 #include "roadnet/city_generator.h"
-#include "roadnet/expansion.h"
-#include "roadnet/segment_grid.h"
 #include "search/expansion_context.h"
 #include "search/frontier_engine.h"
 #include "storage/posting_store.h"
@@ -44,17 +42,6 @@ void BM_RTreeBulkLoad(benchmark::State& state) {
 }
 BENCHMARK(BM_RTreeBulkLoad)->Arg(1000)->Arg(10000);
 
-void BM_RTreeInsert(benchmark::State& state) {
-  auto entries = MakeEntries(static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    RTree tree(16);
-    for (const auto& e : entries) tree.Insert(e.box, e.value);
-    benchmark::DoNotOptimize(tree.size());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_RTreeInsert)->Arg(1000)->Arg(5000);
-
 void BM_RTreeSearch(benchmark::State& state) {
   auto entries = MakeEntries(10000);
   RTree tree(16);
@@ -80,34 +67,6 @@ void BM_RTreeNearest(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RTreeNearest);
-
-void BM_BPlusTreeInsert(benchmark::State& state) {
-  Rng rng(3);
-  std::vector<int64_t> keys;
-  for (int i = 0; i < state.range(0); ++i) {
-    keys.push_back(rng.UniformInt(0, 1 << 26));
-  }
-  for (auto _ : state) {
-    BPlusTree tree(32);
-    for (int64_t k : keys) tree.Insert(k, 1);
-    benchmark::DoNotOptimize(tree.size());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_BPlusTreeInsert)->Arg(10000);
-
-void BM_BPlusTreeFloor(benchmark::State& state) {
-  BPlusTree tree(32);
-  for (int64_t k = 0; k < 86400; k += 300) {
-    tree.Insert(k, static_cast<uint32_t>(k / 300));
-  }
-  Rng rng(5);
-  for (auto _ : state) {
-    auto hit = tree.Floor(rng.UniformInt(0, 86399));
-    benchmark::DoNotOptimize(hit);
-  }
-}
-BENCHMARK(BM_BPlusTreeFloor);
 
 void BM_PostingStoreGet(benchmark::State& state) {
   std::string path = std::filesystem::temp_directory_path() /
@@ -188,80 +147,38 @@ void BM_FlatPathCacheLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_FlatPathCacheLookup)->Arg(1024)->Arg(65536);
 
-// --- Cell-directory layout: unordered_map buckets vs frozen sorted CSR ----
-// SegmentGrid froze its cell directory into sorted keys + offsets; the
-// reference bench replicates the old node-based layout over the identical
-// (cell, segment) pairs so the comparison isolates the directory walk.
+// --- The network's radius query --------------------------------------------
+// RoadNetwork::SegmentsWithinRadius: the map matcher's per-fix candidate
+// search, an R-tree box search plus a projection per hit.
 
-struct GridFixture {
-  City city;
-  std::unique_ptr<SegmentGrid> grid;
-  std::unordered_map<int64_t, std::vector<SegmentId>> reference_cells;
-  double cell = 250.0;
-
-  GridFixture() {
+const City& SharedCity() {
+  static const City city = [] {
     CityOptions opt;
     opt.grid_cols = 18;
     opt.grid_rows = 13;
-    city = std::move(*GenerateCity(opt));
-    grid = std::make_unique<SegmentGrid>(city.network, cell);
-    for (const RoadSegment& seg : city.network.segments()) {
-      const Mbr& box = seg.bounding_box();
-      for (int cx = Cell(box.min_x()); cx <= Cell(box.max_x()); ++cx) {
-        for (int cy = Cell(box.min_y()); cy <= Cell(box.max_y()); ++cy) {
-          reference_cells[Key(cx, cy)].push_back(seg.id);
-        }
-      }
-    }
-  }
-
-  int Cell(double v) const { return static_cast<int>(std::floor(v / cell)); }
-  static int64_t Key(int cx, int cy) {
-    return (static_cast<int64_t>(cx) << 32) ^ (cy & 0xffffffffLL);
-  }
-};
-
-const GridFixture& SharedGrid() {
-  static GridFixture fixture;
-  return fixture;
+    return GenerateCity(opt).value();
+  }();
+  return city;
 }
 
-void BM_UnorderedGridCellProbe(benchmark::State& state) {
-  const GridFixture& fx = SharedGrid();
-  Mbr box = fx.city.network.BoundingBox();
-  Rng rng(29);
-  for (auto _ : state) {
-    int cx = fx.Cell(rng.Uniform(box.min_x(), box.max_x()));
-    int cy = fx.Cell(rng.Uniform(box.min_y(), box.max_y()));
-    uint64_t touched = 0;
-    auto it = fx.reference_cells.find(GridFixture::Key(cx, cy));
-    if (it != fx.reference_cells.end()) {
-      for (SegmentId id : it->second) touched += id;
-    }
-    benchmark::DoNotOptimize(touched);
-  }
-}
-BENCHMARK(BM_UnorderedGridCellProbe);
-
-void BM_FlatGridWithinRadius(benchmark::State& state) {
-  const GridFixture& fx = SharedGrid();
-  Mbr box = fx.city.network.BoundingBox();
+void BM_SegmentsWithinRadius(benchmark::State& state) {
+  const RoadNetwork& net = SharedCity().network;
+  Mbr box = net.BoundingBox();
   Rng rng(29);
   for (auto _ : state) {
     XyPoint p{rng.Uniform(box.min_x(), box.max_x()),
               rng.Uniform(box.min_y(), box.max_y())};
-    auto hits = fx.grid->WithinRadius(p, 120.0);
+    auto hits = net.SegmentsWithinRadius(p, 120.0);
     benchmark::DoNotOptimize(hits);
   }
 }
-BENCHMARK(BM_FlatGridWithinRadius);
+BENCHMARK(BM_SegmentsWithinRadius);
 
 // --- Frontier expansion ------------------------------------------------------
 // The FrontierEngine timed (Dijkstra) loop on one reused context.
 
 void BM_NetworkExpansion(benchmark::State& state) {
-  const GridFixture& fx = SharedGrid();
-  const RoadNetwork& net = fx.city.network;
+  const RoadNetwork& net = SharedCity().network;
   SpeedFn speeds = FreeFlowSpeeds(net);
   FrontierEngine engine(net);
   ExpansionContext ctx;

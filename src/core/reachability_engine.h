@@ -112,8 +112,8 @@ struct EngineOptions {
   /// instead of the whole stream. 0 disables. Requires live_durability.
   uint64_t live_checkpoint_interval_batches = 0;
   /// Background-merge runs of small observation tables into larger
-  /// seq-deduplicated tables (rebuilt blooms, atomic swap), with the
-  /// thresholds of ObservationJournalOptions. Requires live_durability.
+  /// seq-deduplicated tables (atomic swap), with the thresholds of
+  /// ObservationJournalOptions. Requires live_durability.
   bool live_compaction = false;
   /// Location match radius for planning (see
   /// StIndexOptions::max_locate_distance_m); <= 0 restores unconditional

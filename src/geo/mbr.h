@@ -90,14 +90,6 @@ class Mbr {
            o.max_y_ <= max_y_;
   }
 
-  /// Area of the union-cover minus own area; the classic R-tree insertion
-  /// cost ("enlargement") metric.
-  double EnlargementToCover(const Mbr& o) const {
-    Mbr u = *this;
-    u.Extend(o);
-    return u.Area() - Area();
-  }
-
   /// Minimum Euclidean distance from `p` to this rectangle (0 inside).
   double MinDistance(const XyPoint& p) const {
     if (IsEmpty()) return std::numeric_limits<double>::max();

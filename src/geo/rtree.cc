@@ -1,9 +1,7 @@
-#include "index/rtree.h"
+#include "geo/rtree.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
-#include <limits>
 #include <queue>
 
 namespace strr {
@@ -116,140 +114,6 @@ void RTree::BulkLoad(std::vector<Entry> entries) {
     leaves = PackLevel(std::move(leaves), max_entries_);
   }
   root_ = std::move(leaves.front());
-}
-
-// --- Incremental insert ------------------------------------------------------
-
-namespace {
-
-/// Quadratic split of an overfull collection into two groups, returning the
-/// index partition. Generic over anything exposing a box via `get_box`.
-template <typename T, typename GetBox>
-std::pair<std::vector<size_t>, std::vector<size_t>> QuadraticSplit(
-    const std::vector<T>& items, const GetBox& get_box, size_t min_fill) {
-  const size_t n = items.size();
-  // Pick the pair wasting the most area as seeds.
-  size_t seed_a = 0, seed_b = 1;
-  double worst = -1.0;
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = i + 1; j < n; ++j) {
-      Mbr combined = get_box(items[i]);
-      combined.Extend(get_box(items[j]));
-      double waste = combined.Area() - get_box(items[i]).Area() -
-                     get_box(items[j]).Area();
-      if (waste > worst) {
-        worst = waste;
-        seed_a = i;
-        seed_b = j;
-      }
-    }
-  }
-  std::vector<size_t> group_a{seed_a}, group_b{seed_b};
-  Mbr box_a = get_box(items[seed_a]);
-  Mbr box_b = get_box(items[seed_b]);
-  for (size_t i = 0; i < n; ++i) {
-    if (i == seed_a || i == seed_b) continue;
-    size_t remaining = n - group_a.size() - group_b.size() - 1;
-    // Force-assign when a group must take everything left to reach min fill.
-    if (group_a.size() + remaining + 1 <= min_fill) {
-      group_a.push_back(i);
-      box_a.Extend(get_box(items[i]));
-      continue;
-    }
-    if (group_b.size() + remaining + 1 <= min_fill) {
-      group_b.push_back(i);
-      box_b.Extend(get_box(items[i]));
-      continue;
-    }
-    double grow_a = box_a.EnlargementToCover(get_box(items[i]));
-    double grow_b = box_b.EnlargementToCover(get_box(items[i]));
-    if (grow_a < grow_b ||
-        (grow_a == grow_b && group_a.size() <= group_b.size())) {
-      group_a.push_back(i);
-      box_a.Extend(get_box(items[i]));
-    } else {
-      group_b.push_back(i);
-      box_b.Extend(get_box(items[i]));
-    }
-  }
-  return {group_a, group_b};
-}
-
-}  // namespace
-
-void RTree::InsertRecursive(Node* node, const Entry& entry, int target_level,
-                            std::unique_ptr<Node>* split_out) {
-  if (node->leaf) {
-    node->entries.push_back(entry);
-    node->box.Extend(entry.box);
-    if (node->entries.size() > max_entries_) {
-      auto [ga, gb] = QuadraticSplit(
-          node->entries, [](const Entry& e) -> const Mbr& { return e.box; },
-          max_entries_ / 2);
-      auto sibling = std::make_unique<Node>();
-      sibling->leaf = true;
-      std::vector<Entry> keep;
-      for (size_t i : ga) keep.push_back(node->entries[i]);
-      for (size_t i : gb) sibling->entries.push_back(node->entries[i]);
-      node->entries = std::move(keep);
-      node->RecomputeBox();
-      sibling->RecomputeBox();
-      *split_out = std::move(sibling);
-    }
-    return;
-  }
-
-  // Choose the child needing least enlargement (ties: smaller area).
-  size_t best = 0;
-  double best_grow = std::numeric_limits<double>::max();
-  double best_area = std::numeric_limits<double>::max();
-  for (size_t i = 0; i < node->children.size(); ++i) {
-    double grow = node->children[i]->box.EnlargementToCover(entry.box);
-    double area = node->children[i]->box.Area();
-    if (grow < best_grow || (grow == best_grow && area < best_area)) {
-      best_grow = grow;
-      best_area = area;
-      best = i;
-    }
-  }
-  std::unique_ptr<Node> child_split;
-  InsertRecursive(node->children[best].get(), entry, target_level,
-                  &child_split);
-  node->box.Extend(entry.box);
-  if (child_split != nullptr) {
-    node->children.push_back(std::move(child_split));
-    if (node->children.size() > max_entries_) {
-      auto [ga, gb] = QuadraticSplit(
-          node->children,
-          [](const std::unique_ptr<Node>& c) -> const Mbr& { return c->box; },
-          max_entries_ / 2);
-      auto sibling = std::make_unique<Node>();
-      sibling->leaf = false;
-      std::vector<std::unique_ptr<Node>> keep;
-      for (size_t i : ga) keep.push_back(std::move(node->children[i]));
-      for (size_t i : gb) {
-        sibling->children.push_back(std::move(node->children[i]));
-      }
-      node->children = std::move(keep);
-      node->RecomputeBox();
-      sibling->RecomputeBox();
-      *split_out = std::move(sibling);
-    }
-  }
-}
-
-void RTree::Insert(const Mbr& box, uint32_t value) {
-  std::unique_ptr<Node> split;
-  InsertRecursive(root_.get(), Entry{box, value}, 0, &split);
-  if (split != nullptr) {
-    auto new_root = std::make_unique<Node>();
-    new_root->leaf = false;
-    new_root->children.push_back(std::move(root_));
-    new_root->children.push_back(std::move(split));
-    new_root->RecomputeBox();
-    root_ = std::move(new_root);
-  }
-  ++size_;
 }
 
 // --- Queries -----------------------------------------------------------------

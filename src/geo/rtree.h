@@ -1,13 +1,14 @@
 // RTree: in-memory R-tree over (Mbr, payload-id) entries.
 //
-// The spatial component of the paper's ST-Index. Because the re-segmented
-// road network is static, the tree is typically STR bulk-loaded once
-// (BulkLoad) — the paper notes every temporal leaf can share the same
-// spatial structure, which is exactly what StIndex does with one shared
-// RTree. Incremental Insert (quadratic-split R-tree) is also provided and
-// tested so the structure is usable as a general index.
-#ifndef STRR_INDEX_RTREE_H_
-#define STRR_INDEX_RTREE_H_
+// The spatial component of the paper's ST-Index (Fig 3.2) and the one
+// spatial index of the system. The re-segmented road network is static, so
+// the tree is STR bulk-loaded once, when the network is finalized
+// (RoadNetwork::spatial_index), and every reader shares it: query
+// locations (StIndex::LocateSegment), the map matcher's candidate
+// segments and the fleet simulator's hotspots
+// (RoadNetwork::SegmentsWithinRadius). There is no incremental insert.
+#ifndef STRR_GEO_RTREE_H_
+#define STRR_GEO_RTREE_H_
 
 #include <cstdint>
 #include <functional>
@@ -29,7 +30,7 @@ class RTree {
 
   struct Node;  // public for the implementation's free helpers
 
-  /// `max_entries` is the node fan-out M; min fill is M/2.
+  /// `max_entries` is the node fan-out M (at least 4).
   explicit RTree(size_t max_entries = 16);
   ~RTree();
 
@@ -40,9 +41,6 @@ class RTree {
 
   /// Sort-Tile-Recursive bulk load; replaces current contents.
   void BulkLoad(std::vector<Entry> entries);
-
-  /// Incremental insert (quadratic split on overflow).
-  void Insert(const Mbr& box, uint32_t value);
 
   /// All payloads whose boxes intersect `query`.
   std::vector<uint32_t> Search(const Mbr& query) const;
@@ -60,8 +58,8 @@ class RTree {
   /// Height of the tree (0 for empty, 1 for a root-leaf).
   int Height() const;
 
-  /// Internal consistency check (child boxes covered by parents, fill
-  /// bounds respected); used by tests.
+  /// Internal consistency check (every node's box is the cover of its
+  /// children, fan-out at most M); used by tests.
   bool CheckInvariants() const;
 
  private:
@@ -69,8 +67,6 @@ class RTree {
   size_t max_entries_;
   size_t size_ = 0;
 
-  void InsertRecursive(Node* node, const Entry& entry, int target_level,
-                       std::unique_ptr<Node>* split_out);
   static void SearchNode(const Node* node, const Mbr& query,
                          const std::function<bool(const Entry&)>& visit,
                          bool* keep_going);
@@ -78,4 +74,4 @@ class RTree {
 
 }  // namespace strr
 
-#endif  // STRR_INDEX_RTREE_H_
+#endif  // STRR_GEO_RTREE_H_

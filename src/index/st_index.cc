@@ -181,22 +181,6 @@ StatusOr<std::unique_ptr<StIndex>> StIndex::Build(
   index->slots_per_day_ = SlotsPerDay(options.slot_seconds);
   index->num_days_ = store.num_days();
 
-  // Temporal B+-tree: slot start second -> slot id.
-  for (SlotId s = 0; s < index->slots_per_day_; ++s) {
-    index->temporal_.Insert(static_cast<int64_t>(s) * options.slot_seconds,
-                            static_cast<uint32_t>(s));
-  }
-
-  // Shared spatial R-tree, STR bulk-loaded over segment MBRs.
-  {
-    std::vector<RTree::Entry> entries;
-    entries.reserve(network.NumSegments());
-    for (const RoadSegment& seg : network.segments()) {
-      entries.push_back({seg.bounding_box(), seg.id});
-    }
-    index->rtree_.BulkLoad(std::move(entries));
-  }
-
   // Time lists: a counting sort of (day, trajectory) entries by cell =
   // slot × num_segments + segment, the store's slot-major order. Pass 1
   // counts each cell's entries, a prefix sum turns the counts into runs of
@@ -280,9 +264,9 @@ StatusOr<std::unique_ptr<StIndex>> StIndex::Build(
 }
 
 StatusOr<SegmentId> StIndex::LocateSegment(const XyPoint& p) const {
-  // The R-tree ranks by box distance; re-rank the top candidates by true
-  // geometric distance to pick the segment the location actually lies on.
-  std::vector<uint32_t> candidates = rtree_.Nearest(p, 8);
+  // The R-tree ranks by box distance; re-rank its 8 nearest by geometric
+  // distance. The first of equal distances, in R-tree order, wins.
+  std::vector<uint32_t> candidates = network_->spatial_index().Nearest(p, 8);
   if (candidates.empty()) return Status::NotFound("no segments in index");
   SegmentId best = candidates.front();
   double best_dist = network_->segment(best).shape.Project(p).distance;
@@ -302,15 +286,9 @@ StatusOr<SegmentId> StIndex::LocateSegment(const XyPoint& p) const {
   return best;
 }
 
-std::vector<SegmentId> StIndex::SegmentsInRange(const Mbr& box) const {
-  return rtree_.Search(box);
-}
-
 SlotId StIndex::SlotForTime(int64_t time_of_day_sec) const {
-  int64_t tod = ((time_of_day_sec % kSecondsPerDay) + kSecondsPerDay) %
-                kSecondsPerDay;
-  auto hit = temporal_.Floor(tod);
-  return hit ? static_cast<SlotId>(hit->second) : 0;
+  return SlotOfTimeOfDay(NormalizeTimeOfDay(time_of_day_sec),
+                         options_.slot_seconds);
 }
 
 std::vector<SlotId> StIndex::SlotsCovering(int64_t begin_tod,

@@ -1,11 +1,13 @@
 // StIndex: the paper's Spatio-Temporal Index (§3.2.1).
 //
-// Three components, exactly as Figure 3.2 lays them out:
-//  * Temporal index — a B+-tree over the day's Δt-wide time slots
-//    (key = slot start second, value = slot id).
+// Three components, as Figure 3.2 lays them out:
+//  * Temporal index — the day's Δt-wide time slots. The figure puts a
+//    B+-tree over them; with a fixed Δt its floor lookup is a division,
+//    so a slot is SlotOfTimeOfDay(t, Δt) and no tree is kept.
 //  * Spatial index — an R-tree over the re-segmented road network. The
 //    network is static, so all temporal leaves share ONE R-tree (the paper
-//    makes the same observation).
+//    makes the same observation): the network's own
+//    (RoadNetwork::spatial_index), bulk-loaded at Finalize.
 //  * Time lists — for each (segment, slot), the per-date lists of
 //    trajectory IDs that traversed the segment in that slot. These live on
 //    disk in a PostingStore, slot-major as in the figure (one slot's lists
@@ -25,8 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "index/bplus_tree.h"
-#include "index/rtree.h"
 #include "index/start_id_sets.h"
 #include "roadnet/road_network.h"
 #include "storage/posting_store.h"
@@ -59,7 +59,7 @@ struct StIndexOptions {
 using TimeList = std::vector<std::vector<TrajectoryId>>;
 
 /// Built index; immutable after Build and thread-safe for concurrent
-/// queries: the R-tree/B+-tree lookups are const over frozen structures,
+/// queries: the R-tree lookups are const over a frozen structure,
 /// and the time-list reads copy page bytes out under the page's BufferPool
 /// shard lock into a buffer owned by the calling thread or its query's
 /// window. The StorageStats counters are shared across all concurrent
@@ -80,16 +80,18 @@ class StIndex {
 
   // --- Spatial -------------------------------------------------------------
 
-  /// Segment whose geometry is nearest to `p` (query location -> start
-  /// road segment, the first step of every query). NotFound when empty.
+  /// Query location -> start road segment, the first step of every query:
+  /// of the 8 segments whose bounding boxes are nearest to `p`, the one
+  /// whose geometry is nearest, ties kept in R-tree order. That is not
+  /// always the nearest segment overall: a farther segment can have a
+  /// nearer box than the nearest one and crowd it out of the 8. NotFound
+  /// when the network is empty or the pick lies beyond
+  /// max_locate_distance_m.
   StatusOr<SegmentId> LocateSegment(const XyPoint& p) const;
-
-  /// Segments intersecting the rectangle (spatial range selection).
-  std::vector<SegmentId> SegmentsInRange(const Mbr& box) const;
 
   // --- Temporal ------------------------------------------------------------
 
-  /// Slot covering a time of day (floor lookup through the B+-tree).
+  /// Slot covering a time of day, normalized into [0, 86400) first.
   SlotId SlotForTime(int64_t time_of_day_sec) const;
 
   /// All slot ids whose windows intersect [begin_tod, end_tod) within one
@@ -148,8 +150,6 @@ class StIndex {
   void ResetStorageStats() { postings_->ResetStats(); }
   void DropCache() { postings_->DropCache(); }
 
-  const RTree& rtree() const { return rtree_; }
-  const BPlusTree& temporal_tree() const { return temporal_; }
   uint64_t NumPostings() const { return postings_->NumEntries(); }
   const RoadNetwork& network() const { return *network_; }
 
@@ -161,8 +161,6 @@ class StIndex {
   StIndexOptions options_;
   int32_t slots_per_day_ = 0;
   int32_t num_days_ = 0;
-  RTree rtree_;
-  BPlusTree temporal_;
   std::unique_ptr<PostingStore> postings_;
 };
 

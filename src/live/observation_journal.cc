@@ -93,7 +93,6 @@ StatusOr<std::unique_ptr<ObservationJournal>> ObservationJournal::Open(
       std::unique_ptr<ObservationJournal>(new ObservationJournal(options));
   journal->next_seq_ = recovered.last_seq + 1;
   journal->next_file_number_ = recovered.next_file_number;
-  journal->memtable_ = ObservationTableBuilder(options.bloom_bits_per_key);
   journal->checkpoint_number_ = recovered.checkpoint_number;
   journal->checkpoint_seq_ = recovered.checkpoint_seq;
   journal->truncate_below_seq_ = recovered.checkpoint_seq;
@@ -135,7 +134,7 @@ StatusOr<std::unique_ptr<ObservationJournal>> ObservationJournal::Open(
 
   // Startup compaction: batches that only the WAL tail held are sealed
   // into a table now, so every old WAL is fully covered and deletable.
-  ObservationTableBuilder tail(options.bloom_bits_per_key);
+  ObservationTableBuilder tail;
   uint64_t tail_first_seq = 0;
   for (const ObservationBatch& batch : recovered.wal_batches) {
     if (batch.seq <= recovered.last_table_seq) continue;
@@ -223,7 +222,7 @@ Status ObservationJournal::FlushMemtableLocked() {
   // [memtable_first_seq_, next_seq_ - 1].
   tables_.push_back(TableMeta{table_number, memtable_first_seq_, next_seq_ - 1,
                               FileBytesOrZero(table_path)});
-  memtable_ = ObservationTableBuilder(options_.bloom_bits_per_key);
+  memtable_ = ObservationTableBuilder();
   memtable_batches_ = 0;
   ++tables_flushed_;
 
@@ -449,8 +448,7 @@ void ObservationJournal::RunCompactionLocked(
     input_paths.push_back(ObservationTableFileName(options_.dir, t.number));
   }
   lock.unlock();
-  StatusOr<CompactionResult> merged = CompactTables(
-      input_paths, out_path, options_.bloom_bits_per_key);
+  StatusOr<CompactionResult> merged = CompactTables(input_paths, out_path);
   lock.lock();
   if (!merged.ok()) {
     STRR_LOG(Warning) << "observation journal: compaction failed ("

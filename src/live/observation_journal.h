@@ -2,7 +2,7 @@
 // accepted observation batch is appended to a checksummed WAL record (and
 // optionally fdatasync'd) *before* it is published — the append is the ack
 // point. Acked batches also accumulate in an in-memory memtable (a table
-// builder) that is sealed into an immutable, bloom-filtered observation
+// builder) that is sealed into an immutable, checksummed observation
 // table once it crosses a byte threshold, after which the WAL rotates and
 // the fully-covered old log is deleted.
 //
@@ -25,11 +25,11 @@
 // the tables that checkpoint covers to a low-priority maintenance thread
 // for deletion — bounding on-disk history and making restart O(delta).
 // With `compaction` on, the same maintenance thread merges runs of small
-// sealed tables into larger seq-deduplicated tables with rebuilt bloom
-// filters, swapped into the live table set atomically under the journal
-// mutex. Every crash window (checkpoint committed but tables not yet
-// truncated, merged table committed but inputs not yet deleted) leaves
-// only *redundant* files, which recovery detects and deduplicates.
+// sealed tables into larger seq-deduplicated tables, swapped into the
+// live table set atomically under the journal mutex. Every crash window
+// (checkpoint committed but tables not yet truncated, merged table
+// committed but inputs not yet deleted) leaves only *redundant* files,
+// which recovery detects and deduplicates.
 #ifndef STRR_LIVE_OBSERVATION_JOURNAL_H_
 #define STRR_LIVE_OBSERVATION_JOURNAL_H_
 
@@ -61,7 +61,6 @@ struct ObservationJournalOptions {
   /// stable storage. Off: the ack point is the OS page cache (process
   /// crashes keep everything, power loss may cost the unsynced tail).
   bool sync_each_batch = true;
-  int bloom_bits_per_key = 10;
 
   /// Profile slot width the checkpoint aggregates use; must match the
   /// serving profile's slot_seconds. Only read when checkpointing is on.
@@ -217,7 +216,7 @@ class ObservationJournal {
   mutable std::mutex mu_;
   std::unique_ptr<AppendOnlyFile> wal_file_;
   std::unique_ptr<wal::LogWriter> wal_writer_;
-  ObservationTableBuilder memtable_{10};
+  ObservationTableBuilder memtable_;
   uint64_t memtable_batches_ = 0;
   uint64_t memtable_first_seq_ = 0;  // first seq in the open memtable
   uint64_t next_seq_ = 1;

@@ -4,7 +4,7 @@
 
 #include "query/bounding_region.h"
 #include "query/probability.h"
-#include "roadnet/expansion.h"
+#include "search/frontier_engine.h"
 #include "util/stopwatch.h"
 
 namespace strr {
@@ -39,9 +39,16 @@ StatusOr<RegionResult> ExhaustiveSearch(const StIndex& st_index,
   // Con-Index contributes), so the only sound bound it can use is the
   // road-class design speed: everything within free-flow reach must be
   // examined against the trajectory store.
-  std::vector<ExpansionHit> cone =
-      ExpandFromMany(network, starts, static_cast<double>(query.duration),
-                     FreeFlowSpeeds(network), nullptr);
+  std::vector<ExpansionHit> cone;
+  {
+    FrontierEngine engine(network);
+    auto ctx = ExpansionContextPool::Global().Acquire();
+    FrontierEngine::TimedRequest request;
+    request.sources = starts;
+    request.budget = static_cast<double>(query.duration);
+    engine.RunTimed(*ctx, request, FreeFlowSpeeds(network));
+    cone = engine.HitsByArrival(*ctx);
+  }
   (void)profile;
 
   STRR_ASSIGN_OR_RETURN(

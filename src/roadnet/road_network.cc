@@ -107,6 +107,13 @@ Status RoadNetwork::Finalize() {
     neighbors_[s.id].assign(nb.begin(), nb.end());
     std::sort(neighbors_[s.id].begin(), neighbors_[s.id].end());
   }
+
+  std::vector<RTree::Entry> boxes;
+  boxes.reserve(n_seg);
+  for (const RoadSegment& s : segments_) {
+    boxes.push_back({s.bounding_box(), s.id});
+  }
+  rtree_.BulkLoad(std::move(boxes));
   finalized_ = true;
   return Status::OK();
 }
@@ -148,6 +155,24 @@ StatusOr<SegmentId> RoadNetwork::NearestSegmentBruteForce(
     }
   }
   return best;
+}
+
+std::vector<SegmentId> RoadNetwork::SegmentsWithinRadius(const XyPoint& p,
+                                                         double radius) const {
+  // The 1 m pad keeps a segment at exactly `radius` in the box search
+  // whatever the rounding of its box; the distance test decides.
+  std::vector<std::pair<double, SegmentId>> found;
+  rtree_.SearchVisit(Mbr::FromPoint(p).Expanded(radius + 1.0),
+                     [&](const RTree::Entry& e) {
+                       double d = segments_[e.value].shape.Project(p).distance;
+                       if (d <= radius) found.emplace_back(d, e.value);
+                       return true;
+                     });
+  std::sort(found.begin(), found.end());
+  std::vector<SegmentId> out;
+  out.reserve(found.size());
+  for (const auto& [d, id] : found) out.push_back(id);
+  return out;
 }
 
 std::vector<size_t> RoadNetwork::CountByLevel() const {

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "geo/point.h"
+#include "geo/rtree.h"
 #include "roadnet/segment.h"
 #include "util/result.h"
 #include "util/status.h"
@@ -43,8 +44,8 @@ class RoadNetwork {
   /// the same nodes in opposite directions.
   Status LinkTwins(SegmentId forward, SegmentId backward);
 
-  /// Builds the adjacency tables; must be called once after the last
-  /// AddNode/AddSegment and before any topology query.
+  /// Builds the adjacency tables and the R-tree; must be called once after
+  /// the last AddNode/AddSegment and before any topology or spatial query.
   Status Finalize();
 
   bool finalized() const { return finalized_; }
@@ -91,6 +92,15 @@ class RoadNetwork {
   /// variant lives in StIndex (R-tree). Returns NotFound on empty networks.
   StatusOr<SegmentId> NearestSegmentBruteForce(const XyPoint& p) const;
 
+  /// R-tree over the segments' bounding boxes, payload = segment id.
+  const RTree& spatial_index() const { return rtree_; }
+
+  /// Segments whose shape lies within `radius` meters of `p`, sorted by
+  /// (distance, id): an R-tree box search padded past the radius, kept
+  /// when the projection distance is <= radius.
+  std::vector<SegmentId> SegmentsWithinRadius(const XyPoint& p,
+                                              double radius) const;
+
   /// Counts segments per road level, indexed by static_cast<int>(level).
   std::vector<size_t> CountByLevel() const;
 
@@ -101,6 +111,7 @@ class RoadNetwork {
   std::vector<std::vector<SegmentId>> incoming_;
   std::vector<std::vector<SegmentId>> neighbors_;
   std::vector<std::vector<SegmentId>> node_out_;
+  RTree rtree_;
   bool finalized_ = false;
 };
 

@@ -9,8 +9,8 @@
 
 #include <vector>
 
-#include "roadnet/expansion.h"
 #include "roadnet/road_network.h"
+#include "search/frontier_engine.h"
 #include "util/flat_hash.h"
 
 namespace strr {

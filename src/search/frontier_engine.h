@@ -4,18 +4,16 @@
 // over the directed segment graph:
 //
 //  * TIMED expansion — the modified Incremental Network Expansion
-//    (Dijkstra over travel time) behind Con-Index table construction
-//    (Algorithm: Near/Far lists per Δt), the ES baseline cone, the
-//    router, and MQMB's nearest-start assignment (Algorithm 3);
+//    (Dijkstra over travel time, Papadias et al. [21]) behind Con-Index
+//    table construction (Algorithm: Near/Far lists per Δt), the ES
+//    baseline cone and MQMB's nearest-start assignment (Algorithm 3);
 //  * CONE expansion — the Δt-hop walk over Con-Index Near/Far lists
 //    behind SQMB (Algorithm 1) and MQMB bounding regions.
 //
-// Before src/search/ these interiors lived twice (roadnet/expansion.cc
-// and query/bounding_region.cc), each re-allocating per call. The engine
-// owns both and runs them on pooled ExpansionContexts (zero steady-state
-// allocation). Both run on the calling thread: a query's time goes
-// mostly to TBS verification reads, not to these loops (see
-// perfbench/README.md).
+// The engine owns both interiors and runs them on pooled
+// ExpansionContexts (zero steady-state allocation). Both run on the
+// calling thread: a query's time goes mostly to TBS verification reads,
+// not to these loops (see perfbench/README.md).
 //
 // ## Arrival oracle
 //
@@ -54,6 +52,14 @@ namespace strr {
 /// traversable segments; return <= 0 to mark a segment non-traversable in
 /// this pass.
 using SpeedFn = std::function<double(SegmentId)>;
+
+/// Free-flow speed of each segment's road class: the ES baseline's bound.
+/// Holds a reference to `network`.
+inline SpeedFn FreeFlowSpeeds(const RoadNetwork& network) {
+  return [&network](SegmentId id) {
+    return FreeFlowSpeed(network.segment(id).level);
+  };
+}
 
 /// One expansion hit: a segment plus the earliest completion time.
 struct ExpansionHit {

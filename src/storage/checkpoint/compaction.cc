@@ -7,12 +7,11 @@
 namespace strr {
 
 StatusOr<CompactionResult> CompactTables(
-    std::span<const std::string> input_paths, const std::string& out_path,
-    int bloom_bits_per_key) {
+    std::span<const std::string> input_paths, const std::string& out_path) {
   if (input_paths.empty()) {
     return Status::InvalidArgument("compaction needs at least one input");
   }
-  ObservationTableBuilder builder(bloom_bits_per_key);
+  ObservationTableBuilder builder;
   CompactionResult result;
   uint64_t last_emitted = 0;
   for (const std::string& path : input_paths) {

@@ -1,5 +1,5 @@
 // Table compaction: merges small sealed observation tables into one
-// larger seq-deduplicated table with a rebuilt bloom filter.
+// larger seq-deduplicated table.
 //
 // The merge itself is a pure function over sealed inputs — it opens each
 // input (full CRC validation), emits batches in sequence order exactly
@@ -33,8 +33,7 @@ struct CompactionResult {
 /// sequence gap in the merged stream is Corruption. Inputs are read one
 /// at a time, so peak memory is one input plus the output image.
 StatusOr<CompactionResult> CompactTables(
-    std::span<const std::string> input_paths, const std::string& out_path,
-    int bloom_bits_per_key = 10);
+    std::span<const std::string> input_paths, const std::string& out_path);
 
 }  // namespace strr
 

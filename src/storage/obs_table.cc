@@ -2,10 +2,8 @@
 
 #include <cstring>
 
-#include "storage/bloom_filter.h"
 #include "storage/fs_util.h"
 #include "util/crc32c.h"
-#include "util/hashing.h"
 
 namespace strr {
 
@@ -13,7 +11,9 @@ namespace {
 
 constexpr uint64_t kObsTableMagic = 0x5354525f4f544231ULL;      // "STR_OTB1"
 constexpr uint64_t kObsTableTailMagic = 0x4f54425f454e4431ULL;  // "OTB_END1"
-constexpr uint32_t kObsTableVersion = 1;
+// Version 2 dropped the segment bloom filter that version 1 carried
+// before the footer; a version-1 table is Corruption like any unknown one.
+constexpr uint32_t kObsTableVersion = 2;
 // num_batches + num_obs + first_seq + last_seq + crc + tail magic.
 constexpr size_t kFooterSize = 8 + 8 + 8 + 8 + 4 + 8;
 constexpr size_t kHeaderSize = 8 + 4;
@@ -25,10 +25,6 @@ uint64_t ZigZag(int64_t v) {
 
 int64_t UnZigZag(uint64_t v) {
   return static_cast<int64_t>((v >> 1) ^ (~(v & 1) + 1));
-}
-
-uint64_t SegmentHash(SegmentId segment) {
-  return Fnv1a64(&segment, sizeof(segment));
 }
 
 }  // namespace
@@ -65,29 +61,19 @@ Status DecodeObservationBatch(BinaryReader& r, ObservationBatch* out) {
   return Status::OK();
 }
 
-ObservationTableBuilder::ObservationTableBuilder(int bloom_bits_per_key)
-    : bloom_bits_per_key_(bloom_bits_per_key) {}
-
 void ObservationTableBuilder::AddBatch(const ObservationBatch& batch) {
   if (num_batches_ == 0) first_seq_ = batch.seq;
   last_seq_ = batch.seq;
   ++num_batches_;
   num_observations_ += batch.observations.size();
-  for (const SpeedObservation& obs : batch.observations) {
-    segment_hashes_.push_back(SegmentHash(obs.segment));
-  }
   EncodeObservationBatch(writer_, batch);
 }
 
 Status ObservationTableBuilder::Finish(const std::string& path) {
-  BloomFilterBuilder bloom(bloom_bits_per_key_);
-  for (uint64_t h : segment_hashes_) bloom.AddHash(h);
-
   BinaryWriter file;
   file.PutU64(kObsTableMagic);
   file.PutU32(kObsTableVersion);
   file.PutRaw(writer_.data().data(), writer_.size());
-  file.PutString(bloom.Build());
   file.PutU64(num_batches_);
   file.PutU64(num_observations_);
   file.PutU64(first_seq_);
@@ -154,7 +140,6 @@ StatusOr<ObservationTable> ObservationTable::Parse(const std::string& bytes,
     observed += batch.observations.size();
     table.batches_.push_back(std::move(batch));
   }
-  STRR_ASSIGN_OR_RETURN(table.bloom_, r.GetString());
   if (!r.AtEnd()) {
     return Status::Corruption("trailing bytes in observation table: " +
                               origin);
@@ -167,10 +152,6 @@ StatusOr<ObservationTable> ObservationTable::Parse(const std::string& bytes,
     return Status::Corruption("footer sequence range mismatch: " + origin);
   }
   return table;
-}
-
-bool ObservationTable::MayContainSegment(SegmentId segment) const {
-  return BloomMayContain(bloom_, SegmentHash(segment));
 }
 
 }  // namespace strr

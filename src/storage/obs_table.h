@@ -1,21 +1,20 @@
-// Immutable observation tables: sealed, checksummed, bloom-filtered files
-// holding coalesce-ready observation batches flushed out of the WAL
-// memtable (the LevelDB table_builder idea specialized to the live tier's
-// replay workload).
+// Immutable observation tables: sealed, checksummed files holding
+// coalesce-ready observation batches flushed out of the WAL memtable (the
+// LevelDB table_builder idea specialized to the live tier's replay
+// workload). Recovery reads a table whole, so it carries no per-segment
+// filter.
 //
 // A table preserves *batch boundaries and byte-exact observation values*
 // (speeds as raw doubles) so recovery can re-publish the identical update
-// stream the ingestor originally applied. The bloom filter over segment
-// ids answers "might this table touch segment S?" without decoding.
+// stream the ingestor originally applied.
 //
-// File layout (all little-endian, written atomically — a torn table file
-// can never appear under its committed name):
+// File layout, version 2 (all little-endian, written atomically — a torn
+// table file can never appear under its committed name):
 //
 //   u64 magic  u32 version
 //   batches:   per batch  varint64 seq, varint32 count,
 //              per obs    varint32 segment, varint64 zigzag(tod),
 //                         f64 speed (raw bits)
-//   bloom:     varint32 length + bytes (BloomFilterBuilder)
 //   footer:    u64 num_batches, u64 num_observations,
 //              u64 first_seq, u64 last_seq,
 //              u32 crc32c (over every preceding byte), u64 tail magic
@@ -49,8 +48,6 @@ Status DecodeObservationBatch(BinaryReader& r, ObservationBatch* out);
 /// Accumulates batches and seals them into an immutable table file.
 class ObservationTableBuilder {
  public:
-  explicit ObservationTableBuilder(int bloom_bits_per_key = 10);
-
   void AddBatch(const ObservationBatch& batch);
 
   /// Bytes of encoded batch data so far (the memtable flush trigger).
@@ -61,9 +58,7 @@ class ObservationTableBuilder {
   Status Finish(const std::string& path);
 
  private:
-  BinaryWriter writer_;  // batch section only; header/bloom/footer at Finish
-  std::vector<uint64_t> segment_hashes_;
-  int bloom_bits_per_key_;
+  BinaryWriter writer_;  // batch section only; header/footer at Finish
   uint64_t num_batches_ = 0;
   uint64_t num_observations_ = 0;
   uint64_t first_seq_ = 0;
@@ -71,7 +66,7 @@ class ObservationTableBuilder {
 };
 
 /// Read side: verifies the whole-file checksum at open, then exposes the
-/// batches and the bloom filter.
+/// batches.
 class ObservationTable {
  public:
   static StatusOr<ObservationTable> Open(const std::string& path);
@@ -84,16 +79,12 @@ class ObservationTable {
   const std::vector<ObservationBatch>& batches() const { return batches_; }
   std::vector<ObservationBatch> TakeBatches() { return std::move(batches_); }
 
-  /// Bloom probe: false means no batch in this table touches `segment`.
-  bool MayContainSegment(SegmentId segment) const;
-
   uint64_t first_seq() const { return first_seq_; }
   uint64_t last_seq() const { return last_seq_; }
   uint64_t num_observations() const { return num_observations_; }
 
  private:
   std::vector<ObservationBatch> batches_;
-  std::string bloom_;
   uint64_t first_seq_ = 0;
   uint64_t last_seq_ = 0;
   uint64_t num_observations_ = 0;

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "roadnet/router.h"
-#include "roadnet/segment_grid.h"
 #include "util/rng.h"
 
 namespace strr {
@@ -24,8 +23,7 @@ constexpr double kHotspotJitterRadiusM = 550.0;
 
 /// Picks hotspot neighbourhoods, biased toward the centre of the network
 /// so the synthetic city has a recognizable "downtown".
-std::vector<Hotspot> PickHotspots(const RoadNetwork& network,
-                                  const SegmentGrid& grid, int count,
+std::vector<Hotspot> PickHotspots(const RoadNetwork& network, int count,
                                   Rng& rng) {
   std::vector<Hotspot> hotspots;
   Mbr box = network.BoundingBox();
@@ -40,7 +38,8 @@ std::vector<Hotspot> PickHotspots(const RoadNetwork& network,
     // Weight decays with distance from centre; keep a floor so suburbs get
     // some traffic too.
     double weight = 0.15 + std::exp(-4.0 * dist_ratio * dist_ratio);
-    Hotspot h{seg, weight, grid.WithinRadius(mid, kHotspotJitterRadiusM)};
+    Hotspot h{seg, weight,
+              network.SegmentsWithinRadius(mid, kHotspotJitterRadiusM)};
     if (h.nearby.empty()) h.nearby.push_back(seg);
     hotspots.push_back(std::move(h));
   }
@@ -101,9 +100,8 @@ StatusOr<FleetResult> SimulateFleet(const RoadNetwork& network,
   FleetResult result;
   result.store = std::make_unique<TrajectoryStore>(opt.num_days);
 
-  SegmentGrid grid(network, 400.0);
   std::vector<Hotspot> hotspots =
-      PickHotspots(network, grid, opt.num_hotspots, master);
+      PickHotspots(network, opt.num_hotspots, master);
   std::vector<double> weight_scratch;
 
   // Route diversity: each trip uses one of a few cost perturbations, so

@@ -18,9 +18,7 @@ struct Candidate {
 }  // namespace
 
 MapMatcher::MapMatcher(const RoadNetwork& network, MapMatcherOptions options)
-    : network_(network),
-      options_(options),
-      grid_(network, options.candidate_radius_m * 2.0) {}
+    : network_(network), options_(options) {}
 
 double MapMatcher::RouteDistance(SegmentId from, SegmentId to,
                                  double budget_m) const {
@@ -66,11 +64,11 @@ StatusOr<MatchedTrajectory> MapMatcher::Match(const RawTrajectory& raw) const {
   std::vector<std::vector<Candidate>> layers;
   std::vector<size_t> fix_of_layer;
   for (size_t i = 0; i < raw.points.size(); ++i) {
-    std::vector<SegmentId> near =
-        grid_.WithinRadius(raw.points[i].position, options_.candidate_radius_m);
+    std::vector<SegmentId> near = network_.SegmentsWithinRadius(
+        raw.points[i].position, options_.candidate_radius_m);
     if (near.empty()) continue;
     if (near.size() > options_.max_candidates) {
-      near.resize(options_.max_candidates);  // WithinRadius sorts by distance
+      near.resize(options_.max_candidates);  // sorted by distance
     }
     std::vector<Candidate> layer;
     layer.reserve(near.size());

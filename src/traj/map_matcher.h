@@ -3,7 +3,8 @@
 // matcher [29]; we implement the standard HMM formulation that fills the
 // same role — see DESIGN.md §2).
 //
-// States per GPS fix: candidate segments within a radius (via SegmentGrid).
+// States per GPS fix: candidate segments within a radius (via the
+// network's R-tree, RoadNetwork::SegmentsWithinRadius).
 // Emission: Gaussian in the perpendicular distance from fix to segment.
 // Transition: penalizes the mismatch between on-network route length and
 // the straight-line displacement between consecutive fixes (Newson-Krumm
@@ -15,7 +16,6 @@
 #include <vector>
 
 #include "roadnet/road_network.h"
-#include "roadnet/segment_grid.h"
 #include "traj/trajectory.h"
 #include "util/result.h"
 
@@ -50,7 +50,6 @@ class MapMatcher {
 
   const RoadNetwork& network_;
   MapMatcherOptions options_;
-  SegmentGrid grid_;
 };
 
 }  // namespace strr

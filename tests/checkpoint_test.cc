@@ -408,12 +408,6 @@ TEST(CompactionTest, MergeMatchesSequentialReadOracle) {
       EXPECT_EQ(batch.observations[k].speed_mps, want[k].speed_mps);
     }
   }
-  // The rebuilt bloom has no false negatives over merged segments.
-  for (const ObservationBatch& batch : got) {
-    for (const SpeedObservation& obs : batch.observations) {
-      EXPECT_TRUE(merged->MayContainSegment(obs.segment));
-    }
-  }
 }
 
 TEST(CompactionTest, OverlapDeduplicatesAndGapIsCorruption) {

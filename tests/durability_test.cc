@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -17,12 +18,12 @@
 #include "core/reachability_engine.h"
 #include "live/observation_journal.h"
 #include "live/recovery_manager.h"
-#include "storage/bloom_filter.h"
 #include "storage/fs_util.h"
 #include "storage/obs_table.h"
 #include "storage/wal/log_writer.h"
 #include "tests/test_util.h"
 #include "tools/crash_stream.h"
+#include "util/crc32c.h"
 #include "util/serialize.h"
 
 namespace strr {
@@ -257,27 +258,27 @@ TEST(RecoveryManagerTest, SequenceGapIsCorruption) {
       << recovered.status().ToString();
 }
 
-TEST(ObservationTableTest, BloomFilterHasNoFalseNegatives) {
+TEST(ObservationTableTest, VersionOneTableIsCorruption) {
+  // Version 1 carried a segment bloom filter before the footer. A table
+  // stamped 1 with an intact checksum is refused by its version, as every
+  // version this reader does not know is.
   ObservationTableBuilder builder;
-  ObservationBatch batch;
-  batch.seq = 1;
-  for (SegmentId segment : {2u, 40u, 77u}) {
-    batch.observations.push_back({segment, 3600, 10.0});
-  }
-  builder.AddBatch(batch);
-  std::string dir = FreshDir("dur_bloom");
+  builder.AddBatch(StreamBatch(1));
+  std::string dir = FreshDir("dur_version");
   STRR_ASSERT_OK(builder.Finish(dir + "/obs_1.tbl"));
-  auto table = ObservationTable::Open(dir + "/obs_1.tbl");
-  STRR_ASSERT_OK(table.status());
-  EXPECT_TRUE(table->MayContainSegment(2));
-  EXPECT_TRUE(table->MayContainSegment(40));
-  EXPECT_TRUE(table->MayContainSegment(77));
-  // Probabilistic, but with 10 bits/key almost every absent id says no.
-  size_t negatives = 0;
-  for (SegmentId segment = 1000; segment < 1500; ++segment) {
-    if (!table->MayContainSegment(segment)) ++negatives;
-  }
-  EXPECT_GE(negatives, 400u);
+  auto bytes = ReadFileToString(dir + "/obs_1.tbl");
+  STRR_ASSERT_OK(bytes.status());
+  std::string v1 = *bytes;
+  STRR_ASSERT_OK(ObservationTable::Parse(v1, "v2").status());
+  const uint32_t version = 1;
+  std::memcpy(v1.data() + 8, &version, sizeof(version));  // after the magic
+  const uint32_t crc = Crc32c(v1.data(), v1.size() - 12);
+  std::memcpy(v1.data() + v1.size() - 12, &crc, sizeof(crc));
+  auto parsed = ObservationTable::Parse(v1, "v1");
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_TRUE(parsed.status().IsCorruption()) << parsed.status().ToString();
+  EXPECT_NE(parsed.status().ToString().find("version 1"), std::string::npos)
+      << parsed.status().ToString();
 }
 
 TEST(ObservationTableTest, MutationSweepIsAlwaysTypedCorruption) {

@@ -117,12 +117,6 @@ TEST(MbrTest, ContainsPointAndBox) {
   EXPECT_FALSE(a.Contains(Mbr(3, 3, 5, 5)));
 }
 
-TEST(MbrTest, EnlargementToCover) {
-  Mbr a(0, 0, 2, 2);
-  EXPECT_DOUBLE_EQ(a.EnlargementToCover(Mbr(1, 1, 2, 2)), 0.0);
-  EXPECT_DOUBLE_EQ(a.EnlargementToCover(Mbr(0, 0, 4, 2)), 4.0);
-}
-
 TEST(MbrTest, MinDistance) {
   Mbr a(0, 0, 2, 2);
   EXPECT_DOUBLE_EQ(a.MinDistance(XyPoint{1, 1}), 0.0);   // inside

@@ -13,7 +13,6 @@
 #include "index/speed_profile.h"
 #include "index/st_index.h"
 #include "query/probability.h"
-#include "roadnet/expansion.h"
 #include "tests/test_util.h"
 #include "util/rng.h"
 #include "util/serialize.h"
@@ -21,6 +20,7 @@
 namespace strr {
 namespace {
 
+using testing_util::ExpandFrom;
 using testing_util::GetSharedStack;
 using testing_util::MakeGridNetwork;
 using testing_util::MakeTempDir;
@@ -138,6 +138,31 @@ TEST_F(StIndexTest, SlotLookups) {
   EXPECT_EQ(index_->SlotForTime(299), 0);
   EXPECT_EQ(index_->SlotForTime(HMS(8)), 96);
   EXPECT_EQ(index_->SlotForTime(HMS(23, 59)), 287);
+}
+
+TEST(StIndexSlotTest, SlotForTimeIsFloorDivisionOfTheTimeOfDay) {
+  // Every second of [-1 day, 2 days): the slot of t is the floor of t's
+  // time of day over Δt, for widths that divide the day and widths that
+  // leave a short last slot.
+  RoadNetwork net = MakeGridNetwork(2, 2, 300.0);
+  auto store = TinyStore();
+  for (int64_t dt : {1, 7, 300, 301, 86399, 86400}) {
+    StIndexOptions opt;
+    opt.slot_seconds = dt;
+    opt.posting_path =
+        MakeTempDir("slot" + std::to_string(dt)) + "/postings.bin";
+    auto index = StIndex::Build(net, *store, opt);
+    ASSERT_TRUE(index.ok()) << index.status().ToString();
+    int64_t mismatches = 0;
+    for (int64_t t = -kSecondsPerDay; t < 2 * kSecondsPerDay; ++t) {
+      const int64_t day_start =
+          (t >= 0 ? t / kSecondsPerDay : (t + 1) / kSecondsPerDay - 1) *
+          kSecondsPerDay;
+      const SlotId want = static_cast<SlotId>((t - day_start) / dt);
+      mismatches += (*index)->SlotForTime(t) != want;
+    }
+    EXPECT_EQ(mismatches, 0) << "dt " << dt;
+  }
 }
 
 TEST_F(StIndexTest, SlotsCoveringRanges) {
@@ -292,7 +317,7 @@ TEST_F(StIndexTest, MarkDaysIntersectingReportsAbsentListsDistinctly) {
 }
 
 TEST_F(StIndexTest, SegmentsInRange) {
-  auto segs = index_->SegmentsInRange(Mbr(-10, -10, 310, 10));
+  auto segs = net_.spatial_index().Search(Mbr(-10, -10, 310, 10));
   // Bottom edge of the grid: both directions of segment pair 0 at least.
   EXPECT_GE(segs.size(), 2u);
   for (SegmentId s : segs) {

@@ -1,17 +1,31 @@
-// Tests for the R-tree and B+-tree, including parameterized property
-// sweeps against brute-force / std::map references.
+// Tests for the bulk-loaded R-tree, including parameterized property
+// sweeps against brute-force references.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 #include <set>
 
-#include "index/bplus_tree.h"
-#include "index/rtree.h"
+#include "geo/rtree.h"
 #include "util/rng.h"
 
 namespace strr {
 namespace {
+
+/// An R-tree bulk-loaded with `entries` at fan-out `fanout`.
+RTree Load(std::vector<RTree::Entry> entries, size_t fanout = 16) {
+  RTree tree(fanout);
+  tree.BulkLoad(std::move(entries));
+  return tree;
+}
+
+/// Point entries: payload i sits at points[i].
+std::vector<RTree::Entry> PointEntries(const std::vector<XyPoint>& points) {
+  std::vector<RTree::Entry> entries;
+  for (uint32_t i = 0; i < points.size(); ++i) {
+    entries.push_back({Mbr::FromPoint(points[i]), i});
+  }
+  return entries;
+}
 
 // --- RTree: basic ------------------------------------------------------------
 
@@ -25,9 +39,9 @@ TEST(RTreeTest, EmptyTree) {
 }
 
 TEST(RTreeTest, SingleEntry) {
-  RTree tree;
-  tree.Insert(Mbr(1, 1, 2, 2), 7);
+  RTree tree = Load({{Mbr(1, 1, 2, 2), 7}});
   EXPECT_EQ(tree.size(), 1u);
+  EXPECT_EQ(tree.Height(), 1);
   auto hits = tree.Search(Mbr(0, 0, 3, 3));
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0], 7u);
@@ -39,8 +53,7 @@ TEST(RTreeTest, BulkLoadSmall) {
   for (uint32_t i = 0; i < 10; ++i) {
     entries.push_back({Mbr(i, 0, i + 0.5, 1), i});
   }
-  RTree tree(4);
-  tree.BulkLoad(entries);
+  RTree tree = Load(entries, 4);
   EXPECT_EQ(tree.size(), 10u);
   EXPECT_TRUE(tree.CheckInvariants());
   auto hits = tree.Search(Mbr(2.2, 0, 4.2, 1));
@@ -59,10 +72,7 @@ TEST(RTreeTest, BulkLoadEmptyAndReload) {
 }
 
 TEST(RTreeTest, NearestOrdering) {
-  RTree tree;
-  tree.Insert(Mbr::FromPoint({0, 0}), 0);
-  tree.Insert(Mbr::FromPoint({10, 0}), 1);
-  tree.Insert(Mbr::FromPoint({20, 0}), 2);
+  RTree tree = Load(PointEntries({{0, 0}, {10, 0}, {20, 0}}));
   auto nearest = tree.Nearest({11, 0}, 2);
   ASSERT_EQ(nearest.size(), 2u);
   EXPECT_EQ(nearest[0], 1u);
@@ -70,14 +80,14 @@ TEST(RTreeTest, NearestOrdering) {
 }
 
 TEST(RTreeTest, NearestKLargerThanSize) {
-  RTree tree;
-  tree.Insert(Mbr::FromPoint({0, 0}), 0);
+  RTree tree = Load(PointEntries({{0, 0}}));
   EXPECT_EQ(tree.Nearest({5, 5}, 10).size(), 1u);
 }
 
 TEST(RTreeTest, SearchVisitEarlyStop) {
-  RTree tree;
-  for (uint32_t i = 0; i < 20; ++i) tree.Insert(Mbr(i, 0, i + 1, 1), i);
+  std::vector<RTree::Entry> entries;
+  for (uint32_t i = 0; i < 20; ++i) entries.push_back({Mbr(i, 0, i + 1, 1), i});
+  RTree tree = Load(entries, 4);
   int visits = 0;
   tree.SearchVisit(Mbr(0, 0, 30, 1), [&](const RTree::Entry&) {
     ++visits;
@@ -87,15 +97,15 @@ TEST(RTreeTest, SearchVisitEarlyStop) {
 }
 
 TEST(RTreeTest, HeightGrowsLogarithmically) {
-  RTree tree(8);
+  std::vector<XyPoint> points;
   for (uint32_t i = 0; i < 1000; ++i) {
-    tree.Insert(Mbr::FromPoint({static_cast<double>(i % 37),
-                                static_cast<double>(i % 53)}),
-                i);
+    points.push_back(
+        {static_cast<double>(i % 37), static_cast<double>(i % 53)});
   }
+  RTree tree = Load(PointEntries(points), 8);
   EXPECT_TRUE(tree.CheckInvariants());
-  EXPECT_LE(tree.Height(), 6);
-  EXPECT_GE(tree.Height(), 3);
+  // 1000 entries at fan-out 8: 125 leaves, then 16, 2 and the root.
+  EXPECT_EQ(tree.Height(), 4);
 }
 
 // --- RTree: parameterized property sweep -------------------------------------
@@ -103,7 +113,6 @@ TEST(RTreeTest, HeightGrowsLogarithmically) {
 struct RTreeParam {
   size_t fanout;
   size_t count;
-  bool bulk;
 };
 
 class RTreePropertyTest : public ::testing::TestWithParam<RTreeParam> {};
@@ -117,12 +126,7 @@ TEST_P(RTreePropertyTest, SearchMatchesBruteForce) {
     entries.push_back(
         {Mbr(x, y, x + rng.Uniform(0, 30), y + rng.Uniform(0, 30)), i});
   }
-  RTree tree(param.fanout);
-  if (param.bulk) {
-    tree.BulkLoad(entries);
-  } else {
-    for (const auto& e : entries) tree.Insert(e.box, e.value);
-  }
+  RTree tree = Load(entries, param.fanout);
   ASSERT_EQ(tree.size(), param.count);
   ASSERT_TRUE(tree.CheckInvariants());
 
@@ -143,195 +147,34 @@ TEST_P(RTreePropertyTest, SearchMatchesBruteForce) {
 TEST_P(RTreePropertyTest, NearestMatchesBruteForce) {
   const RTreeParam param = GetParam();
   Rng rng(2000 + param.count * 3 + param.fanout);
-  std::vector<RTree::Entry> entries;
+  std::vector<XyPoint> points;
   for (uint32_t i = 0; i < param.count; ++i) {
-    double x = rng.Uniform(0, 500), y = rng.Uniform(0, 500);
-    entries.push_back({Mbr::FromPoint({x, y}), i});
+    points.push_back({rng.Uniform(0, 500), rng.Uniform(0, 500)});
   }
-  RTree tree(param.fanout);
-  if (param.bulk) {
-    tree.BulkLoad(entries);
-  } else {
-    for (const auto& e : entries) tree.Insert(e.box, e.value);
-  }
+  std::vector<RTree::Entry> entries = PointEntries(points);
+  RTree tree = Load(entries, param.fanout);
   for (int trial = 0; trial < 10; ++trial) {
     XyPoint p{rng.Uniform(0, 500), rng.Uniform(0, 500)};
-    auto got = tree.Nearest(p, 1);
-    ASSERT_EQ(got.size(), 1u);
-    double got_d = entries[got[0]].box.MinDistance(p);
-    double best = 1e18;
-    for (const auto& e : entries) best = std::min(best, e.box.MinDistance(p));
-    EXPECT_NEAR(got_d, best, 1e-9);
+    std::vector<double> best;
+    for (const auto& e : entries) best.push_back(e.box.MinDistance(p));
+    std::sort(best.begin(), best.end());
+    // The k results are the k smallest box distances, nearest first.
+    for (size_t k : {size_t{1}, size_t{8}}) {
+      auto got = tree.Nearest(p, k);
+      ASSERT_EQ(got.size(), std::min(k, param.count));
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_NEAR(entries[got[i]].box.MinDistance(p), best[i], 1e-9);
+      }
+    }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, RTreePropertyTest,
-    ::testing::Values(RTreeParam{4, 10, false}, RTreeParam{4, 200, false},
-                      RTreeParam{8, 500, false}, RTreeParam{16, 1000, false},
-                      RTreeParam{4, 10, true}, RTreeParam{4, 200, true},
-                      RTreeParam{8, 500, true}, RTreeParam{16, 1000, true},
-                      RTreeParam{32, 2000, true}),
+    ::testing::Values(RTreeParam{4, 10}, RTreeParam{4, 200}, RTreeParam{8, 500},
+                      RTreeParam{16, 1000}, RTreeParam{32, 2000}),
     [](const ::testing::TestParamInfo<RTreeParam>& info) {
-      return (info.param.bulk ? std::string("Bulk") : std::string("Insert")) +
-             "F" + std::to_string(info.param.fanout) + "N" +
-             std::to_string(info.param.count);
-    });
-
-// --- BPlusTree: basic --------------------------------------------------------
-
-TEST(BPlusTreeTest, EmptyTree) {
-  BPlusTree tree;
-  EXPECT_TRUE(tree.empty());
-  EXPECT_EQ(tree.Height(), 0);
-  EXPECT_FALSE(tree.Find(5).has_value());
-  EXPECT_FALSE(tree.Floor(5).has_value());
-  EXPECT_TRUE(tree.CheckInvariants());
-}
-
-TEST(BPlusTreeTest, InsertAndFind) {
-  BPlusTree tree(4);
-  tree.Insert(10, 100);
-  tree.Insert(20, 200);
-  tree.Insert(5, 50);
-  EXPECT_EQ(tree.size(), 3u);
-  EXPECT_EQ(tree.Find(10).value(), 100u);
-  EXPECT_EQ(tree.Find(5).value(), 50u);
-  EXPECT_FALSE(tree.Find(15).has_value());
-  EXPECT_TRUE(tree.CheckInvariants());
-}
-
-TEST(BPlusTreeTest, DuplicateKeyOverwrites) {
-  BPlusTree tree(4);
-  tree.Insert(7, 1);
-  tree.Insert(7, 2);
-  EXPECT_EQ(tree.size(), 1u);
-  EXPECT_EQ(tree.Find(7).value(), 2u);
-}
-
-TEST(BPlusTreeTest, FloorSemantics) {
-  BPlusTree tree(4);
-  for (int64_t k : {0, 300, 600, 900}) {
-    tree.Insert(k, static_cast<uint32_t>(k / 300));
-  }
-  EXPECT_EQ(tree.Floor(0)->second, 0u);
-  EXPECT_EQ(tree.Floor(299)->second, 0u);
-  EXPECT_EQ(tree.Floor(300)->second, 1u);
-  EXPECT_EQ(tree.Floor(899)->second, 2u);
-  EXPECT_EQ(tree.Floor(5000)->second, 3u);
-  EXPECT_FALSE(tree.Floor(-1).has_value());
-}
-
-TEST(BPlusTreeTest, RangeScan) {
-  BPlusTree tree(4);
-  for (int64_t k = 0; k < 50; k += 5) tree.Insert(k, static_cast<uint32_t>(k));
-  std::vector<int64_t> keys;
-  tree.Range(12, 33, [&](int64_t k, uint32_t v) {
-    keys.push_back(k);
-    EXPECT_EQ(v, static_cast<uint32_t>(k));
-    return true;
-  });
-  EXPECT_EQ(keys, (std::vector<int64_t>{15, 20, 25, 30}));
-}
-
-TEST(BPlusTreeTest, RangeEarlyStop) {
-  BPlusTree tree(4);
-  for (int64_t k = 0; k < 100; ++k) tree.Insert(k, 0);
-  int count = 0;
-  tree.Range(0, 99, [&](int64_t, uint32_t) { return ++count < 7; });
-  EXPECT_EQ(count, 7);
-}
-
-TEST(BPlusTreeTest, RangeEmptyAndInverted) {
-  BPlusTree tree(4);
-  tree.Insert(5, 1);
-  int count = 0;
-  tree.Range(10, 4, [&](int64_t, uint32_t) {
-    ++count;
-    return true;
-  });
-  EXPECT_EQ(count, 0);
-}
-
-TEST(BPlusTreeTest, HeightStaysLogarithmic) {
-  BPlusTree tree(8);
-  for (int64_t k = 0; k < 10000; ++k) tree.Insert(k, 0);
-  EXPECT_TRUE(tree.CheckInvariants());
-  EXPECT_LE(tree.Height(), 6);
-}
-
-// --- BPlusTree: parameterized property sweep ---------------------------------
-
-struct BTreeParam {
-  size_t order;
-  size_t count;
-  bool ascending;
-};
-
-class BPlusTreePropertyTest : public ::testing::TestWithParam<BTreeParam> {};
-
-TEST_P(BPlusTreePropertyTest, MatchesStdMap) {
-  const BTreeParam param = GetParam();
-  Rng rng(500 + param.order * 13 + param.count);
-  BPlusTree tree(param.order);
-  std::map<int64_t, uint32_t> reference;
-  for (size_t i = 0; i < param.count; ++i) {
-    int64_t key = param.ascending
-                      ? static_cast<int64_t>(i) * 3
-                      : rng.UniformInt(-100000, 100000);
-    uint32_t value = static_cast<uint32_t>(rng.UniformInt(0, 1 << 30));
-    tree.Insert(key, value);
-    reference[key] = value;
-  }
-  ASSERT_EQ(tree.size(), reference.size());
-  ASSERT_TRUE(tree.CheckInvariants());
-
-  // Point lookups.
-  for (const auto& [k, v] : reference) {
-    auto got = tree.Find(k);
-    ASSERT_TRUE(got.has_value()) << "missing key " << k;
-    EXPECT_EQ(*got, v);
-  }
-  // Floor lookups at random probes.
-  for (int trial = 0; trial < 50; ++trial) {
-    int64_t probe = rng.UniformInt(-120000, 120000);
-    auto got = tree.Floor(probe);
-    auto it = reference.upper_bound(probe);
-    if (it == reference.begin()) {
-      EXPECT_FALSE(got.has_value());
-    } else {
-      --it;
-      ASSERT_TRUE(got.has_value());
-      EXPECT_EQ(got->first, it->first);
-      EXPECT_EQ(got->second, it->second);
-    }
-  }
-  // A full range scan yields the reference in order.
-  std::vector<std::pair<int64_t, uint32_t>> scanned;
-  tree.Range(std::numeric_limits<int64_t>::min() / 2,
-             std::numeric_limits<int64_t>::max() / 2,
-             [&](int64_t k, uint32_t v) {
-               scanned.emplace_back(k, v);
-               return true;
-             });
-  ASSERT_EQ(scanned.size(), reference.size());
-  size_t i = 0;
-  for (const auto& [k, v] : reference) {
-    EXPECT_EQ(scanned[i].first, k);
-    EXPECT_EQ(scanned[i].second, v);
-    ++i;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, BPlusTreePropertyTest,
-    ::testing::Values(BTreeParam{4, 10, false}, BTreeParam{4, 500, false},
-                      BTreeParam{8, 2000, false}, BTreeParam{32, 5000, false},
-                      BTreeParam{4, 500, true}, BTreeParam{16, 3000, true},
-                      BTreeParam{64, 8000, false}),
-    [](const ::testing::TestParamInfo<BTreeParam>& info) {
-      return std::string(info.param.ascending ? "Asc" : "Rand") + "O" +
-             std::to_string(info.param.order) + "N" +
+      return "BulkF" + std::to_string(info.param.fanout) + "N" +
              std::to_string(info.param.count);
     });
 

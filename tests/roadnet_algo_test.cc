@@ -1,27 +1,30 @@
-// Tests for network expansion (INE), the A* router and the segment grid.
+// Tests for timed network expansion (INE), the A* router and the
+// network's radius query.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <set>
 
-#include "roadnet/expansion.h"
 #include "roadnet/router.h"
-#include "roadnet/segment_grid.h"
 #include "tests/test_util.h"
 #include "util/rng.h"
 
 namespace strr {
 namespace {
 
+using testing_util::ExpandFrom;
+using testing_util::ExpandFromMany;
 using testing_util::MakeChainNetwork;
 using testing_util::MakeGridNetwork;
+using testing_util::ShortestPath;
+using testing_util::ShortestTravelTimes;
 
 SpeedFn ConstantSpeed(double mps) {
   return [mps](SegmentId) { return mps; };
 }
 
-// --- ExpandFrom --------------------------------------------------------------
+// --- Single-source timed expansion -------------------------------------------
 
 TEST(ExpansionTest, ChainArrivalTimesAreCumulative) {
   // 4 segments of 100m at 10 m/s: completion times 10, 20, 30, 40.
@@ -101,7 +104,7 @@ TEST(ExpansionTest, GridDistancesMatchManhattanStructure) {
   }
 }
 
-// --- ExpandFromMany / origins ------------------------------------------------
+// --- Multi-source timed expansion / origins ----------------------------------
 
 TEST(ExpansionTest, MultiSourceOriginAssignsNearest) {
   RoadNetwork net = MakeChainNetwork(10, 100.0);
@@ -223,65 +226,87 @@ TEST(RouterTest, InvalidIdsReturnEmpty) {
   EXPECT_TRUE(router.Route(999, 0).empty());
 }
 
-// --- SegmentGrid -------------------------------------------------------------
+// --- RoadNetwork::SegmentsWithinRadius -------------------------------------
 
-TEST(SegmentGridTest, WithinRadiusMatchesBruteForce) {
+/// Brute-force reference: every segment within `radius` of `p`, sorted by
+/// (distance, id).
+std::vector<SegmentId> BruteWithinRadius(const RoadNetwork& net,
+                                         const XyPoint& p, double radius) {
+  std::vector<std::pair<double, SegmentId>> found;
+  for (const RoadSegment& seg : net.segments()) {
+    double d = seg.shape.Project(p).distance;
+    if (d <= radius) found.emplace_back(d, seg.id);
+  }
+  std::sort(found.begin(), found.end());
+  std::vector<SegmentId> out;
+  for (const auto& [d, id] : found) out.push_back(id);
+  return out;
+}
+
+TEST(SegmentsWithinRadiusTest, MatchesBruteForce) {
   RoadNetwork net = MakeGridNetwork(5, 5, 130.0);
-  SegmentGrid grid(net, 100.0);
   Rng rng(3);
-  for (int trial = 0; trial < 25; ++trial) {
+  for (int trial = 0; trial < 200; ++trial) {
     XyPoint p{rng.Uniform(-100, 650), rng.Uniform(-100, 650)};
     double radius = rng.Uniform(20, 300);
-    std::set<SegmentId> expected;
-    for (const RoadSegment& seg : net.segments()) {
-      if (seg.shape.Project(p).distance <= radius) expected.insert(seg.id);
-    }
-    auto got_vec = grid.WithinRadius(p, radius);
-    std::set<SegmentId> got(got_vec.begin(), got_vec.end());
-    EXPECT_EQ(got, expected) << "point (" << p.x << "," << p.y << ") r="
-                             << radius;
+    EXPECT_EQ(net.SegmentsWithinRadius(p, radius),
+              BruteWithinRadius(net, p, radius))
+        << "point (" << p.x << "," << p.y << ") r=" << radius;
   }
 }
 
-TEST(SegmentGridTest, WithinRadiusSortedByDistance) {
+TEST(SegmentsWithinRadiusTest, TiesOnSharedVerticesAndTwinsOrderById) {
+  // Every grid segment is a two-way pair over one shape, and every node is
+  // a vertex shared by up to eight segments: points on them tie at equal
+  // distance, and ties must order by id.
   RoadNetwork net = MakeGridNetwork(4, 4, 100.0);
-  SegmentGrid grid(net, 80.0);
-  auto hits = grid.WithinRadius({150.0, 150.0}, 250.0);
+  Rng rng(11);
+  int ties = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    XyPoint p;
+    if (trial % 2 == 0) {
+      p = net.node(static_cast<NodeId>(rng.UniformInt(0, net.NumNodes() - 1)));
+    } else {
+      const RoadSegment& seg = net.segment(
+          static_cast<SegmentId>(rng.UniformInt(0, net.NumSegments() - 1)));
+      p = seg.shape.Interpolate(rng.Uniform(0, seg.length));
+    }
+    double radius = rng.Uniform(1, 150);
+    std::vector<SegmentId> got = net.SegmentsWithinRadius(p, radius);
+    EXPECT_EQ(got, BruteWithinRadius(net, p, radius))
+        << "point (" << p.x << "," << p.y << ") r=" << radius;
+    ASSERT_GE(got.size(), 2u);  // a point on the network lies on a twin pair
+    for (size_t i = 1; i < got.size(); ++i) {
+      double a = net.segment(got[i - 1]).shape.Project(p).distance;
+      double b = net.segment(got[i]).shape.Project(p).distance;
+      EXPECT_TRUE(a < b || (a == b && got[i - 1] < got[i]))
+          << "hits " << got[i - 1] << ", " << got[i] << " out of order";
+      ties += a == b;
+    }
+  }
+  EXPECT_GT(ties, 200);
+}
+
+TEST(SegmentsWithinRadiusTest, SortedByDistance) {
+  RoadNetwork net = MakeGridNetwork(4, 4, 100.0);
+  const XyPoint p{150.0, 150.0};
+  auto hits = net.SegmentsWithinRadius(p, 250.0);
+  ASSERT_FALSE(hits.empty());
   double prev = -1.0;
   for (SegmentId id : hits) {
-    double d = net.segment(id).shape.Project({150.0, 150.0}).distance;
-    EXPECT_GE(d + 1e-9, prev);
+    double d = net.segment(id).shape.Project(p).distance;
+    EXPECT_GE(d, prev);
     prev = d;
   }
 }
 
-TEST(SegmentGridTest, NearestAgreesWithBruteForce) {
-  RoadNetwork net = MakeGridNetwork(4, 6, 140.0);
-  SegmentGrid grid(net, 90.0);
-  Rng rng(9);
-  for (int trial = 0; trial < 20; ++trial) {
-    XyPoint p{rng.Uniform(-200, 900), rng.Uniform(-200, 600)};
-    SegmentId got = grid.Nearest(p);
-    auto want = net.NearestSegmentBruteForce(p);
-    ASSERT_TRUE(want.ok());
-    double got_d = net.segment(got).shape.Project(p).distance;
-    double want_d = net.segment(*want).shape.Project(p).distance;
-    EXPECT_NEAR(got_d, want_d, 1e-9);  // may tie; distance must match
-  }
-}
-
-TEST(SegmentGridTest, NearestOnEmptyNetwork) {
+TEST(SegmentsWithinRadiusTest, EmptyNetworkAndFarPoint) {
   RoadNetwork empty;
   ASSERT_TRUE(empty.Finalize().ok());
-  SegmentGrid grid(empty, 100.0);
-  EXPECT_EQ(grid.Nearest({0, 0}), kInvalidSegment);
-}
-
-TEST(SegmentGridTest, FarAwayPointStillFindsNearest) {
+  EXPECT_TRUE(empty.SegmentsWithinRadius({0, 0}, 100.0).empty());
   RoadNetwork net = MakeChainNetwork(2, 100.0);
-  SegmentGrid grid(net, 50.0);
-  SegmentId got = grid.Nearest({100000.0, 100000.0});
-  EXPECT_NE(got, kInvalidSegment);
+  EXPECT_TRUE(net.SegmentsWithinRadius({100000.0, 100000.0}, 500.0).empty());
+  EXPECT_EQ(net.SegmentsWithinRadius({100000.0, 0.0}, 1e6).size(), 2u);
 }
 
 }  // namespace

@@ -25,7 +25,6 @@
 #include "live/live_profile_manager.h"
 #include "query/bounding_region.h"
 #include "roadnet/city_generator.h"
-#include "roadnet/expansion.h"
 #include "search/expansion_context.h"
 #include "search/frontier_engine.h"
 #include "tests/test_util.h"
@@ -34,6 +33,7 @@
 namespace strr {
 namespace {
 
+using testing_util::ExpandFrom;
 using testing_util::GetSharedStack;
 using testing_util::MakeGridNetwork;
 
@@ -218,7 +218,7 @@ TEST(FrontierEngineTest, TimedTieRuleCanonicalUnderHeavyTies) {
   ExpectCanonicalTimed(net, sources, 500.0, ConstantSpeed(10.0));
 }
 
-TEST(FrontierEngineTest, WrapperFunctionsMatchEngineResults) {
+TEST(FrontierEngineTest, BoundedExpansionMatchesTruncatedLabels) {
   RoadNetwork net = MakeGridNetwork(5, 5, 300.0);
   SpeedFn speeds = HashSpeeds(5);
   auto hits = ExpandFrom(net, 2, 400.0, speeds);
@@ -228,7 +228,7 @@ TEST(FrontierEngineTest, WrapperFunctionsMatchEngineResults) {
   }
   // Reached set must match an unbounded label computation truncated at
   // the budget.
-  auto labels = ShortestTravelTimes(net, 2, speeds);
+  auto labels = testing_util::ShortestTravelTimes(net, 2, speeds);
   size_t in_budget = 0;
   for (double l : labels) in_budget += (l <= 400.0) ? 1 : 0;
   EXPECT_EQ(hits.size(), in_budget);

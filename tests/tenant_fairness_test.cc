@@ -15,6 +15,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "core/query_executor.h"
@@ -137,6 +138,69 @@ TEST(TenantRegistryTest, LoadFromFileParsesAndRejectsAtomically) {
   EXPECT_EQ(registry.config(4294967295u).weight, 4294967295u);
 
   EXPECT_FALSE(registry.LoadFromFile(dir + "/absent.cfg").ok());
+}
+
+TEST(TenantRegistryTest, ConfigMutationSweepLoadsOrRejectsTyped) {
+  // Deterministic byte flips, truncations and insertions of a valid
+  // config. Each mutant either loads or is a typed InvalidArgument, and a
+  // rejected load leaves every tenant's config, and the set of tenants,
+  // as it was.
+  const std::string base =
+      "# tenant weight max_inflight max_queued\n"
+      "1 4 16 8\n"
+      "\n"
+      "2 1 0 64  # trailing comment\n"
+      "4294967295 4294967295 18446744073709551615 0\n";
+  std::vector<std::string> mutants;
+  for (size_t i = 0; i < base.size(); ++i) {
+    for (unsigned char mask : {0x01, 0x10, 0x20, 0x80, 0xff}) {
+      std::string m = base;
+      m[i] = static_cast<char>(static_cast<unsigned char>(m[i]) ^ mask);
+      mutants.push_back(std::move(m));
+    }
+    for (char c : {'\0', '\n', ' ', '#', '-', '9', '\xff'}) {
+      std::string m = base;
+      m.insert(m.begin() + static_cast<std::ptrdiff_t>(i), c);
+      mutants.push_back(std::move(m));
+    }
+    mutants.push_back(base.substr(0, i));
+  }
+
+  const std::string path = MakeTempDir("tenant_mutate") + "/tenants.cfg";
+  auto configs_of = [](const TenantRegistry& registry) {
+    std::vector<std::tuple<TenantId, uint32_t, size_t, size_t>> out;
+    for (const TenantCounters& c : registry.Snapshot()) {
+      TenantConfig config = registry.config(c.tenant);
+      out.emplace_back(c.tenant, config.weight, config.max_inflight,
+                       config.max_queued);
+    }
+    return out;
+  };
+  size_t loaded = 0, rejected = 0;
+  for (const std::string& mutant : mutants) {
+    TenantRegistry registry;
+    WriteConfigFile(path, base);
+    STRR_ASSERT_OK(registry.LoadFromFile(path));
+    const auto before = configs_of(registry);
+    WriteConfigFile(path, mutant);
+    Status status = registry.LoadFromFile(path);
+    if (status.ok()) {
+      ++loaded;
+      EXPECT_EQ(registry.reloads(), 2u);
+      for (const auto& [tenant, weight, inflight, queued] :
+           configs_of(registry)) {
+        EXPECT_GE(weight, 1u) << "tenant " << tenant;
+      }
+      continue;
+    }
+    ++rejected;
+    EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+    EXPECT_EQ(configs_of(registry), before) << status.ToString();
+    EXPECT_EQ(registry.reloads(), 1u);
+  }
+  // The sweep exercises both outcomes.
+  EXPECT_GT(loaded, 100u);
+  EXPECT_GT(rejected, 100u);
 }
 
 TEST(TenantRegistryTest, FileWatchReloadsUnderConcurrentTraffic) {

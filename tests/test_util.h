@@ -1,14 +1,17 @@
 // Shared fixtures for the test suite: tiny hand-built networks, a seeded
-// small dataset + engine built once per test binary, temp-dir helpers.
+// small dataset + engine built once per test binary, temp-dir helpers and
+// one-call timed expansions over FrontierEngine.
 #ifndef STRR_TESTS_TEST_UTIL_H_
 #define STRR_TESTS_TEST_UTIL_H_
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -16,6 +19,7 @@
 #include "core/dataset.h"
 #include "core/reachability_engine.h"
 #include "roadnet/road_network.h"
+#include "search/frontier_engine.h"
 
 namespace strr {
 namespace testing_util {
@@ -78,6 +82,76 @@ inline RoadNetwork MakeChainNetwork(int n, double len = 300.0) {
   }
   EXPECT_TRUE(net.Finalize().ok());
   return net;
+}
+
+/// Timed expansion from `sources` within `budget_seconds`: every segment
+/// whose traversal completes within the budget, sorted by (arrival, id).
+/// `origin` (optional, segment-indexed) receives the winning source,
+/// kInvalidSegment where unreached.
+inline std::vector<ExpansionHit> ExpandFromMany(
+    const RoadNetwork& net, const std::vector<SegmentId>& sources,
+    double budget_seconds, const SpeedFn& speed,
+    std::vector<SegmentId>* origin = nullptr) {
+  FrontierEngine engine(net);
+  auto ctx = ExpansionContextPool::Global().Acquire();
+  FrontierEngine::TimedRequest request;
+  request.sources = sources;
+  request.budget = budget_seconds;
+  request.track_origin = origin != nullptr;
+  engine.RunTimed(*ctx, request, speed);
+  if (origin != nullptr) {
+    origin->assign(net.NumSegments(), kInvalidSegment);
+    for (SegmentId s : ctx->reached()) {
+      if (ctx->Label(s) < kUnreachedLabel) (*origin)[s] = ctx->Origin(s);
+    }
+  }
+  return engine.HitsByArrival(*ctx);
+}
+
+inline std::vector<ExpansionHit> ExpandFrom(const RoadNetwork& net,
+                                            SegmentId source,
+                                            double budget_seconds,
+                                            const SpeedFn& speed) {
+  return ExpandFromMany(net, {source}, budget_seconds, speed);
+}
+
+/// Unbounded shortest completion time of every segment from `source`;
+/// +inf where unreachable.
+inline std::vector<double> ShortestTravelTimes(const RoadNetwork& net,
+                                               SegmentId source,
+                                               const SpeedFn& speed) {
+  std::vector<double> label(net.NumSegments(),
+                            std::numeric_limits<double>::infinity());
+  for (const ExpansionHit& h :
+       ExpandFromMany(net, {source}, kUnreachedLabel, speed)) {
+    label[h.segment] = h.arrival_seconds;
+  }
+  return label;
+}
+
+/// Shortest travel-time path from `source` to `target`, both included, by
+/// the engine's parent tracking with an early stop at `target`. Empty when
+/// unreachable.
+inline std::vector<SegmentId> ShortestPath(const RoadNetwork& net,
+                                           SegmentId source, SegmentId target,
+                                           const SpeedFn& speed) {
+  if (source >= net.NumSegments() || target >= net.NumSegments()) return {};
+  FrontierEngine engine(net);
+  auto ctx = ExpansionContextPool::Global().Acquire();
+  FrontierEngine::TimedRequest request;
+  request.sources = std::span<const SegmentId>(&source, 1);
+  request.track_parent = true;
+  request.stop_at = target;
+  engine.RunTimed(*ctx, request, speed);
+  if (ctx->Label(target) >= kUnreachedLabel) return {};
+  std::vector<SegmentId> path;
+  for (SegmentId cur = target; cur != kInvalidSegment; cur = ctx->Parent(cur)) {
+    path.push_back(cur);
+    if (cur == source) break;
+  }
+  std::reverse(path.begin(), path.end());
+  if (path.front() != source) return {};
+  return path;
 }
 
 /// Fresh unique temp directory for a test. pid + counter, not rand():
